@@ -1,4 +1,9 @@
-"""Adaptive computation time: the pondering loop for one recurrent network.
+"""Adaptive computation time: the halting law and a per-sequence reference.
+
+`halting_distribution` is the halting law every path uses. `act_step` and
+`run_sequence` ponder one sequence on its own tape; they are the reference
+the test suite pins the batched loop in `engine` to (values and
+gradients), not a path the package's commands run.
 
 Each input step runs a variable number of intermediate cell updates. A
 sigmoidal halting unit is evaluated after every update; its activations
@@ -17,7 +22,6 @@ n < N and 0 at n = N.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -105,18 +109,6 @@ class ActStepTrace:
     @property
     def ponder(self) -> float:
         return self.steps_taken + self.remainder
-
-    @property
-    def halting_activations(self) -> list[float]:
-        return [float(v.data[0, 0]) for v in self.halt_vars]
-
-    @property
-    def intermediate_outputs(self) -> list[np.ndarray]:
-        return [v.data for v in self.output_vars]
-
-    @property
-    def intermediate_states(self) -> list[tuple[np.ndarray, ...]]:
-        return [tuple(p.data for p in s.parts()) for s in self.state_vars]
 
 
 @dataclass
@@ -240,29 +232,3 @@ def run_sequence(cell, params: CellParams, cfg: ActConfig, inputs,
             ponder_var = term if ponder_var is None else ad.add(ponder_var, term)
     return ActSequenceResult(tape, pv, final_states, outputs, traces,
                              ponder_var, ponder_const)
-
-
-TRACE_SCHEMA = "act-trace-1"
-
-
-def write_trace_csv(traces: Sequence[ActStepTrace], out) -> None:
-    """Per-step pondering rows for figure reproduction.
-
-    Column order: t (input step, 0-based), steps (N), ponder (N + R),
-    remainder (R), probs (halting distribution, ';'-joined). The first
-    line names the schema version.
-    """
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        out.write(f"# schema: {TRACE_SCHEMA}\n")
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["t", "steps", "ponder", "remainder", "probs"])
-        for t, tr in enumerate(traces):
-            writer.writerow([t, tr.steps_taken, repr(tr.ponder), repr(tr.remainder),
-                             ";".join(repr(p) for p in tr.halting_probs)])
-    finally:
-        if close:
-            out.close()

@@ -4,7 +4,8 @@ Layout (all integers little-endian):
 
     8 bytes   magic "ACTLABC1"
     u32       format version (1)
-    u32       length of the config digest, then that many bytes (sha256 hex)
+    u32       length of the config digest, then that many bytes (sha256 hex
+              of the config text bytes that follow)
     u32       length of the resolved config text, then that many utf-8 bytes
     u32       record count
     records   u16 name length + utf-8 name, u8 ndim, u32 per dim,
@@ -18,15 +19,16 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
 
 import numpy as np
 
 from .cells import CellParams
-from .config import TrainConfig, config_digest, config_text, parse_config_text
+from .config import (TrainConfig, config_digest, config_text, parse_config_text,
+                     resolved_spec)
 from .optim import OptimizerState
-from .tasks import task_spec
 
 MAGIC = b"ACTLABC1"
 VERSION = 1
@@ -95,7 +97,9 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     digest = reader.take(reader.u32()).decode("ascii")
-    text = reader.take(reader.u32()).decode("utf-8")
+    text = reader.take(reader.u32())
+    if hashlib.sha256(text).hexdigest() != digest:
+        raise CheckpointError("config text does not match its stored digest")
 
     arrays: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
@@ -106,13 +110,9 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]
         data = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
         arrays[name] = np.array(data)          # own, writable copy
 
-    config = parse_config_text(text, origin=f"{path}:config")
-    if config_digest(config) != digest:
-        raise CheckpointError("config text does not match its stored digest")
-
-    spec = task_spec(config.task)
-    input_size = config.n_bits if config.task == "parity" else spec.input_size
-    params = CellParams(config.cell, input_size, config.hidden, spec.output_size,
+    config = parse_config_text(text.decode("utf-8"), origin=f"{path}:config")
+    spec = resolved_spec(config)
+    params = CellParams(config.cell, spec.input_size, config.hidden, spec.output_size,
                         *(arrays["param/" + name]
                           for name in CellParams._FIELDS))
     params.validate()

@@ -8,7 +8,6 @@ stdout stays silent unless --stdout asks for data on it. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -19,13 +18,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .act import ActConfig, run_sequence
+from .act import ActConfig, halting_distribution
 from .autodiff import ContractError, DimensionError, NumericError
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, TrainConfig, parse_config
+from .engine import run_batch
 from .gradcheck import halting_gradient_check
 from .losses import PROB_CLAMP
-from .tasks import GENERATORS, gen_text, synth_corpus, write_batch_csv
+from .tasks import GENERATORS, gen_text, schema_csv, synth_corpus, write_batch_csv
 from .trainer import (evaluate, load_corpus, make_batch, per_position_nats,
                       resolved_spec, sweep, tau_grid, train, write_sweep_csv)
 
@@ -85,9 +85,7 @@ def _cmd_eval(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(line + "\n")
     if args.difficulty_csv:
-        with open(args.difficulty_csv, "w", newline="") as fh:
-            fh.write("# schema: difficulty-table-1\n")
-            writer = csv.writer(fh, lineterminator="\n")
+        with schema_csv(args.difficulty_csv, "difficulty-table-1") as writer:
             writer.writerow(["difficulty", "count", "mean_ponder", "mean_steps",
                              "mean_error"])
             for r in metrics.difficulty_rows:
@@ -193,6 +191,8 @@ def _entropy_bits(dist: np.ndarray) -> float:
 
 
 def _cmd_trace(args) -> int:
+    if not (args.out or args.stdout):
+        raise ConfigError("trace requires --out or --stdout")
     config, params, _ = load_checkpoint(args.checkpoint)
     spec = resolved_spec(config)
     act_cfg = ActConfig(config.epsilon, config.max_steps, config.tau)
@@ -204,16 +204,17 @@ def _cmd_trace(args) -> int:
     corpus = load_corpus(config)
     rng = np.random.default_rng(args.seed)
     batch = make_batch(config, rng, corpus, batch_size=args.count)
+    res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
+    outputs = np.stack([y.data for y in res.outputs], axis=1)
+    nats = per_position_nats(spec, outputs, batch.targets, batch.target_mask)
 
     rows = []
     for e in range(batch.batch_size):
-        t_e = int(batch.lengths[e])
-        res = run_sequence(params.kind, params, act_cfg, batch.inputs[e, :t_e])
-        outputs = np.stack([y.data[0] for y in res.outputs])[None, :, :]
-        nats = per_position_nats(spec, outputs, batch.targets[e:e + 1, :t_e],
-                                 batch.target_mask[e:e + 1, :t_e])[0]
-        for t, trace in enumerate(res.traces):
-            y = outputs[0, t]
+        for t in range(int(batch.lengths[e])):
+            n_steps, probs, remainder = halting_distribution(
+                (h.data[e, 0] for h in res.halt_vars[t]),
+                act_cfg.epsilon, act_cfg.max_steps)
+            y = outputs[e, t]
             if spec.head == "bce":
                 p = 1.0 / (1.0 + math.exp(-float(y[0])))
                 dist = np.array([1.0 - p, p])
@@ -223,25 +224,15 @@ def _cmd_trace(args) -> int:
                 expd = np.exp(shifted)
                 dist = (expd / expd.sum(axis=1, keepdims=True)).ravel()
             rows.append([e, t, _render_input(config.task, batch.inputs[e, t]),
-                         trace.steps_taken, repr(trace.ponder),
-                         repr(trace.remainder),
-                         repr(float(nats[t])) if batch.target_mask[e, t] else "",
+                         n_steps, repr(n_steps + remainder), repr(remainder),
+                         repr(float(nats[e, t])) if batch.target_mask[e, t] else "",
                          repr(_entropy_bits(dist)),
-                         ";".join(repr(p) for p in trace.halting_probs)])
+                         ";".join(repr(p) for p in probs)])
 
-    out = sys.stdout if args.stdout and not args.out else None
-    fh = open(args.out, "w", newline="") if args.out else out
-    if fh is None:
-        raise ConfigError("trace requires --out or --stdout")
-    try:
-        fh.write(f"# schema: {TRACE_COMMAND_SCHEMA}\n")
-        writer = csv.writer(fh, lineterminator="\n")
+    with schema_csv(args.out or sys.stdout, TRACE_COMMAND_SCHEMA) as writer:
         writer.writerow(["sequence", "t", "input", "steps", "ponder",
                          "remainder", "loss_nats", "entropy_bits", "probs"])
         writer.writerows(rows)
-    finally:
-        if args.out:
-            fh.close()
     log.info("traced %d sequences (%d rows)", batch.batch_size, len(rows))
     return EXIT_OK
 

@@ -15,21 +15,11 @@ import hashlib
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .tasks import TASKS
+from .tasks import TASKS, TaskSpec, task_spec
 
 
 class ConfigError(ValueError):
     """Bad configuration file, override, or value."""
-
-
-# Reference defaults that vary per task: (batch, cell, hidden, max_steps).
-_TASK_DEFAULTS = {
-    "parity":   (128, "rnn", 128, 100),
-    "logic":    (16, "lstm", 128, 100),
-    "addition": (32, "lstm", 512, 20),
-    "sort":     (16, "lstm", 512, 100),
-    "text":     (8, "lstm", 1500, 100),
-}
 
 # Per-task sequence-shape defaults: (min_len, max_len, min_digits, max_digits).
 _RANGE_DEFAULTS = {
@@ -68,20 +58,20 @@ class TrainConfig:
     checkpoint_every: int = 0
     clip_norm: float = 0.0
     seed: int = 0
-    workers: int = 1
 
     def resolve(self) -> "TrainConfig":
         """Fill task-dependent defaults and validate ranges."""
         if self.task not in TASKS:
             raise ConfigError(
                 f"unknown task {self.task!r}; expected one of {sorted(TASKS)}")
-        batch, cell, hidden, max_steps = _TASK_DEFAULTS[self.task]
+        spec = TASKS[self.task]
         lo, hi, dlo, dhi = _RANGE_DEFAULTS[self.task]
         out = TrainConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
-        out.batch = batch if self.batch is None else self.batch
-        out.cell = cell if self.cell is None else self.cell
-        out.hidden = hidden if self.hidden is None else self.hidden
-        out.max_steps = max_steps if self.max_steps is None else self.max_steps
+        out.batch = spec.default_batch if self.batch is None else self.batch
+        out.cell = spec.default_cell if self.cell is None else self.cell
+        out.hidden = spec.default_hidden if self.hidden is None else self.hidden
+        out.max_steps = (spec.default_max_steps if self.max_steps is None
+                         else self.max_steps)
         out.min_len = lo if self.min_len is None else self.min_len
         out.max_len = hi if self.max_len is None else self.max_len
         out.min_digits = dlo if self.min_digits is None else self.min_digits
@@ -95,8 +85,7 @@ class TrainConfig:
             raise ConfigError(f"act.tau must be >= 0, got {out.tau}")
         if out.cell not in ("rnn", "lstm"):
             raise ConfigError(f"cell.kind must be rnn or lstm, got {out.cell!r}")
-        for key, value in (("task.batch", out.batch), ("cell.hidden", out.hidden),
-                           ("train.workers", out.workers)):
+        for key, value in (("task.batch", out.batch), ("cell.hidden", out.hidden)):
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
         if out.iterations < 0:
@@ -133,10 +122,8 @@ KEYMAP = {
     "train.checkpoint_every": "checkpoint_every",
     "train.clip_norm": "clip_norm",
     "train.seed": "seed",
-    "train.workers": "workers",
 }
 
-_FIELD_TO_KEY = {v: k for k, v in KEYMAP.items()}
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
@@ -160,6 +147,13 @@ def _convert(key: str, field: str, raw: str):
 
 
 def _assign(config: TrainConfig, key: str, raw: str) -> None:
+    if key == "train.workers":
+        # Retired key, still accepted at 1 so older run directories and
+        # checkpoints (whose config text carries it) keep loading.
+        if raw.strip() != "1":
+            raise ConfigError("train.workers: the lock-free shared-parameter "
+                              "training mode was removed; only 1 is accepted")
+        return
     if key not in KEYMAP:
         hint = difflib.get_close_matches(key, KEYMAP, n=1)
         suffix = f"; closest valid key is {hint[0]!r}" if hint else ""
@@ -210,6 +204,13 @@ def config_text(config: TrainConfig) -> str:
             value = "true" if value else "false"
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
+
+
+def resolved_spec(config: TrainConfig) -> TaskSpec:
+    """The task spec a resolved config trains: parity's width is task.bits."""
+    if config.task == "parity":
+        return task_spec("parity", input_size=config.n_bits)
+    return task_spec(config.task)
 
 
 def config_digest(config: TrainConfig) -> str:

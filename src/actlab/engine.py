@@ -1,6 +1,7 @@
-"""Whole-minibatch pondering on one tape.
+"""Whole-minibatch pondering on one tape: the package's pondering loop.
 
-This mirrors the per-sequence loop in `act` but steps every batch member
+Training, evaluation, `trace` and `gradcheck` all run this loop. It
+mirrors the per-sequence reference in `act` but steps every batch member
 at once, which is what makes CPU training affordable: each intermediate
 update is one set of matrix ops instead of a Python loop per example.
 
@@ -39,6 +40,9 @@ class BatchRunResult:
     halted_by_cap: np.ndarray     # (batch, T) bool
     ponder_var: Optional[Var]     # on-tape part of sum_e P_e (scalar)
     ponder_const: float           # constant part (the integer update counts)
+    halt_vars: list[list[Var]]    # per input step: h^1 .. h^n, each (batch, 1)
+    remainder_vars: list[Optional[Var]]  # per input step: R (batch, 1), or None
+                                         # when every row halts at its first update
 
     @property
     def ponders(self) -> np.ndarray:
@@ -96,6 +100,8 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
     capped = np.zeros((n_batch, n_steps_total), dtype=bool)
     ponder_var: Optional[Var] = None
     ponder_const = 0.0
+    step_halt_vars: list[list[Var]] = []
+    remainder_vars: list[Optional[Var]] = []
     ones_col = np.ones((n_batch, 1))
     zeros_col = np.zeros((n_batch, 1))
 
@@ -152,6 +158,8 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
                  if hsum is not None else None)
         r_vals = r_var.data[:, 0] if r_var is not None else np.ones(n_batch)
         remainders[active, t] = r_vals[active]
+        step_halt_vars.append(halt_vars)
+        remainder_vars.append(r_var)
 
         # Mean-field weights: the activation before the halt, the remainder at it.
         weights: list[Var] = []
@@ -191,4 +199,5 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
             ponder_const += float(active.sum())
 
     return BatchRunResult(tape, pv, outputs, steps, remainders, active_all,
-                          capped, ponder_var, ponder_const)
+                          capped, ponder_var, ponder_const, step_halt_vars,
+                          remainder_vars)

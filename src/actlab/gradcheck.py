@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .act import ActConfig, run_sequence
+from .act import ActConfig
 from .autodiff import ContractError
 from .cells import CellParams
-from .losses import binary_cross_entropy, joint_softmax_cross_entropy
 from .tasks import TaskBatch, TaskSpec
 from .trainer import batch_objective
 
@@ -48,55 +47,26 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(1.0, abs(a), abs(n))
 
 
-def _sequence_objective(spec: TaskSpec, params: CellParams, cfg: ActConfig,
-                        batch: TaskBatch, example: int):
-    """Per-sequence reference objective for the closed-form checks."""
-    t_e = int(batch.lengths[example])
-    res = run_sequence(params.kind, params, cfg, batch.inputs[example, :t_e])
-    loss = None
-    for t, y in enumerate(res.outputs):
-        if not batch.target_mask[example, t]:
-            continue
-        if spec.head == "bce":
-            term = binary_cross_entropy(ad.sigmoid(y),
-                                        batch.targets[example, t:t + 1, :])
-        else:
-            dists = [ad.softmax(ad.narrow(y, 1, g * spec.classes, spec.classes),
-                                axis=1) for g in range(spec.groups)]
-            term = joint_softmax_cross_entropy(dists,
-                                               batch.targets[example, t:t + 1, :])
-        loss = term if loss is None else ad.add(loss, term)
-    if res.ponder_var is not None and cfg.time_penalty > 0.0:
-        penalty = ad.scale(res.ponder_var, cfg.time_penalty)
-        loss = penalty if loss is None else ad.add(loss, penalty)
-    return res, loss
-
-
 def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
                         batch: TaskBatch) -> tuple[bool, bool]:
     ponder_ok = True
-    halt_zero_ok = True
-    for example in range(batch.batch_size):
+    for t in range(batch.inputs.shape[1]):
         # Per-step ponder derivative: fresh forward per step so adjoints
-        # from other steps cannot accumulate into the comparison.
-        probe, _ = _sequence_objective(spec, params, cfg, batch, example)
-        for k in range(len(probe.traces)):
-            res, _ = _sequence_objective(spec, params, cfg, batch, example)
-            trace = res.traces[k]
-            if trace.ponder_var is None:
-                continue
-            res.tape.backward(ad.reduce_sum(trace.ponder_var))
-            for n, hv in enumerate(trace.halt_vars):
-                want = -1.0 if n < trace.steps_taken - 1 else 0.0
-                if res.tape.grad(hv)[0, 0] != want:
-                    ponder_ok = False
-        # Full objective: the halting activation itself gets zero gradient.
-        res, loss = _sequence_objective(spec, params, cfg, batch, example)
-        if loss is not None:
-            res.tape.backward(loss)
-            for trace in res.traces:
-                if res.tape.grad(trace.halt_vars[-1])[0, 0] != 0.0:
-                    halt_zero_ok = False
+        # from other steps cannot accumulate into the comparison. Each
+        # row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
+        _, res, _, _ = batch_objective(spec, params, cfg, batch)
+        if res.remainder_vars[t] is None:
+            continue
+        res.tape.backward(ad.reduce_sum(res.remainder_vars[t]))
+        for n, h_var in enumerate(res.halt_vars[t], start=1):
+            want = np.where(n < res.steps[:, t], -1.0, 0.0)
+            ponder_ok &= bool(np.all(res.tape.grad(h_var)[:, 0] == want))
+    # Full objective: each row's halting activation gets zero gradient.
+    loss_var, res, _, _ = batch_objective(spec, params, cfg, batch)
+    res.tape.backward(loss_var)
+    halt_zero_ok = all(
+        res.tape.grad(res.halt_vars[t][res.steps[e, t] - 1])[e, 0] == 0.0
+        for e, t in zip(*np.nonzero(res.active)))
     return ponder_ok, halt_zero_ok
 
 

@@ -10,7 +10,10 @@ offsetting the root seed.
 
 from __future__ import annotations
 
+import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -336,20 +339,28 @@ GENERATORS = {
 BATCH_CSV_SCHEMA = "task-batch-1"
 
 
+@contextmanager
+def schema_csv(out, schema: str) -> Iterator:
+    """Write the `# schema:` line to `out` and yield a csv.writer on it.
+
+    `out` is a path (opened here, closed on exit) or an open text stream.
+    """
+    fh = open(out, "w", newline="") if isinstance(out, (str, bytes)) else out
+    try:
+        fh.write(f"# schema: {schema}\n")
+        yield csv.writer(fh, lineterminator="\n")
+    finally:
+        if fh is not out:
+            fh.close()
+
+
 def write_batch_csv(batch: TaskBatch, out) -> None:
     """Golden-fixture serialization: one row per (example, step).
 
     Columns: example, t, length, mask, difficulty, then `target_g*` for
     each classification group, then `in_*` for the flattened input vector.
     """
-    import csv
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        out.write(f"# schema: {BATCH_CSV_SCHEMA} task: {batch.task}\n")
-        writer = csv.writer(out, lineterminator="\n")
+    with schema_csv(out, f"{BATCH_CSV_SCHEMA} task: {batch.task}") as writer:
         groups = batch.targets.shape[2]
         width = batch.inputs.shape[2]
         writer.writerow(["example", "t", "length", "mask", "difficulty"]
@@ -362,6 +373,3 @@ def write_batch_csv(batch: TaskBatch, out) -> None:
                      int(batch.difficulty[e, t])]
                     + [int(v) for v in batch.targets[e, t]]
                     + [repr(float(v)) for v in batch.inputs[e, t]])
-    finally:
-        if close:
-            out.close()

@@ -1,18 +1,15 @@
 """Training loop, evaluation, and time-penalty sweeps.
 
-A single-worker run is a pure function of (config, seed): batch data, eval
+A training run is a pure function of (config, seed): batch data, eval
 data, and initialization all derive from independent child seeds of the
 run seed, updates apply in a fixed parameter order, and metrics rows
-serialize deterministically. The optional shared-parameter mode trades
-that reproducibility for wall-clock speed and is opt-in via
-train.workers.
+serialize deterministically.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -23,7 +20,8 @@ from .act import ActConfig
 from .autodiff import NumericError
 from .cells import CellParams, init_params
 from .checkpoint import save_checkpoint
-from .config import ConfigError, TrainConfig, config_digest, config_text
+from .config import (ConfigError, TrainConfig, config_digest, config_text,
+                     resolved_spec)
 from .engine import run_batch
 from .losses import (LossBreakdown, RunMetrics, binary_cross_entropy,
                      bits_per_character, example_errors,
@@ -31,16 +29,10 @@ from .losses import (LossBreakdown, RunMetrics, binary_cross_entropy,
                      sequence_error_rate, total_loss)
 from .optim import OptimizerState, adam_update, clip_global_norm
 from .tasks import (TaskBatch, TaskSpec, gen_addition, gen_logic, gen_parity,
-                    gen_sort, gen_text, task_spec)
+                    gen_sort, gen_text, schema_csv)
 
 METRICS_SCHEMA = 1
 SWEEP_SCHEMA = "sweep-summary-1"
-
-
-def resolved_spec(config: TrainConfig) -> TaskSpec:
-    if config.task == "parity":
-        return task_spec("parity", input_size=config.n_bits)
-    return task_spec(config.task)
 
 
 def load_corpus(config: TrainConfig) -> Optional[bytes]:
@@ -250,14 +242,8 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
 
     result = TrainResult(config, params, opt, None, None, out_dir=out_dir)
     try:
-        if config.workers > 1:
-            _train_shared(config, spec, act_cfg, params, opt, corpus, data_seed)
-            metrics, _ = evaluate(spec, params, act_cfg,
-                                  _eval_batches(config, eval_seed, corpus))
-            result.metrics = metrics
-        else:
-            _train_single(config, spec, act_cfg, params, opt, corpus,
-                          data_seed, eval_seed, result, metrics_fh, on_row)
+        _train_single(config, spec, act_cfg, params, opt, corpus,
+                      data_seed, eval_seed, result, metrics_fh, on_row)
         if out_dir is not None:
             path = os.path.join(out_dir, "ckpt-final.bin")
             save_checkpoint(path, params, opt, config)
@@ -266,11 +252,6 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
         if metrics_fh is not None:
             metrics_fh.close()
     return result
-
-
-def _eval_batches(config: TrainConfig, eval_rng, corpus) -> list[TaskBatch]:
-    rng = np.random.default_rng(eval_rng)
-    return [make_batch(config, rng, corpus) for _ in range(config.eval_batches)]
 
 
 def _train_single(config, spec, act_cfg, params, opt, corpus, data_seed,
@@ -316,6 +297,7 @@ def _train_single(config, spec, act_cfg, params, opt, corpus, data_seed,
             result.rows.append(row)
             if metrics_fh is not None:
                 metrics_fh.write(json.dumps(row) + "\n")
+                metrics_fh.flush()
             if on_row is not None:
                 on_row(row)
             last_good = snapshot(iteration)
@@ -324,51 +306,6 @@ def _train_single(config, spec, act_cfg, params, opt, corpus, data_seed,
             save_checkpoint(os.path.join(result.out_dir,
                                          f"ckpt-{iteration:07d}.bin"),
                             params, opt, config)
-
-
-def _train_shared(config, spec, act_cfg, params, opt, corpus, data_seed) -> None:
-    """Lock-free shared-parameter training (opt-in, not reproducible).
-
-    Workers apply updates to the shared arrays without synchronization;
-    shapes are structurally verified afterwards.
-    """
-    seeds = data_seed.spawn(config.workers)
-    per_worker = config.iterations // config.workers
-    extra = config.iterations - per_worker * config.workers
-    failures: list[BaseException] = []
-
-    def work(worker_idx: int) -> None:
-        rng = np.random.default_rng(seeds[worker_idx])
-        n_iters = per_worker + (1 if worker_idx < extra else 0)
-        try:
-            for _ in range(n_iters):
-                batch = make_batch(config, rng, corpus)
-                loss_var, res, breakdown, _ = batch_objective(
-                    spec, params, act_cfg, batch)
-                if not np.isfinite(breakdown.total):
-                    raise NumericError("loss became non-finite in shared mode")
-                res.tape.backward(loss_var)
-                grads = {name: res.tape.grad(var)
-                         for name, var in res.param_vars.items()}
-                if config.clip_norm > 0.0:
-                    clip_global_norm(grads, config.clip_norm)
-                adam_update(params, grads, opt, config.lr, config.beta1,
-                            config.beta2, config.adam_eps)
-        except BaseException as exc:           # surfaced after join
-            failures.append(exc)
-
-    threads = [threading.Thread(target=work, args=(i,), daemon=True)
-               for i in range(config.workers)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    params.validate()
-    for name, arr in params.items():
-        assert opt.m[name].shape == arr.shape
-        assert opt.v[name].shape == arr.shape
-    if failures:
-        raise failures[0]
 
 
 def tau_grid(i_range: tuple[int, int] = (1, 10),
@@ -450,20 +387,10 @@ def sweep(config: TrainConfig, taus: list[float], replicas: int,
 
 def write_sweep_csv(rows: list[SweepRow], out) -> None:
     """Summary table: one row per time penalty."""
-    import csv
-    close = False
-    if isinstance(out, (str, bytes)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        out.write(f"# schema: {SWEEP_SCHEMA}\n")
-        writer = csv.writer(out, lineterminator="\n")
+    with schema_csv(out, SWEEP_SCHEMA) as writer:
         writer.writerow(["tau", "n_runs", "n_failed", "error_mean",
                          "error_stderr", "ponder_mean", "ponder_stderr"])
         for row in rows:
             writer.writerow([repr(row.tau), row.n_runs, row.n_failed,
                              repr(row.error_mean), repr(row.error_stderr),
                              repr(row.ponder_mean), repr(row.ponder_stderr)])
-    finally:
-        if close:
-            out.close()

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from actlab import autodiff as ad
 from actlab.act import (ActConfig, act_step, augment_input,
-                        halting_distribution, run_sequence, write_trace_csv)
+                        halting_distribution, run_sequence)
 from actlab.autodiff import ContractError, NumericError, Tape
 from actlab.cells import CELLS, ParamVars, init_params
 
@@ -284,27 +282,6 @@ class TestPonderGradients:
                 expect -= tau
                 got = tape.grad(tr.halt_vars[n])[0, 0]
                 assert abs(got - expect) < 1e-10
-
-
-class TestTraceExport:
-    def test_csv_columns_and_schema(self):
-        p = init_params("rnn", 3, 5, 2, seed=2)
-        res = run_sequence("rnn", p, ActConfig(max_steps=6),
-                           np.random.default_rng(0).normal(size=(3, 3)))
-        buf = io.StringIO()
-        write_trace_csv(res.traces, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# schema: act-trace-1"
-        assert lines[1] == "t,steps,ponder,remainder,probs"
-        assert len(lines) == 2 + len(res.traces)
-        for t, (line, tr) in enumerate(zip(lines[2:], res.traces)):
-            cols = line.split(",")
-            assert int(cols[0]) == t
-            assert int(cols[1]) == tr.steps_taken
-            assert float(cols[2]) == tr.ponder
-            assert float(cols[3]) == tr.remainder
-            probs = [float(v) for v in cols[4].split(";")]
-            np.testing.assert_allclose(probs, tr.halting_probs, rtol=0, atol=0)
 
 
 class TestActConfig:

@@ -8,8 +8,13 @@ import sys
 import numpy as np
 import pytest
 
+from actlab.act import ActConfig, run_sequence
+from actlab.cells import init_params
+from actlab.checkpoint import save_checkpoint
 from actlab.cli import _entropy_bits, main
 from actlab.config import ConfigError, config_text, parse_config, parse_config_text
+from actlab.optim import OptimizerState
+from actlab.trainer import make_batch
 
 from test_tasks import decode_addition_inputs, decode_addition_target
 
@@ -51,6 +56,11 @@ class TestConfigParsing:
     def test_unknown_key_suggests_nearest(self):
         with pytest.raises(ConfigError, match=r"act\.taux.*act\.tau"):
             parse_config_text("act.taux = 1e-3")
+
+    def test_retired_workers_key(self):
+        assert parse_config_text("train.workers = 1") == parse_config_text("")
+        with pytest.raises(ConfigError, match="removed"):
+            parse_config_text("train.workers = 2")
 
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="cannot parse"):
@@ -218,6 +228,35 @@ class TestTraceCommand:
         for row in csv.DictReader(lines[1:]):
             assert row["steps"] == "1"
             assert float(row["ponder"]) == 2.0
+
+    def test_trace_rows_match_per_sequence_reference(self, tmp_path):
+        config = parse_config_text("task.name = logic\ncell.hidden = 8\n"
+                                   "act.max_steps = 12\n")
+        params = init_params("lstm", 102, 8, 1, seed=0, halt_bias=-2.0)
+        ckpt = str(tmp_path / "logic.bin")
+        save_checkpoint(ckpt, params, OptimizerState.for_params(params), config)
+        code, stdout = run_cli(["trace", "--checkpoint", ckpt, "--count", "6",
+                                "--seed", "2", "--stdout"])
+        assert code == 0
+        rows = list(csv.DictReader(stdout.splitlines()[1:]))
+
+        batch = make_batch(config, np.random.default_rng(2), batch_size=6)
+        cfg = ActConfig(config.epsilon, config.max_steps)
+        expected = []
+        for e in range(batch.batch_size):
+            res = run_sequence("lstm", params, cfg,
+                               batch.inputs[e, :batch.lengths[e]])
+            expected += [(e, t, tr) for t, tr in enumerate(res.traces)]
+        assert len(rows) == len(expected)
+        assert len({row["steps"] for row in rows}) > 1
+        for row, (e, t, tr) in zip(rows, expected):
+            assert (int(row["sequence"]), int(row["t"]), int(row["steps"])) \
+                == (e, t, tr.steps_taken)
+            assert abs(float(row["ponder"]) - tr.ponder) < 1e-12
+            assert abs(float(row["remainder"]) - tr.remainder) < 1e-12
+            np.testing.assert_allclose(
+                [float(p) for p in row["probs"].split(";")], tr.halting_probs,
+                rtol=0, atol=1e-12)
 
     def test_trace_rejects_corpus_for_synthetic_checkpoint(self, parity_run,
                                                            tmp_path):

@@ -101,6 +101,33 @@ def test_batch_matches_per_sequence(kind, seed):
                                    ref_grads[name] / scale, atol=1e-12, rtol=0)
 
 
+@pytest.mark.parametrize("kind,halt_bias,halt_scale",
+                         [("rnn", -1.0, 4.0), ("lstm", -1.0, 4.0), ("rnn", 2.0, 10.0)])
+def test_closed_forms_exact_under_padding(kind, halt_bias, halt_scale):
+    """The two gradcheck closed forms, on padded rows halting at different N:
+    d(R)/d(h^n) is exactly -1 before a row's halt and 0 from it on, and the
+    full objective gives each row's halting activation exactly 0."""
+    params, inputs, lengths, targets, mask = random_case(kind, 0)
+    params.b_halt[:] = halt_bias
+    params.w_halt *= halt_scale
+    cfg = ActConfig(max_steps=7, time_penalty=1e-2)
+    _, _, res = batched_objective(params, cfg, inputs, lengths, targets, mask,
+                                  cfg.time_penalty)
+    assert not res.active.all()
+    assert len(np.unique(res.steps[res.active])) > 1
+    for e, t in zip(*np.nonzero(res.active)):
+        assert res.tape.grad(res.halt_vars[t][res.steps[e, t] - 1])[e, 0] == 0.0
+
+    for t in range(inputs.shape[1]):
+        fresh = run_batch(kind, params, cfg, inputs, lengths)
+        if fresh.remainder_vars[t] is None:
+            continue
+        fresh.tape.backward(ad.reduce_sum(fresh.remainder_vars[t]))
+        for n, h_var in enumerate(fresh.halt_vars[t], start=1):
+            want = np.where(n < fresh.steps[:, t], -1.0, 0.0)
+            assert np.all(fresh.tape.grad(h_var)[:, 0] == want)
+
+
 def test_forced_cap_one_batch():
     params, inputs, lengths, targets, mask = random_case("lstm", 9)
     res = run_batch("lstm", params, ActConfig(max_steps=1), inputs, lengths)
