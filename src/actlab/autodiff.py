@@ -293,14 +293,18 @@ def reduce_sum(a: Var) -> Var:
     return a.tape._record(ad.sum(), (a.idx,), back)
 
 
-def sigmoid(a: Var) -> Var:
-    """Overflow-safe logistic; saturates cleanly for |x| large."""
-    x = a.data
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Overflow-safe elementwise logistic; saturates cleanly for |x| large."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Var) -> Var:
+    out = logistic(a.data)
 
     def back(g):
         return (g * out * (1.0 - out),)

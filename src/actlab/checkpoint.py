@@ -14,12 +14,16 @@ Layout (all integers little-endian):
 
 Parameters are stored under "param/", Adam moments under "adam.m/" and
 "adam.v/", the step counter under "adam/step". Round-tripping a checkpoint
-reproduces the file byte for byte.
+reproduces the file byte for byte. Writes go to a temporary file in the
+same directory, which is then renamed over the path, so a run killed
+mid-write leaves the previous file intact, never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import struct
 import zlib
 
@@ -55,15 +59,23 @@ def save_checkpoint(path: str, params: CellParams, opt_state: OptimizerState,
 
     digest = config_digest(config).encode("ascii")
     text = config_text(config).encode("utf-8")
-    body = MAGIC + struct.pack("<I", VERSION)
+    # A bytearray grows in place; bytes += would copy the whole body per record.
+    body = bytearray(MAGIC + struct.pack("<I", VERSION))
     body += struct.pack("<I", len(digest)) + digest
     body += struct.pack("<I", len(text)) + text
     body += struct.pack("<I", len(records))
     for name, arr in records:
         body += _pack_record(name, arr)
     body += struct.pack("<I", zlib.crc32(body))
-    with open(path, "wb") as fh:
-        fh.write(body)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

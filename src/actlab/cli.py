@@ -10,22 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
-import os
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .act import ActConfig, halting_distribution
+from .act import halting_distribution
 from .autodiff import ContractError, DimensionError, NumericError
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, TrainConfig, parse_config
+from .config import ConfigError, TrainConfig, parse_config, parse_config_text
 from .engine import run_batch
 from .gradcheck import halting_gradient_check
 from .losses import PROB_CLAMP
-from .tasks import GENERATORS, gen_text, schema_csv, synth_corpus, write_batch_csv
+from .tasks import schema_csv, synth_corpus, write_batch_csv
 from .trainer import (evaluate, load_corpus, make_batch, per_position_nats,
                       resolved_spec, sweep, tau_grid, train, write_sweep_csv)
 
@@ -72,7 +70,7 @@ def _cmd_eval(args) -> int:
     config, params, _ = load_checkpoint(args.checkpoint)
     spec = resolved_spec(config)
     corpus = load_corpus(config)
-    act_cfg = ActConfig(config.epsilon, config.max_steps, config.tau)
+    act_cfg = config.act_config()
     rng = np.random.default_rng(args.seed)
     batches = [make_batch(config, rng, corpus) for _ in range(args.batches)]
     metrics, details = evaluate(spec, params, act_cfg, batches)
@@ -114,7 +112,7 @@ def _cmd_gradcheck(args) -> int:
     config = _load_config(args)
     spec = resolved_spec(config)
     corpus = load_corpus(config)
-    act_cfg = ActConfig(config.epsilon, config.max_steps, config.tau)
+    act_cfg = config.act_config()
     rng = np.random.default_rng(config.seed)
     batch = make_batch(config, rng, corpus, batch_size=args.examples)
     from .cells import init_params
@@ -148,18 +146,11 @@ def _cmd_gen(args) -> int:
             fh.write(blob)
         log.info("wrote %d corpus bytes to %s", len(blob), args.out)
         return EXIT_OK
-    if args.task not in GENERATORS:
-        raise ConfigError(f"unknown task {args.task!r}; expected one of "
-                          f"{sorted(GENERATORS) + ['corpus']}")
-    if args.task == "text":
-        if not args.corpus:
-            raise ConfigError("gen --task text requires --corpus")
-        with open(args.corpus, "rb") as fh:
-            corpus = fh.read()
-        batch = gen_text(corpus, args.seed, seq_len=args.seq_len,
-                         batch=args.count)
-    else:
-        batch = GENERATORS[args.task](args.seed, batch=args.count)
+    config = parse_config_text("", [f"task.name={args.task}",
+                                    f"task.seq_len={args.seq_len}",
+                                    f"task.corpus={args.corpus or ''}"])
+    batch = make_batch(config, args.seed, load_corpus(config),
+                       batch_size=args.count)
     write_batch_csv(batch, args.out)
     log.info("wrote %d examples to %s", batch.batch_size, args.out)
     return EXIT_OK
@@ -195,7 +186,7 @@ def _cmd_trace(args) -> int:
         raise ConfigError("trace requires --out or --stdout")
     config, params, _ = load_checkpoint(args.checkpoint)
     spec = resolved_spec(config)
-    act_cfg = ActConfig(config.epsilon, config.max_steps, config.tau)
+    act_cfg = config.act_config()
     if args.corpus and config.task != "text":
         raise ConfigError(
             f"checkpoint was trained on {config.task!r}, not a byte corpus")
@@ -207,6 +198,7 @@ def _cmd_trace(args) -> int:
     res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
     outputs = np.stack([y.data for y in res.outputs], axis=1)
     nats = per_position_nats(spec, outputs, batch.targets, batch.target_mask)
+    dists = spec.probs(outputs)
 
     rows = []
     for e in range(batch.batch_size):
@@ -214,19 +206,10 @@ def _cmd_trace(args) -> int:
             n_steps, probs, remainder = halting_distribution(
                 (h.data[e, 0] for h in res.halt_vars[t]),
                 act_cfg.epsilon, act_cfg.max_steps)
-            y = outputs[e, t]
-            if spec.head == "bce":
-                p = 1.0 / (1.0 + math.exp(-float(y[0])))
-                dist = np.array([1.0 - p, p])
-            else:
-                grouped = y.reshape(spec.groups, spec.classes)
-                shifted = grouped - grouped.max(axis=1, keepdims=True)
-                expd = np.exp(shifted)
-                dist = (expd / expd.sum(axis=1, keepdims=True)).ravel()
             rows.append([e, t, _render_input(config.task, batch.inputs[e, t]),
                          n_steps, repr(n_steps + remainder), repr(remainder),
                          repr(float(nats[e, t])) if batch.target_mask[e, t] else "",
-                         repr(_entropy_bits(dist)),
+                         repr(_entropy_bits(dists[e, t].ravel())),
                          ";".join(repr(p) for p in probs)])
 
     with schema_csv(args.out or sys.stdout, TRACE_COMMAND_SCHEMA) as writer:

@@ -15,20 +15,13 @@ import hashlib
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .act import ActConfig
+from .autodiff import ContractError
 from .tasks import TASKS, TaskSpec, task_spec
 
 
 class ConfigError(ValueError):
     """Bad configuration file, override, or value."""
-
-# Per-task sequence-shape defaults: (min_len, max_len, min_digits, max_digits).
-_RANGE_DEFAULTS = {
-    "parity":   (1, 1, 0, 0),
-    "logic":    (1, 10, 0, 0),
-    "addition": (1, 5, 1, 5),
-    "sort":     (2, 15, 0, 0),
-    "text":     (1, 1, 0, 0),
-}
 
 
 @dataclass
@@ -59,13 +52,18 @@ class TrainConfig:
     clip_norm: float = 0.0
     seed: int = 0
 
+    def act_config(self) -> ActConfig:
+        """The validated pondering knobs: act.epsilon, act.max_steps, act.tau."""
+        return ActConfig(self.epsilon, self.max_steps, self.tau).validate()
+
     def resolve(self) -> "TrainConfig":
         """Fill task-dependent defaults and validate ranges."""
         if self.task not in TASKS:
             raise ConfigError(
                 f"unknown task {self.task!r}; expected one of {sorted(TASKS)}")
         spec = TASKS[self.task]
-        lo, hi, dlo, dhi = _RANGE_DEFAULTS[self.task]
+        lo, hi = spec.default_lens
+        dlo, dhi = spec.default_digits
         out = TrainConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
         out.batch = spec.default_batch if self.batch is None else self.batch
         out.cell = spec.default_cell if self.cell is None else self.cell
@@ -77,12 +75,11 @@ class TrainConfig:
         out.min_digits = dlo if self.min_digits is None else self.min_digits
         out.max_digits = dhi if self.max_digits is None else self.max_digits
 
-        if not 0.0 < out.epsilon < 0.5:
-            raise ConfigError(f"act.epsilon must lie in (0, 0.5), got {out.epsilon}")
-        if out.max_steps < 1:
-            raise ConfigError(f"act.max_steps must be >= 1, got {out.max_steps}")
-        if out.tau < 0.0:
-            raise ConfigError(f"act.tau must be >= 0, got {out.tau}")
+        try:
+            out.act_config()
+        except ContractError as exc:
+            raise ConfigError(
+                f"invalid act.epsilon, act.max_steps or act.tau: {exc}") from None
         if out.cell not in ("rnn", "lstm"):
             raise ConfigError(f"cell.kind must be rnn or lstm, got {out.cell!r}")
         for key, value in (("task.batch", out.batch), ("cell.hidden", out.hidden)):

@@ -29,19 +29,15 @@ class LossBreakdown:
     ponder_cost: float
     time_penalty: float
     total: float
-    per_example_task: Optional[np.ndarray] = None
-    per_example_ponder: Optional[np.ndarray] = None
 
 
-def total_loss(task_loss: float, ponder_cost: float, time_penalty: float,
-               per_example_task: Optional[np.ndarray] = None,
-               per_example_ponder: Optional[np.ndarray] = None) -> LossBreakdown:
+def total_loss(task_loss: float, ponder_cost: float,
+               time_penalty: float) -> LossBreakdown:
     """total = task + penalty * ponder, in this exact floating order."""
     if time_penalty < 0:
         raise ContractError(f"time penalty must be >= 0, got {time_penalty}")
     return LossBreakdown(task_loss, ponder_cost, time_penalty,
-                         task_loss + time_penalty * ponder_cost,
-                         per_example_task, per_example_ponder)
+                         task_loss + time_penalty * ponder_cost)
 
 
 def binary_cross_entropy(p: Var, targets, mask=None) -> Var:

@@ -2,7 +2,7 @@
 
 Updates are applied in the fixed parameter order of CellParams so a run is
 a deterministic function of its gradient stream. Arrays are updated in
-place; the shared-parameter training mode relies on that.
+place.
 """
 
 from __future__ import annotations

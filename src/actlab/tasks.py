@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import ContractError
+from .autodiff import ContractError, logistic
 
 # Gate ids 1..10, row order (P,Q) = (T,T), (T,F), (F,T), (F,F).
 TRUTH_TABLES: dict[str, tuple[int, int, int, int]] = {
@@ -90,6 +90,8 @@ class TaskSpec:
     default_cell: str
     default_hidden: int
     default_max_steps: int
+    default_lens: tuple[int, int]     # (min_len, max_len)
+    default_digits: tuple[int, int]   # (min_digits, max_digits); addition only
 
     def decode(self, outputs: np.ndarray) -> np.ndarray:
         """Argmax / threshold decoding of raw readouts to class ids."""
@@ -99,13 +101,32 @@ class TaskSpec:
         grouped = outputs.reshape(b, t, self.groups, self.classes)
         return grouped.argmax(axis=3)
 
+    def probs(self, outputs: np.ndarray) -> np.ndarray:
+        """Class distributions of raw readouts, shaped (..., groups, classes).
+
+        A bce readout y maps to [1 - p, p] with p the overflow-safe
+        sigmoid of y; softmax readouts are normalized per group after a
+        max shift. Both match the tape's loss arithmetic.
+        """
+        if self.head == "bce":
+            p = logistic(outputs)
+            return np.stack([1.0 - p, p], axis=-1)
+        grouped = outputs.reshape(outputs.shape[:-1] + (self.groups, self.classes))
+        expd = np.exp(grouped - grouped.max(axis=-1, keepdims=True))
+        return expd / expd.sum(axis=-1, keepdims=True)
+
 
 TASKS: dict[str, TaskSpec] = {
-    "parity":   TaskSpec("parity", 64, 1, "bce", 1, 2, 128, "rnn", 128, 100),
-    "logic":    TaskSpec("logic", 102, 1, "bce", 1, 2, 16, "lstm", 128, 100),
-    "addition": TaskSpec("addition", 50, 66, "softmax", 6, 11, 32, "lstm", 512, 20),
-    "sort":     TaskSpec("sort", 2, 15, "softmax", 1, 15, 16, "lstm", 512, 100),
-    "text":     TaskSpec("text", 256, 256, "softmax", 1, 256, 8, "lstm", 1500, 100),
+    "parity":   TaskSpec("parity", 64, 1, "bce", 1, 2, 128, "rnn", 128, 100,
+                         (1, 1), (0, 0)),
+    "logic":    TaskSpec("logic", 102, 1, "bce", 1, 2, 16, "lstm", 128, 100,
+                         (1, 10), (0, 0)),
+    "addition": TaskSpec("addition", 50, 66, "softmax", 6, 11, 32, "lstm", 512, 20,
+                         (1, 5), (1, 5)),
+    "sort":     TaskSpec("sort", 2, 15, "softmax", 1, 15, 16, "lstm", 512, 100,
+                         (2, 15), (0, 0)),
+    "text":     TaskSpec("text", 256, 256, "softmax", 1, 256, 8, "lstm", 1500, 100,
+                         (1, 1), (0, 0)),
 }
 
 ADDITION_SUM_DIGITS = 6
@@ -325,15 +346,6 @@ def synth_corpus(seed, size: int = 1 << 20, vocab_size: int = 600) -> bytes:
         chunks.append(sentence)
         total += len(sentence)
     return "".join(chunks).encode("ascii")[:size]
-
-
-GENERATORS = {
-    "parity": gen_parity,
-    "logic": gen_logic,
-    "addition": gen_addition,
-    "sort": gen_sort,
-    "text": gen_text,
-}
 
 
 BATCH_CSV_SCHEMA = "task-batch-1"

@@ -23,13 +23,13 @@ from .checkpoint import save_checkpoint
 from .config import (ConfigError, TrainConfig, config_digest, config_text,
                      resolved_spec)
 from .engine import run_batch
-from .losses import (LossBreakdown, RunMetrics, binary_cross_entropy,
+from .losses import (PROB_CLAMP, LossBreakdown, RunMetrics, binary_cross_entropy,
                      bits_per_character, example_errors,
                      joint_softmax_cross_entropy, ponder_by_difficulty,
-                     sequence_error_rate, total_loss)
+                     total_loss)
 from .optim import OptimizerState, adam_update, clip_global_norm
-from .tasks import (TaskBatch, TaskSpec, gen_addition, gen_logic, gen_parity,
-                    gen_sort, gen_text, schema_csv)
+from .tasks import (TaskBatch, TaskSpec, derive_seeds, gen_addition, gen_logic,
+                    gen_parity, gen_sort, gen_text, schema_csv)
 
 METRICS_SCHEMA = 1
 SWEEP_SCHEMA = "sweep-summary-1"
@@ -71,28 +71,12 @@ def per_position_nats(spec: TaskSpec, outputs_data: np.ndarray,
                       targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """-log p[target] per (example, step), zero where unmasked.
 
-    Mirrors the tape loss exactly (same clamp, same softmax shift) so the
-    batch mean of these equals the recorded task loss.
+    Mirrors the tape loss exactly (same clamp, same sigmoid and softmax
+    shift) so the batch mean of these equals the recorded task loss.
     """
-    n_batch, n_steps, _ = outputs_data.shape
-    if spec.head == "bce":
-        y = outputs_data[:, :, 0]
-        t = targets[:, :, 0].astype(np.float64)
-        p = np.empty_like(y)
-        pos = y >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-y[pos]))
-        ey = np.exp(y[~pos])
-        p[~pos] = ey / (1.0 + ey)
-        nats = -(t * np.log(np.maximum(p, 1e-12))
-                 + (1.0 - t) * np.log(np.maximum(1.0 - p, 1e-12)))
-    else:
-        grouped = outputs_data.reshape(n_batch, n_steps, spec.groups, spec.classes)
-        shifted = grouped - grouped.max(axis=3, keepdims=True)
-        expd = np.exp(shifted)
-        probs = expd / expd.sum(axis=3, keepdims=True)
-        picked = np.take_along_axis(probs, targets[..., None], axis=3)[..., 0]
-        nats = -np.log(np.maximum(picked, 1e-12)).sum(axis=2)
-    return nats * mask
+    picked = np.take_along_axis(spec.probs(outputs_data), targets[..., None],
+                                axis=3)[..., 0]
+    return -np.log(np.maximum(picked, PROB_CLAMP)).sum(axis=2) * mask
 
 
 def batch_objective(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
@@ -127,11 +111,8 @@ def batch_objective(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
                           ad.scale(res.ponder_var, act_cfg.time_penalty / n))
     outputs_data = (np.stack([y.data for y in res.outputs], axis=1)
                     if res.outputs else np.zeros((n, 0, spec.output_size)))
-    nats = per_position_nats(spec, outputs_data, batch.targets, batch.target_mask)
     breakdown = total_loss(float(task_var.data) / n, res.batch_ponder_sum / n,
-                           act_cfg.time_penalty,
-                           per_example_task=nats.sum(axis=1),
-                           per_example_ponder=res.per_example_ponder)
+                           act_cfg.time_penalty)
     return loss_var, res, breakdown, outputs_data
 
 
@@ -221,11 +202,13 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
     """
     spec = resolved_spec(config)
     corpus = load_corpus(config)
-    act_cfg = ActConfig(config.epsilon, config.max_steps, config.tau).validate()
+    act_cfg = config.act_config()
     init_seed, data_seed, eval_seed = np.random.SeedSequence(config.seed).spawn(3)
     params = init_params(config.cell, spec.input_size, config.hidden,
                          spec.output_size, seed=init_seed)
     opt = OptimizerState.for_params(params)
+    data_rng = np.random.default_rng(data_seed)
+    eval_rng = np.random.default_rng(eval_seed)
 
     metrics_fh = None
     if out_dir is not None:
@@ -240,80 +223,65 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
             fh.write("\n")
         metrics_fh = open(os.path.join(out_dir, "metrics.jsonl"), "w")
 
+    def snapshot():
+        return (params.copy(),
+                OptimizerState({k: v.copy() for k, v in opt.m.items()},
+                               {k: v.copy() for k, v in opt.v.items()}, opt.step))
+
     result = TrainResult(config, params, opt, None, None, out_dir=out_dir)
+    last_good = snapshot()
     try:
-        _train_single(config, spec, act_cfg, params, opt, corpus,
-                      data_seed, eval_seed, result, metrics_fh, on_row)
+        for iteration in range(1, config.iterations + 1):
+            batch = make_batch(config, data_rng, corpus)
+            try:
+                loss_var, res, breakdown, _ = batch_objective(spec, params, act_cfg,
+                                                              batch)
+                if not np.isfinite(breakdown.total):
+                    raise NumericError(
+                        f"loss became non-finite at iteration {iteration}")
+                res.tape.backward(loss_var)
+                grads = {name: res.tape.grad(var)
+                         for name, var in res.param_vars.items()}
+                if config.clip_norm > 0.0:
+                    clip_global_norm(grads, config.clip_norm)
+                adam_update(params, grads, opt, config.lr, config.beta1,
+                            config.beta2, config.adam_eps)
+            except NumericError:
+                if out_dir is not None:
+                    save_checkpoint(os.path.join(out_dir, "ckpt-lastgood.bin"),
+                                    *last_good, config)
+                raise
+            result.breakdown = breakdown
+
+            if iteration % config.eval_every == 0 or iteration == config.iterations:
+                metrics, _ = evaluate(spec, params, act_cfg,
+                                      [make_batch(config, eval_rng, corpus)
+                                       for _ in range(config.eval_batches)])
+                result.metrics = metrics
+                row = _metrics_row(iteration, breakdown, metrics)
+                result.rows.append(row)
+                if metrics_fh is not None:
+                    metrics_fh.write(json.dumps(row) + "\n")
+                    metrics_fh.flush()
+                if on_row is not None:
+                    on_row(row)
+                last_good = snapshot()
+            if (out_dir is not None and config.checkpoint_every > 0
+                    and iteration % config.checkpoint_every == 0):
+                save_checkpoint(os.path.join(out_dir, f"ckpt-{iteration:07d}.bin"),
+                                params, opt, config)
         if out_dir is not None:
-            path = os.path.join(out_dir, "ckpt-final.bin")
-            save_checkpoint(path, params, opt, config)
-            result.checkpoint_path = path
+            result.checkpoint_path = os.path.join(out_dir, "ckpt-final.bin")
+            save_checkpoint(result.checkpoint_path, params, opt, config)
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
     return result
 
 
-def _train_single(config, spec, act_cfg, params, opt, corpus, data_seed,
-                  eval_seed, result, metrics_fh, on_row) -> None:
-    data_rng = np.random.default_rng(data_seed)
-    eval_rng = np.random.default_rng(eval_seed)
-
-    def snapshot(iteration):
-        return (params.copy(),
-                OptimizerState({k: v.copy() for k, v in opt.m.items()},
-                               {k: v.copy() for k, v in opt.v.items()}, opt.step),
-                iteration)
-
-    last_good = snapshot(0)
-
-    for iteration in range(1, config.iterations + 1):
-        batch = make_batch(config, data_rng, corpus)
-        try:
-            loss_var, res, breakdown, _ = batch_objective(spec, params, act_cfg, batch)
-            if not np.isfinite(breakdown.total):
-                raise NumericError(f"loss became non-finite at iteration {iteration}")
-            res.tape.backward(loss_var)
-            grads = {name: res.tape.grad(var)
-                     for name, var in res.param_vars.items()}
-            if config.clip_norm > 0.0:
-                clip_global_norm(grads, config.clip_norm)
-            adam_update(params, grads, opt, config.lr, config.beta1,
-                        config.beta2, config.adam_eps)
-        except NumericError:
-            if result.out_dir is not None:
-                good_params, good_opt, good_it = last_good
-                save_checkpoint(os.path.join(result.out_dir, "ckpt-lastgood.bin"),
-                                good_params, good_opt, config)
-            raise
-        result.breakdown = breakdown
-
-        if iteration % config.eval_every == 0 or iteration == config.iterations:
-            metrics, _ = evaluate(spec, params, act_cfg,
-                                  [make_batch(config, eval_rng, corpus)
-                                   for _ in range(config.eval_batches)])
-            result.metrics = metrics
-            row = _metrics_row(iteration, breakdown, metrics)
-            result.rows.append(row)
-            if metrics_fh is not None:
-                metrics_fh.write(json.dumps(row) + "\n")
-                metrics_fh.flush()
-            if on_row is not None:
-                on_row(row)
-            last_good = snapshot(iteration)
-        if (result.out_dir is not None and config.checkpoint_every > 0
-                and iteration % config.checkpoint_every == 0):
-            save_checkpoint(os.path.join(result.out_dir,
-                                         f"ckpt-{iteration:07d}.bin"),
-                            params, opt, config)
-
-
-def tau_grid(i_range: tuple[int, int] = (1, 10),
-             j_range: tuple[int, int] = (1, 4)) -> list[float]:
-    """The logarithmic search grid i * 10^-j, enumerated j-major."""
-    return [i * 10.0 ** -j
-            for j in range(j_range[0], j_range[1] + 1)
-            for i in range(i_range[0], i_range[1] + 1)]
+def tau_grid() -> list[float]:
+    """The logarithmic search grid i * 10^-j, i in 1..10, j in 1..4, j-major."""
+    return [i * 10.0 ** -j for j in range(1, 5) for i in range(1, 11)]
 
 
 @dataclass
@@ -346,11 +314,12 @@ def _sweep_one(args) -> tuple[int, Optional[dict], Optional[str]]:
 def sweep(config: TrainConfig, taus: list[float], replicas: int,
           out_dir: Optional[str] = None, workers: int = 1) -> list[SweepRow]:
     """Train `replicas` fresh seeds per time penalty and summarize finals."""
+    run_seeds = derive_seeds(config.seed, len(taus) * replicas)
     jobs = []
     for i, tau in enumerate(taus):
         for r in range(replicas):
-            run_config = replace(config, tau=tau,
-                                 seed=config.seed + i * replicas + r)
+            seed = int(run_seeds[i * replicas + r].generate_state(1)[0])
+            run_config = replace(config, tau=tau, seed=seed)
             run_dir = (os.path.join(out_dir, f"tau{tau:g}_rep{r}")
                        if out_dir is not None else None)
             jobs.append((i, run_config, run_dir))

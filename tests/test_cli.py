@@ -70,6 +70,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="epsilon"):
             parse_config_text("act.epsilon = 0.75")
 
+    @pytest.mark.parametrize("override,name", [("act.max_steps=0", "max_steps"),
+                                               ("act.tau=-1e-3", "time_penalty")])
+    def test_out_of_range_step_cap_and_penalty(self, override, name):
+        with pytest.raises(ConfigError, match=name):
+            parse_config_text("", [override])
+
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# a comment\n\ntask.name = sort  # trailing\n")
         assert config.task == "sort"
@@ -201,6 +207,12 @@ class TestGenCommand:
                     target = [int(row[f"target_g{g}"]) for g in range(6)]
                     assert decode_addition_target(np.array(target)) == sums[e]
 
+    def test_text_without_readable_corpus_is_config_error(self, tmp_path):
+        out = str(tmp_path / "text.csv")
+        assert run_cli(["gen", "--task", "text", "--out", out])[0] == 2
+        assert run_cli(["gen", "--task", "text", "--out", out, "--corpus",
+                        str(tmp_path / "missing.bin")])[0] == 2
+
     def test_corpus_generation(self, tmp_path):
         out = tmp_path / "corpus.bin"
         code, _ = run_cli(["gen", "--task", "corpus", "--seed", "3",
@@ -257,6 +269,22 @@ class TestTraceCommand:
             np.testing.assert_allclose(
                 [float(p) for p in row["probs"].split(";")], tr.halting_probs,
                 rtol=0, atol=1e-12)
+
+    def test_trace_survives_saturated_bce_readout(self, tmp_path):
+        # A logit far below -709 overflows a scalar exp(-y); the trace
+        # must still finish with finite entropies.
+        config = parse_config_text("task.name = parity\ntask.bits = 6\n"
+                                   "cell.hidden = 4\n")
+        params = init_params("rnn", 6, 4, 1, seed=0)
+        params.b_out[...] = -1000.0
+        ckpt = str(tmp_path / "saturated.bin")
+        save_checkpoint(ckpt, params, OptimizerState.for_params(params), config)
+        code, stdout = run_cli(["trace", "--checkpoint", ckpt, "--count", "4",
+                                "--stdout"])
+        assert code == 0
+        rows = list(csv.DictReader(stdout.splitlines()[1:]))
+        assert len(rows) == 4
+        assert all(math.isfinite(float(row["entropy_bits"])) for row in rows)
 
     def test_trace_rejects_corpus_for_synthetic_checkpoint(self, parity_run,
                                                            tmp_path):

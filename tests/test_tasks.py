@@ -397,6 +397,26 @@ class TestGeneratorHygiene:
         blobs = {b.inputs.tobytes() for b in batches}
         assert len(blobs) == 4
 
+    def test_generator_defaults_match_task_spec(self):
+        # The generators' keyword defaults are a second copy of the
+        # TaskSpec defaults; this keeps the two from drifting apart.
+        import inspect
+        generators = {"parity": gen_parity, "logic": gen_logic,
+                      "addition": gen_addition, "sort": gen_sort,
+                      "text": gen_text}
+        for name, gen in generators.items():
+            spec = task_spec(name)
+            params = inspect.signature(gen).parameters
+            want = {"batch": spec.default_batch,
+                    "min_len": spec.default_lens[0],
+                    "max_len": spec.default_lens[1],
+                    "min_digits": spec.default_digits[0],
+                    "max_digits": spec.default_digits[1]}
+            for key, value in want.items():
+                if key in params:
+                    assert params[key].default == value, (name, key)
+            assert "batch" in params
+
     def test_golden_fixture_pins_first_batches(self, tmp_path):
         import pathlib
         fixture_dir = pathlib.Path(__file__).parent / "fixtures" / "golden"

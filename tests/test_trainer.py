@@ -14,7 +14,7 @@ from actlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from actlab.config import parse_config_text
 from actlab.engine import run_batch
 from actlab.optim import OptimizerState, adam_update
-from actlab.tasks import gen_parity, task_spec
+from actlab.tasks import derive_seeds, gen_parity, task_spec
 from actlab.trainer import (batch_objective, sweep, tau_grid, train,
                             write_sweep_csv)
 
@@ -131,6 +131,33 @@ class TestCheckpoint:
             assert state.m[name].tobytes() == want["adam.m/" + name].tobytes()
             assert state.v[name].tobytes() == want["adam.v/" + name].tobytes()
         assert state.step == int(want["adam/step"])
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        config, params, state, path = self.roundtrip_setup(tmp_path)
+        before = open(path, "rb").read()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+        import actlab.checkpoint as ckpt_module
+        monkeypatch.setattr(ckpt_module, "open",
+                            lambda p, mode: HalfWriter(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, params, state, config)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_version_mismatch_detected(self, tmp_path):
         _, _, _, path = self.roundtrip_setup(tmp_path)
@@ -256,13 +283,28 @@ class TestSweep:
         config = parity_config(iterations=10, eval_every=10, eval_batches=1)
         rows = sweep(config, [5e-3], replicas=3)
         finals = []
-        for r in range(3):
-            rerun = train(replace(config, tau=5e-3, seed=config.seed + r))
+        for seq in derive_seeds(config.seed, 3):
+            seed = int(seq.generate_state(1)[0])
+            rerun = train(replace(config, tau=5e-3, seed=seed))
             finals.append(rerun.metrics.sequence_error_rate)
         finals = np.array(finals)
         assert abs(rows[0].error_mean - finals.mean()) < 1e-12
         assert abs(rows[0].error_stderr
                    - finals.std(ddof=1) / np.sqrt(3)) < 1e-12
+
+    def test_adjacent_root_seeds_share_no_run(self, tmp_path):
+        # With 2 taus x 2 replicas, offset seeding gave roots 0 and 1
+        # three runs in common.
+        run_seeds = []
+        for root in (0, 1):
+            out = tmp_path / f"root{root}"
+            config = parity_config(iterations=1, eval_every=1, eval_batches=1,
+                                   seed=root)
+            sweep(config, [1e-3, 1e-2], replicas=2, out_dir=str(out))
+            run_seeds.append({json.loads((d / "manifest.json").read_text())["seed"]
+                              for d in out.iterdir() if d.is_dir()})
+        assert len(run_seeds[0]) == len(run_seeds[1]) == 4
+        assert not run_seeds[0] & run_seeds[1]
 
     def test_partial_failures_recorded(self, tmp_path):
         # One of the taus is driven to divergence by an absurd learning
