@@ -163,6 +163,15 @@ def _same_tape(*vars_: Var) -> Tape:
     return tape
 
 
+def record(value: np.ndarray, parents: Sequence[Var], back: Callable) -> Var:
+    """Record a node computed outside this module, such as a fused cell update.
+
+    `back(g)` returns one adjoint (or None) per parent, in `parents` order.
+    """
+    tape = _same_tape(*parents)
+    return tape._record(value, tuple(p.idx for p in parents), back)
+
+
 def matmul(a: Var, b: Var) -> Var:
     """Matrix product a @ b with adjoints for both operands."""
     tape = _same_tape(a, b)

@@ -8,6 +8,13 @@ affine map of the output-visible part of the state; for the LSTM that is
 the hidden vector, so the memory-cell portion has no output weights at
 all (equivalently, its readout columns are fixed to zero and never
 updated).
+
+Each cell update is one fused tape node with a hand-written backward,
+not a chain of elementwise tape ops: the pondering loop runs it N times
+per input, so per-node overhead is the hot path. The forward computes the
+pre-activation z = x W_in + h W_rec + b once. The backward turns the
+upstream adjoint into one dz of z's shape, from which the adjoints of x,
+h, W_in, W_rec and b follow by four GEMMs and one column sum.
 """
 
 from __future__ import annotations
@@ -102,8 +109,29 @@ class CellState:
         return (self.hidden,) if self.cell is None else (self.hidden, self.cell)
 
 
+def _preactivation(xd: np.ndarray, hd: np.ndarray, w_in: np.ndarray,
+                   w_rec: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z = x W_in + h W_rec + b, shared by both cells."""
+    if xd.shape[1] != w_in.shape[0] or hd.shape[1] != w_rec.shape[0]:
+        raise DimensionError(
+            f"cell inputs {xd.shape} and {hd.shape} do not fit weights "
+            f"{w_in.shape} and {w_rec.shape}")
+    return xd @ w_in + hd @ w_rec + b
+
+
+def _preactivation_adjoints(dz: np.ndarray, xd: np.ndarray, hd: np.ndarray,
+                            w_in: np.ndarray, w_rec: np.ndarray) -> tuple:
+    """Adjoints of (x, h, W_in, W_rec, b) from the adjoint dz of z."""
+    return (dz @ w_in.T, dz @ w_rec.T, xd.T @ dz, hd.T @ dz,
+            dz.sum(axis=0, keepdims=True))
+
+
 class RnnCell:
-    """s' = tanh(x W_in + s W_rec + b)."""
+    """s' = tanh(x W_in + s W_rec + b).
+
+    One update is one tape node with parents (x, s, W_in, W_rec, b); its
+    backward forms dz = ds' * (1 - s'^2) and maps it to all five adjoints.
+    """
 
     kind = "rnn"
     proj_multiple = 1
@@ -114,9 +142,15 @@ class RnnCell:
 
     @staticmethod
     def step(pv: ParamVars, state: CellState, x: Var) -> CellState:
-        z = ad.add(ad.add(ad.matmul(x, pv.w_in), ad.matmul(state.hidden, pv.w_rec)),
-                   pv.b_rec)
-        return CellState(ad.tanh(z))
+        xd, hd = x.data, state.hidden.data
+        w_in, w_rec = pv.w_in.data, pv.w_rec.data
+        out = np.tanh(_preactivation(xd, hd, w_in, w_rec, pv.b_rec.data))
+
+        def back(g):
+            return _preactivation_adjoints(g * (1.0 - out * out), xd, hd, w_in, w_rec)
+
+        return CellState(ad.record(
+            out, (x, state.hidden, pv.w_in, pv.w_rec, pv.b_rec), back))
 
     @staticmethod
     def from_parts(parts: tuple[Var, ...]) -> CellState:
@@ -124,7 +158,16 @@ class RnnCell:
 
 
 class LstmCell:
-    """Forget-gate LSTM without peepholes; gate order i, f, g, o."""
+    """Forget-gate LSTM without peepholes; gate order i, f, g, o.
+
+    One update is one tape node with parents (x, h, c, W_in, W_rec, b)
+    whose value is [h' | c'], plus two `narrow` nodes that hand h' and c'
+    to the state. The i, f and o gates are taken as
+    sigmoid(z) = (1 + tanh(z/2)) / 2, which cannot overflow and saturates
+    to exactly 0 or 1, so no masks are needed. The backward assembles dz
+    for all four gates in one array, using sigmoid' = (1 - tanh(z/2)^2)/4
+    and tanh' = 1 - tanh(z)^2, and returns all six adjoints.
+    """
 
     kind = "lstm"
     proj_multiple = 4
@@ -136,15 +179,37 @@ class LstmCell:
 
     @staticmethod
     def step(pv: ParamVars, state: CellState, x: Var) -> CellState:
-        h = state.hidden.data.shape[1]
-        z = ad.add(ad.add(ad.matmul(x, pv.w_in), ad.matmul(state.hidden, pv.w_rec)),
-                   pv.b_rec)
-        i = ad.sigmoid(ad.narrow(z, 1, 0, h))
-        f = ad.sigmoid(ad.narrow(z, 1, h, h))
-        g = ad.tanh(ad.narrow(z, 1, 2 * h, h))
-        o = ad.sigmoid(ad.narrow(z, 1, 3 * h, h))
-        c = ad.add(ad.mul(f, state.cell), ad.mul(i, g))
-        return CellState(ad.mul(o, ad.tanh(c)), c)
+        xd, hd, cd = x.data, state.hidden.data, state.cell.data
+        w_in, w_rec = pv.w_in.data, pv.w_rec.data
+        n = hd.shape[1]
+        # One tanh over all of z: tanh(z/2) on the i, f, o columns, tanh(z)
+        # on g; then t/2 + 1/2 turns the former into sigmoids and leaves g.
+        scale = np.full(4 * n, 0.5)
+        scale[2 * n:3 * n] = 1.0
+        t = np.tanh(_preactivation(xd, hd, w_in, w_rec, pv.b_rec.data) * scale)
+        gates = t * scale + (1.0 - scale)
+        i, f, g, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
+        hc = np.empty((hd.shape[0], 2 * n))
+        np.add(f * cd, i * g, out=hc[:, n:])
+        tc = np.tanh(hc[:, n:])
+        np.multiply(o, tc, out=hc[:, :n])
+
+        def back(grad):
+            dh = grad[:, :n]
+            dc = grad[:, n:] + dh * o * (1.0 - tc * tc)
+            dz = np.empty_like(gates)
+            np.multiply(dc, g, out=dz[:, :n])
+            np.multiply(dc, cd, out=dz[:, n:2 * n])
+            np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
+            np.multiply(dh, tc, out=dz[:, 3 * n:])
+            dz *= (1.0 - t * t) * (scale * scale)
+            dx, dh_prev, dw_in, dw_rec, db = _preactivation_adjoints(
+                dz, xd, hd, w_in, w_rec)
+            return dx, dh_prev, dc * f, dw_in, dw_rec, db
+
+        node = ad.record(
+            hc, (x, state.hidden, state.cell, pv.w_in, pv.w_rec, pv.b_rec), back)
+        return CellState(ad.narrow(node, 1, 0, n), ad.narrow(node, 1, n, n))
 
     @staticmethod
     def from_parts(parts: tuple[Var, ...]) -> CellState:

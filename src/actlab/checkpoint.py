@@ -42,12 +42,12 @@ class CheckpointError(ValueError):
     """Unusable checkpoint file: wrong magic/version, truncated, corrupt."""
 
 
-def _pack_record(name: str, arr: np.ndarray) -> bytes:
+def _record_chunks(name: str, arr: np.ndarray) -> tuple[bytes, memoryview]:
+    """A record's header bytes, and its payload as a view of the array."""
     encoded = name.encode("utf-8")
-    payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
     head = struct.pack("<H", len(encoded)) + encoded
     head += struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + payload
+    return head, memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
 
 
 def save_checkpoint(path: str, params: CellParams, opt_state: OptimizerState,
@@ -59,18 +59,23 @@ def save_checkpoint(path: str, params: CellParams, opt_state: OptimizerState,
 
     digest = config_digest(config).encode("ascii")
     text = config_text(config).encode("utf-8")
-    # A bytearray grows in place; bytes += would copy the whole body per record.
-    body = bytearray(MAGIC + struct.pack("<I", VERSION))
-    body += struct.pack("<I", len(digest)) + digest
-    body += struct.pack("<I", len(text)) + text
-    body += struct.pack("<I", len(records))
+    head = MAGIC + struct.pack("<I", VERSION)
+    head += struct.pack("<I", len(digest)) + digest
+    head += struct.pack("<I", len(text)) + text
+    head += struct.pack("<I", len(records))
+    chunks = [head]
     for name, arr in records:
-        body += _pack_record(name, arr)
-    body += struct.pack("<I", zlib.crc32(body))
+        chunks.extend(_record_chunks(name, arr))
     tmp = path + ".tmp"
     try:
+        # Payloads go from the arrays to the file without a copy of the body;
+        # the CRC runs over the same chunks in file order.
         with open(tmp, "wb") as fh:
-            fh.write(body)
+            crc = 0
+            for chunk in chunks:
+                crc = zlib.crc32(chunk, crc)
+                fh.write(chunk)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -79,11 +84,13 @@ def save_checkpoint(path: str, params: CellParams, opt_state: OptimizerState,
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    """Sequential reads from a memoryview: each `take` is a view, not a copy."""
+
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise CheckpointError("truncated checkpoint file")
         out = self.blob[self.pos:self.pos + n]
@@ -96,7 +103,7 @@ class _Reader:
 
 def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < len(MAGIC) + 8 or blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path!r} is not a checkpoint (bad magic)")
     payload, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
@@ -108,21 +115,21 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]
     version = reader.u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    digest = reader.take(reader.u32()).decode("ascii")
+    digest = str(reader.take(reader.u32()), "ascii")
     text = reader.take(reader.u32())
     if hashlib.sha256(text).hexdigest() != digest:
         raise CheckpointError("config text does not match its stored digest")
 
     arrays: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
-        name = reader.take(struct.unpack("<H", reader.take(2))[0]).decode("utf-8")
+        name = str(reader.take(struct.unpack("<H", reader.take(2))[0]), "utf-8")
         ndim = struct.unpack("<B", reader.take(1))[0]
         shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
         count = int(np.prod(shape)) if ndim else 1
         data = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
-        arrays[name] = np.array(data)          # own, writable copy
+        arrays[name] = np.array(data)          # the one owned, writable copy
 
-    config = parse_config_text(text.decode("utf-8"), origin=f"{path}:config")
+    config = parse_config_text(str(text, "utf-8"), origin=f"{path}:config")
     spec = resolved_spec(config)
     params = CellParams(config.cell, spec.input_size, config.hidden, spec.output_size,
                         *(arrays["param/" + name]

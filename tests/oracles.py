@@ -1,12 +1,19 @@
 """Independent oracles shared by the test suite.
 
-Everything here is deliberately written without the package's tape or op
-implementations: finite differences, straight-line numpy reimplementations
-of the cells and the pondering loop, and brute-force task evaluators. The
-tests compare the package against these, never the other way round.
+Everything here except the composed-op cell steps is deliberately written
+without the package's tape or op implementations: finite differences,
+straight-line numpy reimplementations of the cells and the pondering loop,
+and brute-force task evaluators. The composed-op steps build each cell
+update from the tape's generic ops, whose backward rules are pinned one by
+one against finite differences; they are the reference for the fused cell
+nodes' hand-written backward. The tests compare the package against these,
+never the other way round.
 """
 
 import numpy as np
+
+from actlab import autodiff as ad
+from actlab.cells import CellState
 
 
 def rel_err(analytic, numeric) -> float:
@@ -57,6 +64,29 @@ def lstm_step_plain(p, state, x):
     o = sigmoid_plain(z[3 * n:])
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
+
+
+def rnn_step_composed(pv, state, x):
+    """The RNN update as a chain of tape ops: matmul, add, tanh."""
+    z = ad.add(ad.add(ad.matmul(x, pv.w_in), ad.matmul(state.hidden, pv.w_rec)),
+               pv.b_rec)
+    return CellState(ad.tanh(z))
+
+
+def lstm_step_composed(pv, state, x):
+    """The LSTM update as a chain of tape ops, with exp-form sigmoid gates."""
+    n = state.hidden.data.shape[1]
+    z = ad.add(ad.add(ad.matmul(x, pv.w_in), ad.matmul(state.hidden, pv.w_rec)),
+               pv.b_rec)
+    i = ad.sigmoid(ad.narrow(z, 1, 0, n))
+    f = ad.sigmoid(ad.narrow(z, 1, n, n))
+    g = ad.tanh(ad.narrow(z, 1, 2 * n, n))
+    o = ad.sigmoid(ad.narrow(z, 1, 3 * n, n))
+    c = ad.add(ad.mul(f, state.cell), ad.mul(i, g))
+    return CellState(ad.mul(o, ad.tanh(c)), c)
+
+
+COMPOSED_STEPS = {"rnn": rnn_step_composed, "lstm": lstm_step_composed}
 
 
 def readout_plain(p, hidden):

@@ -1,11 +1,14 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actlab import autodiff as ad
 from actlab.autodiff import Tape
 from actlab.cells import CELLS, CellState, ParamVars, init_params, readout
+from actlab.engine import _freeze
 
-from oracles import lstm_step_plain, rnn_step_plain
+from oracles import COMPOSED_STEPS, lstm_step_plain, rnn_step_plain
 
 
 def make_params(kind, input_size, hidden, output, *, fill=None, seed=0):
@@ -86,6 +89,104 @@ class TestLstmStep:
         c0 = np.array(c0_list)
         _, c = step_once(p, rng.normal(size=4), state_arrays=(rng.normal(size=4), c0))
         assert np.all(np.abs(c) <= np.maximum(np.abs(c0), 1.0) + 1.0)
+
+
+def step_with_adjoints(step, params, x, state_arrays, upstream, run_mask=None):
+    """One batched step (optionally frozen where run_mask is false), then
+    backward from sum(part * upstream) over the new state's parts.
+
+    Returns the new state arrays and the adjoints of every parent of the
+    step: x, the state parts, W_in, W_rec and b_rec.
+    """
+    tape = Tape()
+    pv = ParamVars.record(tape, params)
+    x_var = tape.leaf(x)
+    state = CellState(*(tape.leaf(a) for a in state_arrays))
+    new = step(pv, state, x_var)
+    if run_mask is not None:
+        new = _freeze(run_mask, new, state)
+    loss = None
+    for part, g in zip(new.parts(), upstream):
+        term = ad.reduce_sum(ad.mul(part, tape.leaf(g)))
+        loss = term if loss is None else ad.add(loss, term)
+    tape.backward(loss)
+    parents = (x_var, *state.parts(), pv.w_in, pv.w_rec, pv.b_rec)
+    return [p.data for p in new.parts()], [tape.grad(v) for v in parents]
+
+
+class TestFusedStep:
+    """The fused step node against the composed-op reference in `oracles`."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("kind, n_parents", [("rnn", 5), ("lstm", 6)])
+    def test_value_and_every_adjoint_match_composed_ops(self, kind, n_parents, frozen):
+        rng = np.random.default_rng(17)
+        batch, hidden = 5, 6
+        p = make_params(kind, 4, hidden, 3, seed=8)
+        p.b_rec[...] = rng.normal(size=p.b_rec.shape)
+        n_parts = 2 if kind == "lstm" else 1
+        x = rng.normal(size=(batch, 5))
+        state0 = [rng.normal(size=(batch, hidden)) for _ in range(n_parts)]
+        upstream = [rng.normal(size=(batch, hidden)) for _ in range(n_parts)]
+        run_mask = np.array([True, False, True, True, False]) if frozen else None
+        got_values, got_grads = step_with_adjoints(
+            CELLS[kind].step, p, x, state0, upstream, run_mask)
+        ref_values, ref_grads = step_with_adjoints(
+            COMPOSED_STEPS[kind], p, x, state0, upstream, run_mask)
+        assert len(got_grads) == n_parents
+        for got, ref in zip(got_values + got_grads, ref_values + ref_grads):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        if frozen:
+            for got, old in zip(got_values, state0):
+                np.testing.assert_array_equal(got[~run_mask], old[~run_mask])
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_saturated_preactivations_are_exact_and_warning_free(self, kind):
+        # Pre-activations of magnitude 50 to 1e3 with zero weights: every
+        # gate must be exactly 0 or 1 and the candidate exactly -1 or 1.
+        rng = np.random.default_rng(4)
+        batch, hidden = 3, 4
+        p = make_params(kind, 3, hidden, 2, fill=0.0)
+        z = rng.choice([-1.0, 1.0], size=p.b_rec.shape[1]) * rng.uniform(
+            50.0, 1e3, size=p.b_rec.shape[1])
+        z[:2] = [1e3, -1e3]
+        p.b_rec[0] = z
+        n_parts = 2 if kind == "lstm" else 1
+        state0 = [rng.normal(size=(batch, hidden)) for _ in range(n_parts)]
+        upstream = [rng.normal(size=(batch, hidden)) for _ in range(n_parts)]
+        with np.errstate(all="raise"):
+            values, grads = step_with_adjoints(
+                CELLS[kind].step, p, rng.normal(size=(batch, 4)), state0, upstream)
+        for arr in values + grads:
+            assert np.all(np.isfinite(arr))
+        on = np.broadcast_to(z > 0, (batch, z.size))
+        sign = np.where(on, 1.0, -1.0)
+        if kind == "rnn":
+            np.testing.assert_array_equal(values[0], sign)
+            return
+        i, f, g, o = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+        c = np.where(on[:, f], state0[1], 0.0) + np.where(on[:, i], sign[:, g], 0.0)
+        np.testing.assert_array_equal(values[1], c)
+        np.testing.assert_array_equal(values[0], np.where(on[:, o], np.tanh(c), 0.0))
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
+    def test_step_records_one_fused_node(self, kind):
+        # RNN: the fused node alone. LSTM: the fused node plus the two
+        # slices that hand h' and c' to the state.
+        p = make_params(kind, 3, 4, 2, seed=1)
+        tape = Tape()
+        pv = ParamVars.record(tape, p)
+        cell = CELLS[kind]
+        state = cell.zero_state(tape, p.hidden_size, batch=2)
+        x = tape.leaf(np.ones((2, 4)))
+        before = len(tape)
+        cell.step(pv, state, x)
+        added = len(tape) - before
+        if kind == "rnn":
+            assert added == 1
+        else:
+            assert added <= 3
 
 
 class TestReadout:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -11,7 +12,7 @@ from actlab.act import ActConfig
 from actlab.autodiff import NumericError
 from actlab.cells import init_params
 from actlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from actlab.config import parse_config_text
+from actlab.config import config_text, parse_config_text
 from actlab.engine import run_batch
 from actlab.optim import OptimizerState, adam_update
 from actlab.tasks import derive_seeds, gen_parity, task_spec
@@ -62,6 +63,27 @@ class TestCheckpoint:
         path2 = str(tmp_path / "again.ckpt")
         save_checkpoint(path2, params2, state2, config2)
         assert open(path2, "rb").read() == blob1
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        # The writer streams header and payload chunks; the file must be the
+        # layout in the checkpoint module docstring, built here in one piece.
+        config, params, state, path = self.roundtrip_setup(tmp_path)
+        text = config_text(config).encode("utf-8")
+        digest = hashlib.sha256(text).hexdigest().encode("ascii")
+        records = [("param/" + n, a) for n, a in params.items()]
+        records += [("adam.m/" + n, a) for n, a in state.m.items()]
+        records += [("adam.v/" + n, a) for n, a in state.v.items()]
+        records.append(("adam/step", np.array(float(state.step))))
+        body = b"ACTLABC1" + struct.pack("<I", 1)
+        body += struct.pack("<I", len(digest)) + digest
+        body += struct.pack("<I", len(text)) + text
+        body += struct.pack("<I", len(records))
+        for name, arr in records:
+            body += struct.pack("<H", len(name)) + name.encode("utf-8")
+            body += struct.pack("<B", arr.ndim)
+            body += struct.pack(f"<{arr.ndim}I", *arr.shape)
+            body += arr.astype("<f8").tobytes()
+        assert open(path, "rb").read() == body + struct.pack("<I", zlib.crc32(body))
 
     def test_roundtrip_restores_exact_values(self, tmp_path):
         config, params, state, path = self.roundtrip_setup(tmp_path)
