@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, NumericError, Tape, Tensor, Var
+from .autodiff import ContractError, NumericError, Tape, Var
 from .cells import (CELLS, CellParams, CellState, ParamVars, halting_activation,
                     readout)
 
@@ -52,13 +52,13 @@ class ActConfig:
         return self
 
 
-def augment_input(x, n: int) -> Tensor:
+def augment_input(x, n: int) -> np.ndarray:
     """Append the step flag: 1 on the first update for an input, else 0."""
     if n < 1:
         raise ContractError(f"intermediate step index must be >= 1, got {n}")
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x, dtype=np.float64)
     flag = np.full(arr.shape[:-1] + (1,), 1.0 if n == 1 else 0.0)
-    return Tensor(np.concatenate([arr, flag], axis=-1))
+    return np.concatenate([arr, flag], axis=-1)
 
 
 def halting_distribution(h: Iterable[float], epsilon: float,
@@ -140,21 +140,13 @@ def act_step(cell, prev_state: CellState, x_t, pv: ParamVars, cfg: ActConfig,
     states: list[CellState] = []
     outputs: list[Var] = []
     halt_vars: list[Var] = []
-    x_first = tape.leaf(np.atleast_2d(augment_input(x_t, 1).data))
-    x_rest: Optional[Var] = None
+    x_first, x_rest = (np.atleast_2d(augment_input(x_t, n)) for n in (1, 2))
 
     def activations() -> Iterator[float]:
-        nonlocal x_rest
         state = prev_state
         n = 1
         while True:
-            if n == 1:
-                x = x_first
-            else:
-                if x_rest is None:
-                    x_rest = tape.leaf(np.atleast_2d(augment_input(x_t, 2).data))
-                x = x_rest
-            state = cell.step(pv, state, x)
+            state = cell.step(pv, state, x_first if n == 1 else x_rest)
             hv = halting_activation(pv, state)
             h_val = float(hv.data[0, 0])
             if not math.isfinite(h_val):

@@ -1,4 +1,4 @@
-"""Dense float64 tensors and a tape for reverse-mode differentiation.
+"""Dense float64 arrays on a tape for reverse-mode differentiation.
 
 The tape is a Wengert list: every operation appends one node whose inputs
 all have smaller ids, so a single reversed sweep propagates adjoints.
@@ -25,45 +25,7 @@ class NumericError(ArithmeticError):
 
 
 def _as_f64(data) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-
-
-class Tensor:
-    """Immutable dense value: row-major float64 data with an explicit shape."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        self.data = _as_f64(data)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @classmethod
-    def zeros(cls, *shape: int) -> "Tensor":
-        return cls(np.zeros(shape))
-
-    @classmethod
-    def full(cls, shape: Sequence[int], fill: float) -> "Tensor":
-        return cls(np.full(tuple(shape), fill))
-
-    def require_finite(self, context: str = "tensor") -> "Tensor":
-        """NaN/Inf detection is explicit, never silent."""
-        if not np.all(np.isfinite(self.data)):
-            bad = int(np.size(self.data) - np.count_nonzero(np.isfinite(self.data)))
-            raise NumericError(f"{context}: {bad} non-finite element(s)")
-        return self
-
-    def tolist(self):
-        return self.data.tolist()
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
+    return np.asarray(data, dtype=np.float64, order="C")
 
 
 class Var:
@@ -79,10 +41,6 @@ class Var:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def tensor(self) -> Tensor:
-        return Tensor(self.data)
 
 
 class Tape:
@@ -105,11 +63,7 @@ class Tape:
 
     def leaf(self, value) -> Var:
         """Record an input value (parameter, data, constant)."""
-        if isinstance(value, Tensor):
-            arr = value.data
-        else:
-            arr = _as_f64(value)
-        return self._record(arr, (), None)
+        return self._record(_as_f64(value), (), None)
 
     def _record(self, value: np.ndarray, parents: tuple[int, ...],
                 back: Callable | None) -> Var:

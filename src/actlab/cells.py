@@ -11,10 +11,12 @@ updated).
 
 Each cell update is one fused tape node with a hand-written backward,
 not a chain of elementwise tape ops: the pondering loop runs it N times
-per input, so per-node overhead is the hot path. The forward computes the
-pre-activation z = x W_in + h W_rec + b once. The backward turns the
-upstream adjoint into one dz of z's shape, from which the adjoints of x,
-h, W_in, W_rec and b follow by four GEMMs and one column sum.
+per input, so per-node overhead is the hot path. The input x is a plain
+array, not a tape node: it is data, so nothing needs its adjoint. The
+forward computes the pre-activation z = x W_in + h W_rec + b once. The
+backward turns the upstream adjoint into one dz of z's shape, from which
+the adjoints of h, W_in, W_rec and b follow by three GEMMs and one column
+sum.
 """
 
 from __future__ import annotations
@@ -120,17 +122,16 @@ def _preactivation(xd: np.ndarray, hd: np.ndarray, w_in: np.ndarray,
 
 
 def _preactivation_adjoints(dz: np.ndarray, xd: np.ndarray, hd: np.ndarray,
-                            w_in: np.ndarray, w_rec: np.ndarray) -> tuple:
-    """Adjoints of (x, h, W_in, W_rec, b) from the adjoint dz of z."""
-    return (dz @ w_in.T, dz @ w_rec.T, xd.T @ dz, hd.T @ dz,
-            dz.sum(axis=0, keepdims=True))
+                            w_rec: np.ndarray) -> tuple:
+    """Adjoints of (h, W_in, W_rec, b) from the adjoint dz of z."""
+    return dz @ w_rec.T, xd.T @ dz, hd.T @ dz, dz.sum(axis=0, keepdims=True)
 
 
 class RnnCell:
     """s' = tanh(x W_in + s W_rec + b).
 
-    One update is one tape node with parents (x, s, W_in, W_rec, b); its
-    backward forms dz = ds' * (1 - s'^2) and maps it to all five adjoints.
+    One update is one tape node with parents (s, W_in, W_rec, b); its
+    backward forms dz = ds' * (1 - s'^2) and maps it to all four adjoints.
     """
 
     kind = "rnn"
@@ -141,16 +142,16 @@ class RnnCell:
         return CellState(tape.leaf(np.zeros((batch, hidden_size))))
 
     @staticmethod
-    def step(pv: ParamVars, state: CellState, x: Var) -> CellState:
-        xd, hd = x.data, state.hidden.data
+    def step(pv: ParamVars, state: CellState, xd: np.ndarray) -> CellState:
+        hd = state.hidden.data
         w_in, w_rec = pv.w_in.data, pv.w_rec.data
         out = np.tanh(_preactivation(xd, hd, w_in, w_rec, pv.b_rec.data))
 
         def back(g):
-            return _preactivation_adjoints(g * (1.0 - out * out), xd, hd, w_in, w_rec)
+            return _preactivation_adjoints(g * (1.0 - out * out), xd, hd, w_rec)
 
         return CellState(ad.record(
-            out, (x, state.hidden, pv.w_in, pv.w_rec, pv.b_rec), back))
+            out, (state.hidden, pv.w_in, pv.w_rec, pv.b_rec), back))
 
     @staticmethod
     def from_parts(parts: tuple[Var, ...]) -> CellState:
@@ -160,13 +161,13 @@ class RnnCell:
 class LstmCell:
     """Forget-gate LSTM without peepholes; gate order i, f, g, o.
 
-    One update is one tape node with parents (x, h, c, W_in, W_rec, b)
+    One update is one tape node with parents (h, c, W_in, W_rec, b)
     whose value is [h' | c'], plus two `narrow` nodes that hand h' and c'
     to the state. The i, f and o gates are taken as
     sigmoid(z) = (1 + tanh(z/2)) / 2, which cannot overflow and saturates
     to exactly 0 or 1, so no masks are needed. The backward assembles dz
     for all four gates in one array, using sigmoid' = (1 - tanh(z/2)^2)/4
-    and tanh' = 1 - tanh(z)^2, and returns all six adjoints.
+    and tanh' = 1 - tanh(z)^2, and returns all five adjoints.
     """
 
     kind = "lstm"
@@ -178,8 +179,8 @@ class LstmCell:
                          tape.leaf(np.zeros((batch, hidden_size))))
 
     @staticmethod
-    def step(pv: ParamVars, state: CellState, x: Var) -> CellState:
-        xd, hd, cd = x.data, state.hidden.data, state.cell.data
+    def step(pv: ParamVars, state: CellState, xd: np.ndarray) -> CellState:
+        hd, cd = state.hidden.data, state.cell.data
         w_in, w_rec = pv.w_in.data, pv.w_rec.data
         n = hd.shape[1]
         # One tanh over all of z: tanh(z/2) on the i, f, o columns, tanh(z)
@@ -203,12 +204,11 @@ class LstmCell:
             np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
             np.multiply(dh, tc, out=dz[:, 3 * n:])
             dz *= (1.0 - t * t) * (scale * scale)
-            dx, dh_prev, dw_in, dw_rec, db = _preactivation_adjoints(
-                dz, xd, hd, w_in, w_rec)
-            return dx, dh_prev, dc * f, dw_in, dw_rec, db
+            dh_prev, dw_in, dw_rec, db = _preactivation_adjoints(dz, xd, hd, w_rec)
+            return dh_prev, dc * f, dw_in, dw_rec, db
 
         node = ad.record(
-            hc, (x, state.hidden, state.cell, pv.w_in, pv.w_rec, pv.b_rec), back)
+            hc, (state.hidden, state.cell, pv.w_in, pv.w_rec, pv.b_rec), back)
         return CellState(ad.narrow(node, 1, 0, n), ad.narrow(node, 1, n, n))
 
     @staticmethod

@@ -82,13 +82,17 @@ class TrainConfig:
                 f"invalid act.epsilon, act.max_steps or act.tau: {exc}") from None
         if out.cell not in ("rnn", "lstm"):
             raise ConfigError(f"cell.kind must be rnn or lstm, got {out.cell!r}")
-        for key, value in (("task.batch", out.batch), ("cell.hidden", out.hidden)):
+        for key, value in (("task.batch", out.batch), ("cell.hidden", out.hidden),
+                           ("train.eval_every", out.eval_every),
+                           ("train.eval_batches", out.eval_batches)):
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
         if out.iterations < 0:
             raise ConfigError(f"train.iterations must be >= 0, got {out.iterations}")
         if out.min_len > out.max_len:
             raise ConfigError("task.min_len exceeds task.max_len")
+        if out.min_digits > out.max_digits:
+            raise ConfigError("task.min_digits exceeds task.max_digits")
         return out
 
 

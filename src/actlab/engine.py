@@ -8,10 +8,19 @@ update is one set of matrix ops instead of a Python loop per example.
 Per-example halting decisions are taken on plain floats, exactly as in the
 reference path; rows that have already halted (or whose sequence has
 ended) are frozen with select ops rather than zero-multiplied masks, so a
-diverging frozen row cannot poison live rows through 0 * inf. The
-mean-field weights are assembled on the tape from the recorded halting
-activations plus the per-row remainder, so gradients are identical to the
-per-sequence path (the test suite pins this at 1e-12).
+diverging frozen row cannot poison live rows through 0 * inf.
+
+Each input step is one pass over its updates. Update n adds w * s^n into
+running mean-field sums, where w is h^n on rows that go on past n and the
+remainder R on rows that halt at n. R lives on the tape: it starts at 1
+and loses h^n on every update a row goes on past, the same sequential
+1 - h^1 - h^2 - ... that `act.halting_distribution` computes, so the two
+agree bit for bit. The output is read out once per input step, from the
+mean state. The readout is affine and the weights sum to one, so this
+equals the reference's sum of w * readout(s^n) up to rounding; the test
+suite pins values and gradients to the reference at 1e-12. Positions at
+or past a row's length hold the readout of its frozen state; every loss
+and metric masks them out.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .act import ActConfig
+from .act import ActConfig, augment_input
 from .autodiff import ContractError, NumericError, Tape, Var
 from .cells import CELLS, CellParams, CellState, ParamVars, halting_activation, readout
 
@@ -38,11 +47,10 @@ class BatchRunResult:
     remainders: np.ndarray        # (batch, T) float, R(t); 0 on inactive steps
     active: np.ndarray            # (batch, T) bool, t < sequence length
     halted_by_cap: np.ndarray     # (batch, T) bool
-    ponder_var: Optional[Var]     # on-tape part of sum_e P_e (scalar)
+    ponder_var: Var               # on-tape part of sum_e P_e (scalar)
     ponder_const: float           # constant part (the integer update counts)
     halt_vars: list[list[Var]]    # per input step: h^1 .. h^n, each (batch, 1)
-    remainder_vars: list[Optional[Var]]  # per input step: R (batch, 1), or None
-                                         # when every row halts at its first update
+    remainder_vars: list[Var]     # per input step: R (batch, 1); 1 on inactive rows
 
     @property
     def ponders(self) -> np.ndarray:
@@ -55,8 +63,7 @@ class BatchRunResult:
 
     @property
     def batch_ponder_sum(self) -> float:
-        base = float(self.ponder_var.data) if self.ponder_var is not None else 0.0
-        return base + self.ponder_const
+        return float(self.ponder_var.data) + self.ponder_const
 
 
 def _freeze(run_mask: np.ndarray, new: CellState, old: CellState) -> CellState:
@@ -70,14 +77,18 @@ def _freeze(run_mask: np.ndarray, new: CellState, old: CellState) -> CellState:
     return type(new)(*parts)
 
 
+def _masked(var: Var, rows: np.ndarray) -> Optional[Var]:
+    """`var` on the selected rows and 0 elsewhere; None if no row is selected."""
+    return ad.const_mul(var, rows[:, None]) if rows.any() else None
+
+
 def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
               lengths: Optional[np.ndarray] = None,
               tape: Optional[Tape] = None) -> BatchRunResult:
     """Run the pondering loop over a (batch, T, input_size) input block.
 
     `lengths` gives each example's true sequence length; steps at or past
-    it leave the state untouched and contribute nothing to outputs or
-    ponder.
+    it leave the state untouched and contribute nothing to ponder.
     """
     if isinstance(cell, str):
         cell = CELLS[cell]
@@ -96,40 +107,27 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
     outputs: list[Var] = []
     steps = np.zeros((n_batch, n_steps_total), dtype=np.int64)
     remainders = np.zeros((n_batch, n_steps_total))
-    active_all = np.zeros((n_batch, n_steps_total), dtype=bool)
+    active_all = np.arange(n_steps_total)[None, :] < lengths[:, None]
     capped = np.zeros((n_batch, n_steps_total), dtype=bool)
-    ponder_var: Optional[Var] = None
+    ponder_var = tape.leaf(np.zeros(()))
     ponder_const = 0.0
     step_halt_vars: list[list[Var]] = []
-    remainder_vars: list[Optional[Var]] = []
-    ones_col = np.ones((n_batch, 1))
-    zeros_col = np.zeros((n_batch, 1))
+    remainder_vars: list[Var] = []
 
     for t in range(n_steps_total):
-        active = lengths > t
-        active_all[:, t] = active
-        x_flag = tape.leaf(np.concatenate([inputs[:, t, :], ones_col], axis=1))
-        x_rest: Optional[Var] = None
-
+        active = active_all[:, t]
+        x_first, x_rest = (augment_input(inputs[:, t], n) for n in (1, 2))
+        r_var = tape.leaf(np.ones((n_batch, 1)))
         running = active.copy()
         cum = np.zeros(n_batch)
         halt_vars: list[Var] = []
-        before_masks: list[np.ndarray] = []
-        at_masks: list[np.ndarray] = []
-        step_states: list[CellState] = []
-        step_outputs: list[Var] = []
+        sums: list[Var] = []
         work = state
         n = 0
         while running.any():
             n += 1
-            if n == 1:
-                x = x_flag
-            else:
-                if x_rest is None:
-                    x_rest = tape.leaf(
-                        np.concatenate([inputs[:, t, :], zeros_col], axis=1))
-                x = x_rest
-            work = _freeze(running, cell.step(pv, work, x), work)
+            work = _freeze(running, cell.step(pv, work, x_first if n == 1 else x_rest),
+                           work)
             h_var = halting_activation(pv, work)
             h_vals = h_var.data[:, 0]
             if not np.all(np.isfinite(h_vals[running])):
@@ -137,66 +135,28 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
                     f"halting activation is not finite at input step {t}, update {n}")
             cum[running] += h_vals[running]
             halt_now = running & ((cum >= 1.0 - cfg.epsilon) | (n == cfg.max_steps))
-            before = running & ~halt_now
-
             steps[halt_now, t] = n
             capped[:, t] |= halt_now & (cum < 1.0 - cfg.epsilon)
             halt_vars.append(h_var)
-            before_masks.append(before[:, None].astype(np.float64))
-            at_masks.append(halt_now[:, None].astype(np.float64))
-            step_states.append(work)
-            step_outputs.append(readout(pv, work))
             running &= ~halt_now
 
-        # Remainder per row: R = 1 - sum of pre-halt activations, on tape.
-        hsum: Optional[Var] = None
-        for h_var, mask in zip(halt_vars, before_masks):
-            if mask.any():
-                term = ad.const_mul(h_var, mask)
-                hsum = term if hsum is None else ad.add(hsum, term)
-        r_var = (ad.add_scalar(ad.scale(hsum, -1.0), 1.0)
-                 if hsum is not None else None)
-        r_vals = r_var.data[:, 0] if r_var is not None else np.ones(n_batch)
-        remainders[active, t] = r_vals[active]
+            # Mean-field weight: h^n on rows that go on, R on rows halting now.
+            h_on, r_at = _masked(h_var, running), _masked(r_var, halt_now)
+            if h_on is None:
+                w = r_at
+            else:
+                w = h_on if r_at is None else ad.add(h_on, r_at)
+                r_var = ad.sub(r_var, h_on)
+            parts = [ad.rowscale(part, w) for part in work.parts()]
+            sums = [ad.add(s, p) for s, p in zip(sums, parts)] if sums else parts
+
+        state = _freeze(active, cell.from_parts(tuple(sums)), state)
+        outputs.append(readout(pv, state))
+        remainders[active, t] = r_var.data[active, 0]
         step_halt_vars.append(halt_vars)
         remainder_vars.append(r_var)
-
-        # Mean-field weights: the activation before the halt, the remainder at it.
-        weights: list[Var] = []
-        for h_var, before, at in zip(halt_vars, before_masks, at_masks):
-            parts = []
-            if before.any():
-                parts.append(ad.const_mul(h_var, before))
-            if at.any():
-                parts.append(ad.const_mul(r_var, at) if r_var is not None
-                             else tape.leaf(at))
-            w = parts[0]
-            for extra in parts[1:]:
-                w = ad.add(w, extra)
-            weights.append(w)
-
-        def mean(items: list[Var]) -> Var:
-            acc = ad.rowscale(items[0], weights[0])
-            for item, w in zip(items[1:], weights[1:]):
-                acc = ad.add(acc, ad.rowscale(item, w))
-            return acc
-
-        mean_parts = tuple(
-            mean([s.parts()[j] for s in step_states])
-            for j in range(len(step_states[0].parts())))
-        mean_state = cell.from_parts(mean_parts)
-        if not active.all():
-            mean_state = _freeze(active, mean_state, state)
-        state = mean_state
-        outputs.append(mean(step_outputs))
-
         ponder_const += float(steps[active, t].sum())
-        if r_var is not None:
-            masked_r = ad.const_mul(r_var, active[:, None].astype(np.float64))
-            term = ad.reduce_sum(masked_r)
-            ponder_var = term if ponder_var is None else ad.add(ponder_var, term)
-        else:
-            ponder_const += float(active.sum())
+        ponder_var = ad.add(ponder_var, ad.reduce_sum(_masked(r_var, active)))
 
     return BatchRunResult(tape, pv, outputs, steps, remainders, active_all,
                           capped, ponder_var, ponder_const, step_halt_vars,

@@ -55,8 +55,6 @@ def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
         # from other steps cannot accumulate into the comparison. Each
         # row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
         _, res, _, _ = batch_objective(spec, params, cfg, batch)
-        if res.remainder_vars[t] is None:
-            continue
         res.tape.backward(ad.reduce_sum(res.remainder_vars[t]))
         for n, h_var in enumerate(res.halt_vars[t], start=1):
             want = np.where(n < res.steps[:, t], -1.0, 0.0)

@@ -106,7 +106,7 @@ def batch_objective(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
     if task_var is None:
         task_var = res.tape.leaf(np.zeros(()))
     loss_var = ad.scale(task_var, 1.0 / n)
-    if res.ponder_var is not None and act_cfg.time_penalty > 0.0:
+    if act_cfg.time_penalty > 0.0:
         loss_var = ad.add(loss_var,
                           ad.scale(res.ponder_var, act_cfg.time_penalty / n))
     outputs_data = (np.stack([y.data for y in res.outputs], axis=1)
@@ -124,7 +124,6 @@ class EvalDetails:
     steps: np.ndarray
     difficulties: np.ndarray
     step_errors: np.ndarray         # any wrong group at that step (masked only)
-    step_masked: np.ndarray
     example_errors: np.ndarray
     example_ponders: np.ndarray     # per-sequence P(x)
     example_difficulty: np.ndarray  # difficulty at the first step
@@ -133,7 +132,7 @@ class EvalDetails:
 
 def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
              batches: list[TaskBatch]) -> tuple[RunMetrics, EvalDetails]:
-    ponders, steps, diffs, step_err, step_masked, nats = [], [], [], [], [], []
+    ponders, steps, diffs, step_err, nats = [], [], [], [], []
     ex_err, ex_ponder, ex_diff = [], [], []
     for batch in batches:
         res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
@@ -145,7 +144,6 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
         steps.append(res.steps[active])
         diffs.append(batch.difficulty[active])
         step_err.append(wrong_step[active])
-        step_masked.append(batch.target_mask[active])
         batch_nats = per_position_nats(spec, outputs_data, batch.targets,
                                        batch.target_mask)
         nats.append(batch_nats[batch.target_mask])
@@ -154,9 +152,8 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
         ex_diff.append(batch.difficulty[:, 0])
     details = EvalDetails(
         np.concatenate(ponders), np.concatenate(steps), np.concatenate(diffs),
-        np.concatenate(step_err), np.concatenate(step_masked),
-        np.concatenate(ex_err), np.concatenate(ex_ponder),
-        np.concatenate(ex_diff), np.concatenate(nats))
+        np.concatenate(step_err), np.concatenate(ex_err),
+        np.concatenate(ex_ponder), np.concatenate(ex_diff), np.concatenate(nats))
     metrics = RunMetrics(
         sequence_error_rate=float(details.example_errors.mean()),
         bits_per_character=(bits_per_character(details.nats)

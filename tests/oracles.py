@@ -66,18 +66,23 @@ def lstm_step_plain(p, state, x):
     return o * np.tanh(c_new), c_new
 
 
+def _preactivation_composed(pv, state, x):
+    """z = x W_in + h W_rec + b on the tape, with x recorded as a data leaf."""
+    x_var = state.hidden.tape.leaf(x)
+    return ad.add(ad.add(ad.matmul(x_var, pv.w_in),
+                         ad.matmul(state.hidden, pv.w_rec)), pv.b_rec)
+
+
 def rnn_step_composed(pv, state, x):
     """The RNN update as a chain of tape ops: matmul, add, tanh."""
-    z = ad.add(ad.add(ad.matmul(x, pv.w_in), ad.matmul(state.hidden, pv.w_rec)),
-               pv.b_rec)
+    z = _preactivation_composed(pv, state, x)
     return CellState(ad.tanh(z))
 
 
 def lstm_step_composed(pv, state, x):
     """The LSTM update as a chain of tape ops, with exp-form sigmoid gates."""
     n = state.hidden.data.shape[1]
-    z = ad.add(ad.add(ad.matmul(x, pv.w_in), ad.matmul(state.hidden, pv.w_rec)),
-               pv.b_rec)
+    z = _preactivation_composed(pv, state, x)
     i = ad.sigmoid(ad.narrow(z, 1, 0, n))
     f = ad.sigmoid(ad.narrow(z, 1, n, n))
     g = ad.tanh(ad.narrow(z, 1, 2 * n, n))

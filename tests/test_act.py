@@ -102,7 +102,7 @@ class TestActStep:
         assert trace.ponder == 2.0
         # Bit-exact passthrough of the single update.
         plain = cell.step(pv, cell.zero_state(tape, p.hidden_size),
-                          tape.leaf(np.atleast_2d(augment_input(x, 1).data)))
+                          np.atleast_2d(augment_input(x, 1)))
         np.testing.assert_array_equal(s_t.hidden.data, plain.hidden.data)
 
     def test_two_step_convex_combination(self):

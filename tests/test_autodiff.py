@@ -2,26 +2,13 @@ import numpy as np
 import pytest
 
 from actlab import autodiff as ad
-from actlab.autodiff import ContractError, DimensionError, NumericError, Tape, Tensor
+from actlab.autodiff import ContractError, DimensionError, NumericError, Tape
 
 from oracles import fd_grad, rel_err
 
 
 def leaf(tape, value):
     return tape.leaf(np.asarray(value, dtype=np.float64))
-
-
-class TestTensor:
-    def test_shape_matches_data(self):
-        t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert t.shape == (2, 2)
-        assert t.size == 4
-        assert int(np.prod(t.shape)) == t.data.size
-
-    def test_require_finite(self):
-        Tensor([1.0, 2.0]).require_finite()
-        with pytest.raises(NumericError, match="2 non-finite"):
-            Tensor([np.nan, 1.0, np.inf]).require_finite()
 
 
 class TestForwardExamples:

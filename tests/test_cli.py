@@ -76,6 +76,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=name):
             parse_config_text("", [override])
 
+    @pytest.mark.parametrize("overrides,key", [
+        (["train.eval_every=0"], "train.eval_every"),
+        (["train.eval_batches=0"], "train.eval_batches"),
+        (["task.name=addition", "task.min_digits=4", "task.max_digits=2"],
+         "task.min_digits"),
+    ])
+    def test_values_training_cannot_run_are_rejected(self, overrides, key):
+        # Each of these used to pass resolve and crash training later.
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_config_text("", overrides)
+
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# a comment\n\ntask.name = sort  # trailing\n")
         assert config.task == "sort"

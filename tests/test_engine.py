@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from actlab import autodiff as ad
-from actlab.act import ActConfig, run_sequence
+from actlab import engine
+from actlab.act import ActConfig, halting_distribution, run_sequence
 from actlab.cells import init_params
 from actlab.engine import run_batch
 from actlab.losses import joint_softmax_cross_entropy
@@ -134,8 +135,67 @@ def test_forced_cap_one_batch():
     assert np.all(res.steps[res.active] == 1)
     assert np.all(res.remainders[res.active] == 1.0)
     assert np.all(res.halted_by_cap[res.active])
-    assert res.ponder_var is None
+    # The ponder is constant: no parameter or halting activation gets any
+    # of its gradient.
+    res.tape.backward(res.ponder_var)
+    for _, var in res.param_vars.items():
+        assert not res.tape.grad(var).any()
+    for h_var in (h for step in res.halt_vars for h in step):
+        assert not res.tape.grad(h_var).any()
     assert res.batch_ponder_sum == 2.0 * lengths.sum()
+
+
+def test_remainders_match_halting_law_bit_for_bit():
+    """R is 1 - h^1 - h^2 - ... in the halting law's order, on every padded
+    row, and every input step has an on-tape remainder."""
+    seen = set()
+    for kind, halt_bias, halt_scale in [("rnn", -1.0, 4.0), ("rnn", 2.0, 10.0),
+                                        ("lstm", -1.0, 4.0), ("lstm", -2.0, 1.0)]:
+        params, inputs, lengths, _, _ = random_case(kind, 0, batch=12, t_max=6)
+        params.b_halt[:] = halt_bias
+        params.w_halt *= halt_scale
+        cfg = ActConfig(max_steps=7)
+        res = run_batch(kind, params, cfg, inputs, lengths)
+        assert not res.active.all()
+        assert all(r is not None for r in res.remainder_vars)
+        for e, t in zip(*np.nonzero(res.active)):
+            h = (h_var.data[e, 0] for h_var in res.halt_vars[t])
+            n, _, remainder = halting_distribution(h, cfg.epsilon, cfg.max_steps)
+            assert n == res.steps[e, t]
+            assert res.remainders[e, t] == remainder
+            assert res.remainder_vars[t].data[e, 0] == remainder
+        seen.update(res.steps[res.active].tolist())
+    assert seen == set(range(1, 8))
+
+
+def test_one_readout_per_input_step(monkeypatch):
+    params, inputs, lengths, _, _ = random_case("lstm", 3)
+    params.b_halt[:] = -2.0
+    calls = []
+    original = engine.readout
+
+    def counted(pv, state):
+        calls.append(state)
+        return original(pv, state)
+
+    monkeypatch.setattr(engine, "readout", counted)
+    res = run_batch("lstm", params, ActConfig(max_steps=7), inputs, lengths)
+    assert res.steps.max() > 1
+    assert len(calls) == inputs.shape[1]
+
+
+def test_node_budget_per_update():
+    # Per LSTM update: the fused step and its two slices, two freezes, the
+    # halting unit (3), the mean-field weight (up to 3), the remainder
+    # update and two running sums (4), plus a few nodes per input step.
+    # One readout per update would add at least two more.
+    rng = np.random.default_rng(3)
+    params = init_params("lstm", 3, 6, 4, seed=1, halt_bias=-2.0)
+    res = run_batch("lstm", params, ActConfig(), rng.normal(size=(5, 4, 3)),
+                    np.array([4, 2, 4, 1, 3]))
+    updates = int(res.steps.max(axis=0).sum())
+    assert res.steps[res.active].min() > 5
+    assert len(res.tape) <= 15 * updates
 
 
 def test_inputs_shape_contract():
