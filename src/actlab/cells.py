@@ -14,9 +14,12 @@ not a chain of elementwise tape ops: the pondering loop runs it N times
 per input, so per-node overhead is the hot path. The input x is a plain
 array, not a tape node: it is data, so nothing needs its adjoint. The
 forward computes the pre-activation z = x W_in + h W_rec + b once. The
-backward turns the upstream adjoint into one dz of z's shape, from which
-the adjoints of h, W_in, W_rec and b follow by three GEMMs and one column
-sum.
+backward turns the upstream adjoint into one dz of z's shape. The adjoint
+of h is the GEMM dz W_recᵀ. W_in, W_rec and b get deferred `Outer`
+packets (x, dz), (h, dz) and (1, dz): the tape stacks them over every
+update and forms each weight adjoint as one GEMM, Xᵀ DZ or Hᵀ DZ, and
+the bias adjoint as one reduction over the stacked DZ, splitting the
+stack only when it reaches `autodiff.OUTER_FLUSH_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -123,8 +126,11 @@ def _preactivation(xd: np.ndarray, hd: np.ndarray, w_in: np.ndarray,
 
 def _preactivation_adjoints(dz: np.ndarray, xd: np.ndarray, hd: np.ndarray,
                             w_rec: np.ndarray) -> tuple:
-    """Adjoints of (h, W_in, W_rec, b) from the adjoint dz of z."""
-    return dz @ w_rec.T, xd.T @ dz, hd.T @ dz, dz.sum(axis=0, keepdims=True)
+    """Adjoints of (h, W_in, W_rec, b) from the adjoint dz of z; the last
+    three as deferred outer products."""
+    ones = np.ones((dz.shape[0], 1))
+    return (dz @ w_rec.T, ad.Outer(xd, dz), ad.Outer(hd, dz),
+            ad.Outer(ones, dz))
 
 
 class RnnCell:

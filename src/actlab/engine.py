@@ -150,13 +150,15 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
             parts = [ad.rowscale(part, w) for part in work.parts()]
             sums = [ad.add(s, p) for s, p in zip(sums, parts)] if sums else parts
 
-        state = _freeze(active, cell.from_parts(tuple(sums)), state)
+        # With no active row nothing ran: the state stays and R stays at 1.
+        if sums:
+            state = _freeze(active, cell.from_parts(tuple(sums)), state)
+            ponder_var = ad.add(ponder_var, ad.reduce_sum(_masked(r_var, active)))
         outputs.append(readout(pv, state))
         remainders[active, t] = r_var.data[active, 0]
         step_halt_vars.append(halt_vars)
         remainder_vars.append(r_var)
         ponder_const += float(steps[active, t].sum())
-        ponder_var = ad.add(ponder_var, ad.reduce_sum(_masked(r_var, active)))
 
     return BatchRunResult(tape, pv, outputs, steps, remainders, active_all,
                           capped, ponder_var, ponder_const, step_halt_vars,

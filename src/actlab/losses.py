@@ -153,6 +153,7 @@ class RunMetrics:
     mean_ponder: float
     std_ponder: float
     mean_steps: float
+    capped_fraction: float   # share of active steps halted by the step cap
     difficulty_rows: list[DifficultyRow] = field(default_factory=list)
 
     def to_dict(self) -> dict:

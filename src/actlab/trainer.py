@@ -31,7 +31,7 @@ from .optim import OptimizerState, adam_update, clip_global_norm
 from .tasks import (TaskBatch, TaskSpec, derive_seeds, gen_addition, gen_logic,
                     gen_parity, gen_sort, gen_text, schema_csv)
 
-METRICS_SCHEMA = 1
+METRICS_SCHEMA = 2
 SWEEP_SCHEMA = "sweep-summary-1"
 
 
@@ -132,7 +132,7 @@ class EvalDetails:
 
 def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
              batches: list[TaskBatch]) -> tuple[RunMetrics, EvalDetails]:
-    ponders, steps, diffs, step_err, nats = [], [], [], [], []
+    ponders, steps, capped, diffs, step_err, nats = [], [], [], [], [], []
     ex_err, ex_ponder, ex_diff = [], [], []
     for batch in batches:
         res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
@@ -142,6 +142,7 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
         active = res.active
         ponders.append(res.ponders[active])
         steps.append(res.steps[active])
+        capped.append(res.halted_by_cap[active])
         diffs.append(batch.difficulty[active])
         step_err.append(wrong_step[active])
         batch_nats = per_position_nats(spec, outputs_data, batch.targets,
@@ -161,6 +162,7 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
         mean_ponder=float(details.ponders.mean()),
         std_ponder=float(details.ponders.std()),
         mean_steps=float(details.steps.mean()),
+        capped_fraction=float(np.concatenate(capped).mean()),
         difficulty_rows=ponder_by_difficulty(
             details.ponders, details.difficulties, steps=details.steps,
             errors=details.step_errors),
@@ -180,12 +182,14 @@ class TrainResult:
     checkpoint_path: Optional[str] = None
 
 
-def _metrics_row(iteration: int, breakdown: LossBreakdown,
+def _metrics_row(iteration: int, breakdown: LossBreakdown, grad_norm: float,
                  metrics: RunMetrics) -> dict:
     row = {"schema": METRICS_SCHEMA, "iteration": iteration,
            "task_loss": breakdown.task_loss, "ponder_cost": breakdown.ponder_cost,
            "total_loss": breakdown.total}
     row.update(metrics.to_dict())
+    row["grad_norm"] = grad_norm
+    row["capped_fraction"] = metrics.capped_fraction
     return row
 
 
@@ -239,8 +243,7 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
                 res.tape.backward(loss_var)
                 grads = {name: res.tape.grad(var)
                          for name, var in res.param_vars.items()}
-                if config.clip_norm > 0.0:
-                    clip_global_norm(grads, config.clip_norm)
+                grad_norm = clip_global_norm(grads, config.clip_norm)
                 adam_update(params, grads, opt, config.lr, config.beta1,
                             config.beta2, config.adam_eps)
             except NumericError:
@@ -255,7 +258,7 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
                                       [make_batch(config, eval_rng, corpus)
                                        for _ in range(config.eval_batches)])
                 result.metrics = metrics
-                row = _metrics_row(iteration, breakdown, metrics)
+                row = _metrics_row(iteration, breakdown, grad_norm, metrics)
                 result.rows.append(row)
                 if metrics_fh is not None:
                     metrics_fh.write(json.dumps(row) + "\n")

@@ -290,3 +290,65 @@ class TestWhereMaskIsolation:
         tape.backward(ad.reduce_sum(out))
         assert np.all(np.isfinite(tape.grad(a)))
         np.testing.assert_array_equal(tape.grad(b), [[0.0, 0.0]])
+
+
+class TestOuterPackets:
+    """Deferred `Outer` adjoints must equal the dense sums they replace."""
+
+    @staticmethod
+    def run(packets, parent_fn=lambda v: v, dense_uses=0, seed=21):
+        """loss = sum over k of <u_k, a_k P> (+ <u, b P> per dense use),
+        where P = parent_fn(W). Returns the adjoints of W and of P."""
+        rng = np.random.default_rng(seed)
+        tape = Tape()
+        w = tape.leaf(rng.normal(size=(4, 5)))
+        parent = parent_fn(w)
+        terms = []
+        for k in range(6):
+            a = rng.normal(size=(3, 4))
+            if packets:
+                back = lambda g, a=a: (ad.Outer(a, g),)
+            else:
+                back = lambda g, a=a: (a.T @ g,)
+            node = ad.record(a @ parent.data, (parent,), back)
+            terms.append(ad.mul(node, tape.leaf(rng.normal(size=(3, 5)))))
+            if k < dense_uses:
+                dense = ad.matmul(tape.leaf(rng.normal(size=(2, 4))), parent)
+                terms.append(ad.mul(dense, tape.leaf(rng.normal(size=(2, 5)))))
+        loss = ad.reduce_sum(terms[0])
+        for term in terms[1:]:
+            loss = ad.add(loss, ad.reduce_sum(term))
+        tape.backward(loss)
+        return tape.grad(w), tape.grad(parent)
+
+    def check(self, **kwargs):
+        got, ref = self.run(True, **kwargs), self.run(False, **kwargs)
+        for g, r in zip(got, ref):
+            assert r.any()
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+
+    def test_packets_into_one_leaf(self):
+        self.check()
+
+    def test_dense_adjoints_and_packets_into_one_parent(self):
+        self.check(dense_uses=3)
+
+    def test_packets_into_a_non_leaf_parent(self):
+        # P = tanh(W) gets nothing but packets: Tape.grad(P) reads the
+        # multiplied-out adjoint, and W's comes through tanh's backward.
+        self.check(parent_fn=ad.tanh)
+
+    def test_stack_crossing_the_flush_constant(self, monkeypatch):
+        sizes = []
+        original = ad._outer_sum
+
+        def counted(packets, shared):
+            sizes.append(sum(p.a.shape[0] for p in packets))
+            return original(packets, shared)
+
+        monkeypatch.setattr(ad, "_outer_sum", counted)
+        monkeypatch.setattr(ad, "OUTER_FLUSH_ROWS", 10)
+        self.check(dense_uses=2)
+        # Four 3-row packets reach the bound; the last two are multiplied
+        # out when the sweep reaches the parent.
+        assert sizes == [12, 6]

@@ -10,6 +10,8 @@ from actlab.act import ActConfig, halting_distribution, run_sequence
 from actlab.cells import init_params
 from actlab.engine import run_batch
 from actlab.losses import joint_softmax_cross_entropy
+from actlab.tasks import gen_logic, task_spec
+from actlab.trainer import batch_objective
 
 
 def random_case(kind, seed, batch=5, t_max=4, input_size=3, hidden=6, out=4):
@@ -196,6 +198,70 @@ def test_node_budget_per_update():
     updates = int(res.steps.max(axis=0).sum())
     assert res.steps[res.active].min() > 5
     assert len(res.tape) <= 15 * updates
+
+
+def test_input_step_with_no_active_row():
+    # The last input step is past both rows' lengths: it keeps the state,
+    # reads it out, and leaves R at 1. The active steps match the same
+    # batch trimmed to T = 2.
+    rng = np.random.default_rng(4)
+    params = init_params("lstm", 3, 6, 4, seed=5, halt_bias=-1.0)
+    inputs = rng.normal(size=(2, 3, 3))
+    lengths = np.array([2, 1])
+    cfg = ActConfig(max_steps=7)
+    res = run_batch("lstm", params, cfg, inputs, lengths)
+    trimmed = run_batch("lstm", params, cfg, inputs[:, :2], lengths)
+    for t in range(2):
+        np.testing.assert_array_equal(res.outputs[t].data, trimmed.outputs[t].data)
+    np.testing.assert_array_equal(res.outputs[2].data, res.outputs[1].data)
+    np.testing.assert_array_equal(res.steps[:, :2], trimmed.steps)
+    assert not res.steps[:, 2].any() and not res.remainders[:, 2].any()
+    assert res.halt_vars[2] == []
+    np.testing.assert_array_equal(res.remainder_vars[2].data, np.ones((2, 1)))
+    assert res.batch_ponder_sum == trimmed.batch_ponder_sum
+    res.tape.backward(ad.reduce_sum(res.outputs[2]))
+    assert res.tape.grad(res.param_vars.w_rec).any()
+
+
+def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
+    # Every cell update hands W_in, W_rec and b_rec a deferred packet; the
+    # backward must form each of their adjoints once per chunk of at most
+    # OUTER_FLUSH_ROWS stacked rows, never once per update.
+    spec = task_spec("logic")
+    batch = gen_logic(3, batch=8, min_len=3, max_len=4)
+    params = init_params("lstm", spec.input_size, 16, spec.output_size, seed=2,
+                         halt_bias=-2.0)
+    cfg = ActConfig(max_steps=10)
+    formed = []
+    original = ad._outer_sum
+
+    def counted(packets, shared):
+        out = original(packets, shared)
+        formed.append((out.shape, sum(p.a.shape[0] for p in packets)))
+        return out
+
+    def weight_grads(flush_rows):
+        formed.clear()
+        monkeypatch.setattr(ad, "OUTER_FLUSH_ROWS", flush_rows)
+        loss, res, _, _ = batch_objective(spec, params, cfg, batch)
+        res.tape.backward(loss)
+        updates = int(res.steps.max(axis=0).sum())
+        assert updates > 2 * batch.inputs.shape[1]
+        for name in ("w_in", "w_rec", "b_rec"):
+            var = getattr(res.param_vars, name)
+            chunks = [rows for shape, rows in formed if shape == var.data.shape]
+            assert sum(chunks) == updates * 8
+            assert len(chunks) == -(-updates * 8 // flush_rows)
+        assert len(formed) == 3 * len(chunks)
+        return {name: res.tape.grad(var) for name, var in res.param_vars.items()}
+
+    monkeypatch.setattr(ad, "_outer_sum", counted)
+    whole = weight_grads(ad.OUTER_FLUSH_ROWS)
+    assert len(formed) == 3
+    chunked = weight_grads(3 * 8)
+    for name, g in whole.items():
+        np.testing.assert_allclose(chunked[name], g, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(g).max()))
 
 
 def test_inputs_shape_contract():

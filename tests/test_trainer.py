@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actlab import trainer
 from actlab.act import ActConfig
 from actlab.autodiff import NumericError
 from actlab.cells import init_params
@@ -223,6 +224,31 @@ class TestTrainLoop:
                 (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
         assert [r["iteration"] for r in rows] == [20, 40]
         assert result.checkpoint_path.endswith("ckpt-final.bin")
+
+    def test_rows_append_grad_norm_and_capped_fraction(self):
+        # Schema 2 appends the two fields after the schema 1 keys. With the
+        # default halting bias a parity row halts within ~13 updates, so a
+        # cap of 100 is never reached; a cap of 1 is reached on every step.
+        rows = train(parity_config(max_steps=100)).rows
+        assert [r["schema"] for r in rows] == [2, 2]
+        assert [list(r)[-2:] for r in rows] == [["grad_norm", "capped_fraction"]] * 2
+        assert [r["capped_fraction"] for r in rows] == [0.0, 0.0]
+        rows = train(parity_config(max_steps=1)).rows
+        assert [r["capped_fraction"] for r in rows] == [1.0, 1.0]
+
+    def test_grad_norm_is_the_row_iterations_pre_clip_norm(self, monkeypatch):
+        norms = []
+        original = trainer.clip_global_norm
+
+        def recorded(grads, max_norm):
+            norms.append(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+            return original(grads, max_norm)
+
+        monkeypatch.setattr(trainer, "clip_global_norm", recorded)
+        rows = train(parity_config(clip_norm=1e-3)).rows
+        assert min(norms) > 1e-3                  # every iteration was clipped
+        assert [r["grad_norm"] for r in rows] == [
+            pytest.approx(norms[19], rel=1e-12), pytest.approx(norms[39], rel=1e-12)]
 
     def test_periodic_checkpoints(self, tmp_path):
         config = parity_config(checkpoint_every=20)
