@@ -35,17 +35,19 @@ def _as_f64(data) -> np.ndarray:
 
 
 # Rows a parent's stacked packets may hold before they are multiplied out
-# into its dense adjoint. This bounds the memory they keep alive: a row of
-# an lstm-1500 pre-activation adjoint is 48 KB, so 2048 rows are ~100 MB.
-OUTER_FLUSH_ROWS = 2048
+# into its dense adjoint. The packets keep each update's rows alive until
+# then, and a flush adds one stacked copy of them: at lstm-1500 a dz row
+# is 48 KB, so a full stack is 48 MB and a flush holds about twice that.
+# Measured on one text backward (lstm-1500, batch 8, 500-byte window,
+# 8,000 rows): peak RSS 2,627 MB at 1024 rows, 2,722 MB at 2048, 3,246 MB
+# unflushed, and 2,617 MB for the dense per-update sums packets replace.
+OUTER_FLUSH_ROWS = 1024
 
 
 class Outer:
     """Deferred adjoint a.T @ b, for a parent that is an (m, n) matrix.
 
-    `a` is (rows, m) and `b` is (rows, n). Packets that share `b` arrays,
-    such as the weight and bias adjoints of one cell update, also share
-    their stacked copy of them.
+    `a` is (rows, m) and `b` is (rows, n).
     """
 
     __slots__ = ("a", "b")
@@ -55,20 +57,10 @@ class Outer:
         self.b = b
 
 
-def _outer_sum(packets: list[Outer], shared: list) -> np.ndarray:
-    """concat(a).T @ concat(b) over `packets`: their summed adjoint.
-
-    `shared` is [b list, stacked b] from the previous call; it is reused
-    when this call's b arrays are the same objects in the same order.
-    """
-    bs = [p.b for p in packets]
-    last = shared[0]
-    if len(bs) == len(last) and all(x is y for x, y in zip(bs, last)):
-        stacked_b = shared[1]
-    else:
-        stacked_b = np.concatenate(bs)
-        shared[:] = bs, stacked_b
-    return np.concatenate([p.a for p in packets]).T @ stacked_b
+def _outer_sum(packets: list[Outer]) -> np.ndarray:
+    """concat(a).T @ concat(b) over `packets`: their summed adjoint."""
+    return (np.concatenate([p.a for p in packets]).T
+            @ np.concatenate([p.b for p in packets]))
 
 
 class Var:
@@ -135,10 +127,9 @@ class Tape:
         adj: list[np.ndarray | None] = [None] * n
         adj[loss.idx] = np.full(loss.data.shape, float(seed))
         stacks: dict[int, list] = {}      # parent id -> [packets, rows]
-        shared: list = [[], None]
 
         def flush(p: int) -> None:
-            product = _outer_sum(stacks.pop(p)[0], shared)
+            product = _outer_sum(stacks.pop(p)[0])
             if adj[p] is not None:
                 product += adj[p]
             adj[p] = product

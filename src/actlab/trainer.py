@@ -234,6 +234,8 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
     try:
         for iteration in range(1, config.iterations + 1):
             batch = make_batch(config, data_rng, corpus)
+            writes_row = (iteration % config.eval_every == 0
+                          or iteration == config.iterations)
             try:
                 loss_var, res, breakdown, _ = batch_objective(spec, params, act_cfg,
                                                               batch)
@@ -243,7 +245,10 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
                 res.tape.backward(loss_var)
                 grads = {name: res.tape.grad(var)
                          for name, var in res.param_vars.items()}
-                grad_norm = clip_global_norm(grads, config.clip_norm)
+                # The norm is one pass over every gradient; take it only
+                # when it clips or when this iteration writes a row.
+                if config.clip_norm > 0.0 or writes_row:
+                    grad_norm = clip_global_norm(grads, config.clip_norm)
                 adam_update(params, grads, opt, config.lr, config.beta1,
                             config.beta2, config.adam_eps)
             except NumericError:
@@ -253,7 +258,7 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
                 raise
             result.breakdown = breakdown
 
-            if iteration % config.eval_every == 0 or iteration == config.iterations:
+            if writes_row:
                 metrics, _ = evaluate(spec, params, act_cfg,
                                       [make_batch(config, eval_rng, corpus)
                                        for _ in range(config.eval_batches)])

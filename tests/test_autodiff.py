@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -342,9 +344,9 @@ class TestOuterPackets:
         sizes = []
         original = ad._outer_sum
 
-        def counted(packets, shared):
+        def counted(packets):
             sizes.append(sum(p.a.shape[0] for p in packets))
-            return original(packets, shared)
+            return original(packets)
 
         monkeypatch.setattr(ad, "_outer_sum", counted)
         monkeypatch.setattr(ad, "OUTER_FLUSH_ROWS", 10)
@@ -352,3 +354,40 @@ class TestOuterPackets:
         # Four 3-row packets reach the bound; the last two are multiplied
         # out when the sweep reaches the parent.
         assert sizes == [12, 6]
+
+    def test_flushed_rows_are_released_before_the_next_flush(self, monkeypatch):
+        # Like a cell update, every node hands two parents packets that
+        # share one fresh b array. At each flush the only b arrays still
+        # alive must be the ones being multiplied out: no earlier chunk
+        # may survive into the next.
+        rng = np.random.default_rng(5)
+        tape = Tape()
+        w, v = tape.leaf(rng.normal(size=(4, 5))), tape.leaf(rng.normal(size=(4, 5)))
+        refs = []
+
+        def back(g, a):
+            b = g * 2.0
+            refs.append(weakref.ref(b))
+            return g, ad.Outer(a, b), ad.Outer(a, b)
+
+        node = tape.leaf(np.zeros((3, 5)))
+        for _ in range(10):
+            a = rng.normal(size=(3, 4))
+            node = ad.record(node.data + a @ (w.data + v.data), (node, w, v),
+                             lambda g, a=a: back(g, a))
+        flushes = []
+        original = ad._outer_sum
+
+        def checked(packets):
+            alive = [r() for r in refs if r() is not None]
+            flushes.append(len(packets))
+            assert len(alive) == len(packets)
+            assert all(any(x is p.b for p in packets) for x in alive)
+            return original(packets)
+
+        monkeypatch.setattr(ad, "_outer_sum", checked)
+        monkeypatch.setattr(ad, "OUTER_FLUSH_ROWS", 9)
+        tape.backward(ad.reduce_sum(node))
+        assert flushes == [3, 3, 3, 3, 3, 3, 1, 1]
+        assert all(r() is None for r in refs)
+        np.testing.assert_allclose(tape.grad(w), tape.grad(v), rtol=0, atol=0)

@@ -235,8 +235,8 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
     formed = []
     original = ad._outer_sum
 
-    def counted(packets, shared):
-        out = original(packets, shared)
+    def counted(packets):
+        out = original(packets)
         formed.append((out.shape, sum(p.a.shape[0] for p in packets)))
         return out
 

@@ -250,6 +250,19 @@ class TestTrainLoop:
         assert [r["grad_norm"] for r in rows] == [
             pytest.approx(norms[19], rel=1e-12), pytest.approx(norms[39], rel=1e-12)]
 
+    def test_grad_norm_is_taken_only_on_row_iterations_without_clipping(
+            self, monkeypatch):
+        calls = []
+        original = trainer.clip_global_norm
+
+        def recorded(grads, max_norm):
+            calls.append(max_norm)
+            return original(grads, max_norm)
+
+        monkeypatch.setattr(trainer, "clip_global_norm", recorded)
+        rows = train(parity_config()).rows
+        assert calls == [0.0, 0.0] and len(rows) == 2
+
     def test_periodic_checkpoints(self, tmp_path):
         config = parity_config(checkpoint_every=20)
         train(config, out_dir=str(tmp_path / "run"))
