@@ -29,6 +29,7 @@ import zlib
 
 import numpy as np
 
+from .autodiff import DimensionError
 from .cells import CellParams
 from .config import (TrainConfig, config_digest, config_text, parse_config_text,
                      resolved_spec)
@@ -39,7 +40,8 @@ VERSION = 1
 
 
 class CheckpointError(ValueError):
-    """Unusable checkpoint file: wrong magic/version, truncated, corrupt."""
+    """Unusable checkpoint file: wrong magic/version, truncated, corrupt, or
+    missing a record or holding one of the wrong shape."""
 
 
 def _record_chunks(name: str, arr: np.ndarray) -> tuple[bytes, memoryview]:
@@ -131,12 +133,23 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]
 
     config = parse_config_text(str(text, "utf-8"), origin=f"{path}:config")
     spec = resolved_spec(config)
+
+    def record(name: str, shape=None) -> np.ndarray:
+        if name not in arrays:
+            raise CheckpointError(f"{path!r} has no record {name!r}")
+        if shape is not None and arrays[name].shape != shape:
+            raise CheckpointError(f"{path!r}: record {name!r} has shape "
+                                  f"{arrays[name].shape}, expected {shape}")
+        return arrays[name]
+
     params = CellParams(config.cell, spec.input_size, config.hidden, spec.output_size,
-                        *(arrays["param/" + name]
-                          for name in CellParams._FIELDS))
-    params.validate()
+                        *(record("param/" + name) for name in CellParams._FIELDS))
+    try:
+        params.validate()
+    except DimensionError as exc:
+        raise CheckpointError(f"{path!r}: {exc}") from None
     opt = OptimizerState(
-        m={name: arrays["adam.m/" + name] for name in CellParams._FIELDS},
-        v={name: arrays["adam.v/" + name] for name in CellParams._FIELDS},
-        step=int(arrays["adam/step"]))
+        m={name: record("adam.m/" + name, arr.shape) for name, arr in params.items()},
+        v={name: record("adam.v/" + name, arr.shape) for name, arr in params.items()},
+        step=int(record("adam/step", ())))
     return config, params, opt

@@ -22,19 +22,28 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, TrainConfig, parse_config, parse_config_text
 from .engine import run_batch
 from .gradcheck import halting_gradient_check
-from .losses import PROB_CLAMP
+from .losses import PROB_CLAMP, per_position_nats
 from .tasks import schema_csv, synth_corpus, write_batch_csv
-from .trainer import (evaluate, load_corpus, make_batch, per_position_nats,
-                      resolved_spec, sweep, tau_grid, train, write_sweep_csv)
+from .trainer import (evaluate, load_corpus, make_batch, resolved_spec, sweep,
+                      tau_grid, train, write_sweep_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+EVAL_SCHEMA = 2
 TRACE_COMMAND_SCHEMA = "model-trace-1"
 
 log = logging.getLogger("actlab")
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1 (argparse exits 2 otherwise)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
@@ -74,8 +83,9 @@ def _cmd_eval(args) -> int:
     rng = np.random.default_rng(args.seed)
     batches = [make_batch(config, rng, corpus) for _ in range(args.batches)]
     metrics, details = evaluate(spec, params, act_cfg, batches)
-    row = {"schema": 1, "checkpoint": args.checkpoint, "batches": args.batches}
-    row.update(metrics.to_dict())
+    row = {"schema": EVAL_SCHEMA, "checkpoint": args.checkpoint,
+           "batches": args.batches, **metrics.to_dict(),
+           "capped_fraction": metrics.capped_fraction}
     line = json.dumps(row)
     if args.stdout:
         print(line)
@@ -237,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on fresh batches")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--batches", type=int, default=4)
+    p.add_argument("--batches", type=positive_int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the metrics record here")
     p.add_argument("--difficulty-csv", help="write the per-difficulty table here")
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", help="train replicas over a time-penalty grid")
     _add_config_args(p)
     p.add_argument("--taus", help="comma-separated list; omit for the full grid")
-    p.add_argument("--replicas", type=int, default=1)
+    p.add_argument("--replicas", type=positive_int, default=1)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--stdout", action="store_true")
@@ -256,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gradcheck",
                         help="verify model gradients against finite differences")
     _add_config_args(p)
-    p.add_argument("--examples", type=int, default=2)
-    p.add_argument("--max-coords", type=int, default=None,
+    p.add_argument("--examples", type=positive_int, default=2)
+    p.add_argument("--max-coords", type=positive_int, default=None,
                    help="subsample coordinates per parameter")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--stdout", action="store_true")
@@ -267,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", required=True,
                    help="parity|logic|addition|sort|text|corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=16, help="examples per batch")
+    p.add_argument("--count", type=positive_int, default=16, help="examples per batch")
     p.add_argument("--out", required=True)
     p.add_argument("--corpus", help="byte file for --task text")
     p.add_argument("--seq-len", type=int, default=100)
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-step ponder/loss/entropy rows for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1, help="sequences to trace")
+    p.add_argument("--count", type=positive_int, default=1, help="sequences to trace")
     p.add_argument("--corpus", help="byte file override for text checkpoints")
     p.add_argument("--out")
     p.add_argument("--stdout", action="store_true")

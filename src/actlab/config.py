@@ -82,7 +82,10 @@ class TrainConfig:
                 f"invalid act.epsilon, act.max_steps or act.tau: {exc}") from None
         if out.cell not in ("rnn", "lstm"):
             raise ConfigError(f"cell.kind must be rnn or lstm, got {out.cell!r}")
+        # Lengths >= 1 keep every batch at T >= 1 input steps.
         for key, value in (("task.batch", out.batch), ("cell.hidden", out.hidden),
+                           ("task.bits", out.n_bits), ("task.seq_len", out.seq_len),
+                           ("task.min_len", out.min_len), ("task.max_len", out.max_len),
                            ("train.eval_every", out.eval_every),
                            ("train.eval_batches", out.eval_batches)):
             if value < 1:

@@ -1,9 +1,11 @@
-"""Loss functions and evaluation metrics.
+"""The task loss and evaluation metrics.
 
-Training losses are built from tape ops so gradients flow; evaluation
-metrics are plain numpy. Probabilities are clamped at 1e-12 before any
-log, and masked positions are multiplied out before the reduction, so
-they contribute exactly zero loss and zero gradient.
+The task loss is -log p[target] per output position and group, with p from
+`TaskSpec.probs`, the one map from readouts to class distributions. It is
+clamped at p = PROB_CLAMP, where it stops passing gradient, and masked
+positions add exactly zero loss and gradient. `per_position_nats` computes
+it for `evaluate` and `trace`; training sums the same numbers in one tape
+node whose backward is the closed form p - onehot.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, Var
+from .tasks import TaskSpec
 
 PROB_CLAMP = 1e-12
 LN2 = math.log(2.0)
@@ -40,53 +43,61 @@ def total_loss(task_loss: float, ponder_cost: float,
                          task_loss + time_penalty * ponder_cost)
 
 
-def binary_cross_entropy(p: Var, targets, mask=None) -> Var:
-    """-sum over rows of [b log p + (1-b) log(1-p)], clamped at 1e-12.
+def per_position_nats(spec: TaskSpec, outputs: np.ndarray, targets,
+                      mask) -> np.ndarray:
+    """-log p[target] per (example, step), summed over groups, times `mask`.
 
-    `p` holds probabilities in (0,1), one column per row; `targets` is a
-    matching 0/1 array; `mask`, when given, zeroes rows out of the sum.
+    Shapes: outputs (batch, T, output_size), targets (batch, T, groups),
+    mask (batch, T), 0/1 or weights.
     """
-    t = np.asarray(targets, dtype=np.float64).reshape(p.data.shape)
-    log_p = ad.log(ad.clamp_min(p, PROB_CLAMP))
-    log_q = ad.log(ad.clamp_min(ad.add_scalar(ad.scale(p, -1.0), 1.0), PROB_CLAMP))
-    term = ad.add(ad.const_mul(log_p, t), ad.const_mul(log_q, 1.0 - t))
-    if mask is not None:
-        term = ad.const_mul(term, np.asarray(mask, dtype=np.float64).reshape(t.shape))
-    return ad.scale(ad.reduce_sum(term), -1.0)
+    return _nats(spec, spec.probs(outputs), targets, mask)[0]
 
 
-def joint_softmax_cross_entropy(dists: Sequence[Var], targets, mask=None) -> Var:
-    """Joint cross-entropy of simultaneous classifications.
+def _nats(spec: TaskSpec, probs: np.ndarray, targets, mask):
+    """Per-position nats, the class ids as an index into `probs`, p there."""
+    ids = np.asarray(targets, dtype=np.int64).reshape(probs.shape[:-1] + (1,))
+    if np.any((ids < 0) | (ids >= spec.classes)):
+        raise ContractError(f"target class out of range [0, {spec.classes})")
+    picked = np.take_along_axis(probs, ids, axis=-1)
+    nats = -np.log(np.maximum(picked[..., 0], PROB_CLAMP)).sum(axis=-1)
+    return nats * mask, ids, picked
 
-    `dists[g]` is a (rows, classes) probability distribution for group g,
-    `targets` is (rows, groups) integer class ids, and `mask` zeroes whole
-    rows. Returns the summed -log p[target] over all unmasked rows and
-    groups.
+
+def _task_loss(spec: TaskSpec, head: str, outputs: Sequence[Var], targets,
+               mask) -> Var:
+    """`per_position_nats` summed, as one node over the T per-step readouts.
+
+    Readout t gets g * mask * (p - onehot) on groups whose p[target] >=
+    PROB_CLAMP and exactly 0 elsewhere: for bce the class-1 column, p - b;
+    for softmax one flat block per group.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    rows = targets.shape[0]
-    if targets.shape[1] != len(dists):
-        raise ContractError(
-            f"targets have {targets.shape[1]} groups, got {len(dists)} distributions")
-    mask_col = None
-    if mask is not None:
-        mask_col = np.asarray(mask, dtype=np.float64).reshape(rows, 1)
-    loss = None
-    for g, dist in enumerate(dists):
-        n_classes = dist.data.shape[1]
-        tg = targets[:, g]
-        if np.any((tg < 0) | (tg >= n_classes)):
-            raise ContractError(
-                f"target class out of range [0, {n_classes}) in group {g}")
-        onehot = np.zeros((rows, n_classes))
-        onehot[np.arange(rows), tg] = 1.0
-        if mask_col is not None:
-            onehot *= mask_col
-        term = ad.const_mul(ad.log(ad.clamp_min(dist, PROB_CLAMP)), onehot)
-        loss = term if loss is None else ad.add(loss, term)
-    return ad.scale(ad.reduce_sum(loss), -1.0)
+    if spec.head != head:
+        raise ContractError(f"task {spec.name!r} has a {spec.head} head, not {head}")
+    y = np.stack([v.data for v in outputs], axis=1)
+    w = np.asarray(mask, dtype=np.float64).reshape(y.shape[:2] + (1, 1))
+    probs = spec.probs(y)
+    nats, ids, picked = _nats(spec, probs, targets, w[..., 0, 0])
+    np.put_along_axis(probs, ids, picked - 1.0, axis=-1)
+    d = np.where((picked >= PROB_CLAMP) & (w != 0.0), probs, 0.0) * w
+    adj = d[..., 1] if head == "bce" else d.reshape(y.shape)
+    live = adj.any(axis=(0, 2))
+
+    def back(g):    # holds no Var: a closure over them would keep the tape alive
+        return tuple(g * adj[:, t] if live[t] else None for t in range(len(live)))
+
+    return ad.record(np.array(nats.sum()), outputs, back)
+
+
+def binary_cross_entropy(spec: TaskSpec, outputs: Sequence[Var], targets,
+                         mask) -> Var:
+    """The task-loss node of a one-logit bce head; see `_task_loss`."""
+    return _task_loss(spec, "bce", outputs, targets, mask)
+
+
+def joint_softmax_cross_entropy(spec: TaskSpec, outputs: Sequence[Var],
+                                targets, mask) -> Var:
+    """The task-loss node of simultaneous softmax groups; see `_task_loss`."""
+    return _task_loss(spec, "softmax", outputs, targets, mask)
 
 
 def example_errors(predictions, targets, mask) -> np.ndarray:
@@ -157,10 +168,6 @@ class RunMetrics:
     difficulty_rows: list[DifficultyRow] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "sequence_error_rate": self.sequence_error_rate,
-            "bits_per_character": self.bits_per_character,
-            "mean_ponder": self.mean_ponder,
-            "std_ponder": self.std_ponder,
-            "mean_steps": self.mean_steps,
-        }
+        keys = ("sequence_error_rate", "bits_per_character", "mean_ponder",
+                "std_ponder", "mean_steps")
+        return {key: getattr(self, key) for key in keys}

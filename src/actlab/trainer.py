@@ -23,10 +23,10 @@ from .checkpoint import save_checkpoint
 from .config import (ConfigError, TrainConfig, config_digest, config_text,
                      resolved_spec)
 from .engine import run_batch
-from .losses import (PROB_CLAMP, LossBreakdown, RunMetrics, binary_cross_entropy,
+from .losses import (LossBreakdown, RunMetrics, binary_cross_entropy,
                      bits_per_character, example_errors,
-                     joint_softmax_cross_entropy, ponder_by_difficulty,
-                     total_loss)
+                     joint_softmax_cross_entropy, per_position_nats,
+                     ponder_by_difficulty, total_loss)
 from .optim import OptimizerState, adam_update, clip_global_norm
 from .tasks import (TaskBatch, TaskSpec, derive_seeds, gen_addition, gen_logic,
                     gen_parity, gen_sort, gen_text, schema_csv)
@@ -67,18 +67,6 @@ def make_batch(config: TrainConfig, rng, corpus: Optional[bytes] = None,
     return gen_text(corpus, rng, seq_len=config.seq_len, batch=n)
 
 
-def per_position_nats(spec: TaskSpec, outputs_data: np.ndarray,
-                      targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """-log p[target] per (example, step), zero where unmasked.
-
-    Mirrors the tape loss exactly (same clamp, same sigmoid and softmax
-    shift) so the batch mean of these equals the recorded task loss.
-    """
-    picked = np.take_along_axis(spec.probs(outputs_data), targets[..., None],
-                                axis=3)[..., 0]
-    return -np.log(np.maximum(picked, PROB_CLAMP)).sum(axis=2) * mask
-
-
 def batch_objective(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
                     batch: TaskBatch):
     """Forward a batch and assemble the penalized objective on its tape.
@@ -90,28 +78,16 @@ def batch_objective(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
     """
     res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
     n = batch.batch_size
-    task_var = None
-    for t, y in enumerate(res.outputs):
-        mask_t = batch.target_mask[:, t]
-        if not mask_t.any():
-            continue
-        if spec.head == "bce":
-            term = binary_cross_entropy(ad.sigmoid(y), batch.targets[:, t, :],
-                                        mask_t[:, None])
-        else:
-            dists = [ad.softmax(ad.narrow(y, 1, g * spec.classes, spec.classes),
-                                axis=1) for g in range(spec.groups)]
-            term = joint_softmax_cross_entropy(dists, batch.targets[:, t, :], mask_t)
-        task_var = term if task_var is None else ad.add(task_var, term)
-    if task_var is None:
-        task_var = res.tape.leaf(np.zeros(()))
-    loss_var = ad.scale(task_var, 1.0 / n)
+    # Each masked-in position weighs 1/n, so the task node is the batch mean.
+    task_loss = (binary_cross_entropy if spec.head == "bce"
+                 else joint_softmax_cross_entropy)
+    task_var = task_loss(spec, res.outputs, batch.targets, batch.target_mask / n)
+    loss_var = task_var
     if act_cfg.time_penalty > 0.0:
-        loss_var = ad.add(loss_var,
+        loss_var = ad.add(task_var,
                           ad.scale(res.ponder_var, act_cfg.time_penalty / n))
-    outputs_data = (np.stack([y.data for y in res.outputs], axis=1)
-                    if res.outputs else np.zeros((n, 0, spec.output_size)))
-    breakdown = total_loss(float(task_var.data) / n, res.batch_ponder_sum / n,
+    outputs_data = np.stack([y.data for y in res.outputs], axis=1)
+    breakdown = total_loss(float(task_var.data), res.batch_ponder_sum / n,
                            act_cfg.time_penalty)
     return loss_var, res, breakdown, outputs_data
 
@@ -132,29 +108,22 @@ class EvalDetails:
 
 def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
              batches: list[TaskBatch]) -> tuple[RunMetrics, EvalDetails]:
-    ponders, steps, capped, diffs, step_err, nats = [], [], [], [], [], []
-    ex_err, ex_ponder, ex_diff = [], [], []
+    columns = []                    # per batch: EvalDetails' fields, then capped
     for batch in batches:
         res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
         outputs_data = np.stack([y.data for y in res.outputs], axis=1)
         predictions = spec.decode(outputs_data)
-        wrong_step = np.any(predictions != batch.targets, axis=2) & batch.target_mask
+        mask = batch.target_mask
+        wrong_step = np.any(predictions != batch.targets, axis=2) & mask
+        nats = per_position_nats(spec, outputs_data, batch.targets, mask)
         active = res.active
-        ponders.append(res.ponders[active])
-        steps.append(res.steps[active])
-        capped.append(res.halted_by_cap[active])
-        diffs.append(batch.difficulty[active])
-        step_err.append(wrong_step[active])
-        batch_nats = per_position_nats(spec, outputs_data, batch.targets,
-                                       batch.target_mask)
-        nats.append(batch_nats[batch.target_mask])
-        ex_err.append(example_errors(predictions, batch.targets, batch.target_mask))
-        ex_ponder.append(res.per_example_ponder)
-        ex_diff.append(batch.difficulty[:, 0])
-    details = EvalDetails(
-        np.concatenate(ponders), np.concatenate(steps), np.concatenate(diffs),
-        np.concatenate(step_err), np.concatenate(ex_err),
-        np.concatenate(ex_ponder), np.concatenate(ex_diff), np.concatenate(nats))
+        columns.append((res.ponders[active], res.steps[active],
+                        batch.difficulty[active], wrong_step[active],
+                        example_errors(predictions, batch.targets, mask),
+                        res.per_example_ponder, batch.difficulty[:, 0], nats[mask],
+                        res.halted_by_cap[active]))
+    *fields, capped = (np.concatenate(c) for c in zip(*columns))
+    details = EvalDetails(*fields)
     metrics = RunMetrics(
         sequence_error_rate=float(details.example_errors.mean()),
         bits_per_character=(bits_per_character(details.nats)
@@ -162,7 +131,7 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
         mean_ponder=float(details.ponders.mean()),
         std_ponder=float(details.ponders.std()),
         mean_steps=float(details.steps.mean()),
-        capped_fraction=float(np.concatenate(capped).mean()),
+        capped_fraction=float(capped.mean()),
         difficulty_rows=ponder_by_difficulty(
             details.ponders, details.difficulties, steps=details.steps,
             errors=details.step_errors),
@@ -184,13 +153,10 @@ class TrainResult:
 
 def _metrics_row(iteration: int, breakdown: LossBreakdown, grad_norm: float,
                  metrics: RunMetrics) -> dict:
-    row = {"schema": METRICS_SCHEMA, "iteration": iteration,
-           "task_loss": breakdown.task_loss, "ponder_cost": breakdown.ponder_cost,
-           "total_loss": breakdown.total}
-    row.update(metrics.to_dict())
-    row["grad_norm"] = grad_norm
-    row["capped_fraction"] = metrics.capped_fraction
-    return row
+    return {"schema": METRICS_SCHEMA, "iteration": iteration,
+            "task_loss": breakdown.task_loss, "ponder_cost": breakdown.ponder_cost,
+            "total_loss": breakdown.total, **metrics.to_dict(),
+            "grad_norm": grad_norm, "capped_fraction": metrics.capped_fraction}
 
 
 def train(config: TrainConfig, out_dir: Optional[str] = None,
@@ -300,20 +266,20 @@ class SweepRow:
     ponder_stderr: float
 
 
-def _stderr(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / np.sqrt(values.size))
+def _mean_stderr(values: list[float]) -> tuple[float, float]:
+    arr = np.array(values)
+    mean = float(arr.mean()) if arr.size else float("nan")
+    return mean, float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
 
 
-def _sweep_one(args) -> tuple[int, Optional[dict], Optional[str]]:
-    idx, config, out_dir = args
+def _sweep_one(args) -> Optional[tuple[float, float]]:
+    """Final (error, ponder) of one run; None if it failed."""
+    config, out_dir = args
     try:
-        result = train(config, out_dir=out_dir)
-        return idx, {"error": result.metrics.sequence_error_rate,
-                     "ponder": result.metrics.mean_ponder}, None
-    except Exception as exc:                   # recorded, summary still emitted
-        return idx, None, f"{type(exc).__name__}: {exc}"
+        metrics = train(config, out_dir=out_dir).metrics
+        return metrics.sequence_error_rate, metrics.mean_ponder
+    except Exception:                          # counted, summary still emitted
+        return None
 
 
 def sweep(config: TrainConfig, taus: list[float], replicas: int,
@@ -327,33 +293,21 @@ def sweep(config: TrainConfig, taus: list[float], replicas: int,
             run_config = replace(config, tau=tau, seed=seed)
             run_dir = (os.path.join(out_dir, f"tau{tau:g}_rep{r}")
                        if out_dir is not None else None)
-            jobs.append((i, run_config, run_dir))
+            jobs.append((run_config, run_dir))
 
-    outcomes: dict[int, list[Optional[dict]]] = {i: [] for i in range(len(taus))}
-    fails: dict[int, int] = {i: 0 for i in range(len(taus))}
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))
     else:
         results = [_sweep_one(job) for job in jobs]
-    for idx, final, error in results:
-        if final is None:
-            fails[idx] += 1
-        else:
-            outcomes[idx].append(final)
 
     rows = []
-    for i, tau in enumerate(taus):
-        finals = outcomes[i]
-        errors = np.array([f["error"] for f in finals])
-        ponders = np.array([f["ponder"] for f in finals])
-        rows.append(SweepRow(
-            tau=tau, n_runs=len(finals), n_failed=fails[i],
-            error_mean=float(errors.mean()) if errors.size else float("nan"),
-            error_stderr=_stderr(errors),
-            ponder_mean=float(ponders.mean()) if ponders.size else float("nan"),
-            ponder_stderr=_stderr(ponders)))
+    for i, tau in enumerate(taus):             # jobs, and so results, are tau-major
+        finals = [f for f in results[i * replicas:(i + 1) * replicas] if f is not None]
+        rows.append(SweepRow(tau, len(finals), replicas - len(finals),
+                             *_mean_stderr([f[0] for f in finals]),
+                             *_mean_stderr([f[1] for f in finals])))
     if out_dir is not None:
         write_sweep_csv(rows, os.path.join(out_dir, "sweep.csv"))
     return rows

@@ -1,19 +1,20 @@
 """Independent oracles shared by the test suite.
 
-Everything here except the composed-op cell steps is deliberately written
-without the package's tape or op implementations: finite differences,
-straight-line numpy reimplementations of the cells and the pondering loop,
-and brute-force task evaluators. The composed-op steps build each cell
-update from the tape's generic ops, whose backward rules are pinned one by
-one against finite differences; they are the reference for the fused cell
-nodes' hand-written backward. The tests compare the package against these,
-never the other way round.
+Everything here except the composed-op cell steps and losses is
+deliberately written without the package's tape or op implementations:
+finite differences, straight-line numpy reimplementations of the cells and
+the pondering loop, and brute-force task evaluators. The composed-op steps
+and losses build the cell updates and the task loss from the tape's generic
+ops, whose backward rules are pinned one by one against finite differences;
+they are the reference for the fused nodes' hand-written backward. The
+tests compare the package against these, never the other way round.
 """
 
 import numpy as np
 
 from actlab import autodiff as ad
 from actlab.cells import CellState
+from actlab.losses import PROB_CLAMP
 
 
 def rel_err(analytic, numeric) -> float:
@@ -92,6 +93,43 @@ def lstm_step_composed(pv, state, x):
 
 
 COMPOSED_STEPS = {"rnn": rnn_step_composed, "lstm": lstm_step_composed}
+
+
+def binary_cross_entropy(p, targets, mask):
+    """-sum over rows of mask * [b log p + (1-b) log(1-p)], from tape ops."""
+    t = np.asarray(targets, dtype=np.float64).reshape(p.data.shape)
+    log_p = ad.log(ad.clamp_min(p, PROB_CLAMP))
+    log_q = ad.log(ad.clamp_min(ad.add_scalar(ad.scale(p, -1.0), 1.0), PROB_CLAMP))
+    term = ad.add(ad.const_mul(log_p, t), ad.const_mul(log_q, 1.0 - t))
+    term = ad.const_mul(term, np.asarray(mask, dtype=np.float64).reshape(t.shape))
+    return ad.scale(ad.reduce_sum(term), -1.0)
+
+
+def joint_softmax_cross_entropy(dists, targets, mask):
+    """-sum over rows and groups g of mask * log dists[g][target], from tape ops."""
+    targets = np.asarray(targets, dtype=np.int64).reshape(len(dists[0].data), -1)
+    rows = np.arange(targets.shape[0])
+    loss = None
+    for g, dist in enumerate(dists):
+        onehot = np.zeros(dist.data.shape)
+        onehot[rows, targets[:, g]] = mask
+        term = ad.const_mul(ad.log(ad.clamp_min(dist, PROB_CLAMP)), onehot)
+        loss = term if loss is None else ad.add(loss, term)
+    return ad.scale(ad.reduce_sum(loss), -1.0)
+
+
+def composed_task_loss(spec, outputs, targets, mask):
+    """The summed task loss of per-step readouts as a chain of tape ops."""
+    loss = None
+    for t, y in enumerate(outputs):
+        if spec.head == "bce":
+            term = binary_cross_entropy(ad.sigmoid(y), targets[:, t], mask[:, t])
+        else:
+            dists = [ad.softmax(ad.narrow(y, 1, g * spec.classes, spec.classes), 1)
+                     for g in range(spec.groups)]
+            term = joint_softmax_cross_entropy(dists, targets[:, t], mask[:, t])
+        loss = term if loss is None else ad.add(loss, term)
+    return loss
 
 
 def readout_plain(p, hidden):

@@ -12,9 +12,10 @@ from actlab.act import ActConfig, run_sequence
 from actlab.cells import init_params
 from actlab.checkpoint import save_checkpoint
 from actlab.cli import _entropy_bits, main
-from actlab.config import ConfigError, config_text, parse_config, parse_config_text
+from actlab.config import (ConfigError, config_text, parse_config, parse_config_text,
+                           resolved_spec)
 from actlab.optim import OptimizerState
-from actlab.trainer import make_batch
+from actlab.trainer import evaluate, make_batch
 
 from test_tasks import decode_addition_inputs, decode_addition_target
 
@@ -81,6 +82,10 @@ class TestConfigParsing:
         (["train.eval_batches=0"], "train.eval_batches"),
         (["task.name=addition", "task.min_digits=4", "task.max_digits=2"],
          "task.min_digits"),
+        (["task.name=text", "task.seq_len=0"], "task.seq_len"),
+        (["task.name=logic", "task.min_len=0"], "task.min_len"),
+        (["task.name=logic", "task.max_len=0"], "task.max_len"),
+        (["task.bits=0"], "task.bits"),
     ])
     def test_values_training_cannot_run_are_rejected(self, overrides, key):
         # Each of these used to pass resolve and crash training later.
@@ -137,6 +142,27 @@ class TestTrainEvalCommands:
         assert 0.0 <= row["sequence_error_rate"] <= 1.0
         assert row["mean_ponder"] >= 1.0
 
+    def test_eval_record_appends_capped_fraction_of_evaluate(self, tmp_path):
+        config = parse_config_text("", ["task.bits=6", "task.batch=8",
+                                        "cell.hidden=5", "act.max_steps=2"])
+        spec = resolved_spec(config)
+        params = init_params("rnn", spec.input_size, 5, spec.output_size, seed=1,
+                             halt_bias=0.0)
+        path = str(tmp_path / "ckpt.bin")
+        save_checkpoint(path, params, OptimizerState.for_params(params), config)
+        code, stdout = run_cli(["eval", "--checkpoint", path, "--batches", "2",
+                                "--seed", "4", "--stdout"])
+        assert code == 0
+        row = json.loads(stdout)
+        rng = np.random.default_rng(4)
+        metrics, _ = evaluate(spec, params, config.act_config(),
+                              [make_batch(config, rng) for _ in range(2)])
+        assert row["schema"] == 2
+        assert list(row) == ["schema", "checkpoint", "batches",
+                             *metrics.to_dict(), "capped_fraction"]
+        assert row["capped_fraction"] == metrics.capped_fraction
+        assert 0.0 < row["capped_fraction"] < 1.0
+
     def test_eval_difficulty_table(self, parity_run, tmp_path):
         _, _, out = parity_run
         table = tmp_path / "diff.csv"
@@ -156,6 +182,34 @@ class TestExitCodes:
         code, _ = run_cli(["train", "--config", str(bad),
                            "--out-dir", str(tmp_path / "x")])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--task", "parity", "--count", "0"],
+        ["eval", "--checkpoint", "model.bin", "--batches", "0"],
+        ["gradcheck", "--examples", "0"],
+        ["gradcheck", "--max-coords", "0"],
+        ["sweep", "--replicas", "0"],
+        ["trace", "--checkpoint", "model.bin", "--count", "0", "--stdout"],
+    ])
+    def test_counts_below_one_exit_two(self, argv, tmp_path, capsys):
+        if argv[0] in ("gen", "sweep"):
+            argv = argv + ["--out" if argv[0] == "gen" else "--out-dir",
+                           str(tmp_path / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_missing_a_record_is_io_error(self, parity_run, tmp_path):
+        _, cfg, _ = parity_run
+        config = parse_config(str(cfg))
+        params = init_params("rnn", config.n_bits, config.hidden, 1, seed=0)
+        state = OptimizerState.for_params(params)
+        del state.v["b_halt"]
+        path = str(tmp_path / "partial.bin")
+        save_checkpoint(path, params, state, config)
+        assert run_cli(["eval", "--checkpoint", path])[0] == 4
 
     def test_missing_checkpoint_is_io_error(self):
         code, _ = run_cli(["eval", "--checkpoint", "/nonexistent/model.bin"])

@@ -1,77 +1,98 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from actlab import autodiff as ad
+from actlab import trainer
 from actlab.act import ActConfig
 from actlab.autodiff import ContractError, Tape
 from actlab.cells import init_params
-from actlab.losses import (DifficultyRow, binary_cross_entropy,
-                           bits_per_character, example_errors,
-                           joint_softmax_cross_entropy, ponder_by_difficulty,
+from actlab.engine import run_batch
+from actlab.losses import (PROB_CLAMP, DifficultyRow, binary_cross_entropy,
+                           bits_per_character, joint_softmax_cross_entropy,
+                           per_position_nats, ponder_by_difficulty,
                            sequence_error_rate, total_loss)
-from actlab.tasks import gen_parity, gen_text, task_spec
-from actlab.trainer import batch_objective, evaluate, per_position_nats
+from actlab.tasks import (gen_addition, gen_logic, gen_parity, gen_sort, gen_text,
+                          synth_corpus, task_spec)
+from actlab.trainer import batch_objective, evaluate
+
+from oracles import composed_task_loss
+
+BCE = task_spec("logic")                 # one logit per step, bce head
 
 
-def bce_scalar(p, target):
-    tape = Tape()
-    pv = tape.leaf(np.array([[p]]))
-    return float(binary_cross_entropy(pv, np.array([[target]])).data)
+def softmax_spec(groups, classes):
+    return task_spec("addition", output_size=groups * classes, groups=groups,
+                     classes=classes)
+
+
+def entry_point(spec):
+    return binary_cross_entropy if spec.head == "bce" else joint_softmax_cross_entropy
+
+
+def loss_of(spec, readouts, targets, mask=None):
+    """The task-loss node over one step of (rows, output_size) readouts."""
+    rows = len(readouts)
+    mask = np.ones(rows) if mask is None else mask
+    return entry_point(spec)(spec, [Tape().leaf(readouts)],
+                             np.reshape(targets, (rows, 1, -1)),
+                             np.reshape(mask, (rows, 1)))
+
+
+def bce_scalar(y, target):
+    return float(loss_of(BCE, np.array([[y]]), [target]).data)
+
+
+def logit(p):
+    return math.log(p / (1.0 - p))
 
 
 class TestBinaryCrossEntropy:
     def test_half_is_ln_two(self):
-        assert abs(bce_scalar(0.5, 1) - math.log(2.0)) < 1e-15
+        assert abs(bce_scalar(0.0, 1) - math.log(2.0)) < 1e-15
 
     def test_near_one_is_near_zero_and_finite(self):
-        value = bce_scalar(1.0 - 1e-12, 1)
+        y = logit(1.0 - 1e-12)
+        value = bce_scalar(y, 1)
         assert 0.0 <= value < 1e-11
-        assert math.isfinite(bce_scalar(1.0 - 1e-12, 0))   # clamped, not -inf
+        assert math.isfinite(bce_scalar(y, 0))      # clamped, not -inf
 
     def test_hand_value(self):
         # Oracle: -ln(0.8) evaluated independently.
         expected = -math.log(0.8)
         assert abs(expected - 0.2231435513142097) < 1e-15
-        assert abs(bce_scalar(0.2, 0) - expected) < 1e-15
+        assert abs(bce_scalar(logit(0.2), 0) - expected) < 1e-15
 
     def test_gradient_matches_fd(self):
         from oracles import fd_grad, rel_err
-        p0 = np.array([[0.3], [0.8]])
-        targets = np.array([[1.0], [0.0]])
+        y0 = np.array([[logit(0.3)], [logit(0.8)]])
+        targets = np.array([1, 0])
 
-        def f(p):
-            tape = Tape()
-            return float(binary_cross_entropy(tape.leaf(p), targets).data)
+        def f(y):
+            return float(loss_of(BCE, y, targets).data)
 
         tape = Tape()
-        v = tape.leaf(p0)
-        tape.backward(binary_cross_entropy(v, targets))
-        assert rel_err(tape.grad(v), fd_grad(f, p0)) < 1e-6
+        v = tape.leaf(y0)
+        tape.backward(binary_cross_entropy(BCE, [v], targets.reshape(2, 1, 1),
+                                           np.ones((2, 1))))
+        assert rel_err(tape.grad(v), fd_grad(f, y0)) < 1e-6
 
 
 class TestJointSoftmaxCrossEntropy:
     def test_uniform_prediction_costs_ln_classes(self):
-        tape = Tape()
-        dists = [ad.softmax(tape.leaf(np.zeros((3, 11))), axis=1)
-                 for _ in range(6)]
         targets = np.random.default_rng(0).integers(0, 11, size=(3, 6))
-        loss = joint_softmax_cross_entropy(dists, targets)
+        loss = loss_of(softmax_spec(6, 11), np.zeros((3, 66)), targets)
         assert abs(float(loss.data) - 3 * 6 * math.log(11.0)) < 1e-10
 
     def test_masked_rows_contribute_zero(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(4, 5))
         targets = rng.integers(0, 5, size=(4, 1))
-        tape = Tape()
-        loss_all = joint_softmax_cross_entropy(
-            [ad.softmax(tape.leaf(logits), axis=1)], targets,
-            mask=np.array([1.0, 1.0, 0.0, 1.0]))
-        tape2 = Tape()
-        loss_kept = joint_softmax_cross_entropy(
-            [ad.softmax(tape2.leaf(logits[[0, 1, 3]]), axis=1)],
-            targets[[0, 1, 3]])
+        spec = softmax_spec(1, 5)
+        loss_all = loss_of(spec, logits, targets, mask=np.array([1.0, 1.0, 0.0, 1.0]))
+        loss_kept = loss_of(spec, logits[[0, 1, 3]], targets[[0, 1, 3]])
         assert abs(float(loss_all.data) - float(loss_kept.data)) < 1e-12
 
     def test_against_scalar_loop_oracle(self):
@@ -88,16 +109,88 @@ class TestJointSoftmaxCrossEntropy:
                 probs = np.exp(row - row.max())
                 probs /= probs.sum()
                 expected += -math.log(probs[targets[r, g]])
-        tape = Tape()
-        dists = [ad.softmax(tape.leaf(logits[:, g, :]), axis=1) for g in range(3)]
-        loss = joint_softmax_cross_entropy(dists, targets, mask.astype(float))
+        loss = loss_of(softmax_spec(3, 7), logits.reshape(5, 21), targets,
+                       mask.astype(float))
         assert abs(float(loss.data) - expected) < 1e-12
 
     def test_target_out_of_range(self):
-        tape = Tape()
-        dist = ad.softmax(tape.leaf(np.zeros((2, 4))), axis=1)
         with pytest.raises(ContractError, match="out of range"):
-            joint_softmax_cross_entropy([dist], np.array([[0], [4]]))
+            loss_of(softmax_spec(1, 4), np.zeros((2, 4)), np.array([[0], [4]]))
+
+    def test_head_must_match_entry_point(self):
+        with pytest.raises(ContractError, match="head"):
+            binary_cross_entropy(softmax_spec(1, 4), [Tape().leaf(np.zeros((2, 4)))],
+                                 np.zeros((2, 1, 1)), np.ones((2, 1)))
+
+
+def fused_and_composed(spec, ys, targets, weights):
+    """(value, readout adjoints) of the fused node, then of the composed chain."""
+    results = []
+    for build in (entry_point(spec), composed_task_loss):
+        tape = Tape()
+        readouts = [tape.leaf(y) for y in ys]
+        loss = build(spec, readouts, targets, weights)
+        tape.backward(loss)
+        results.append((float(loss.data), [tape.grad(v) for v in readouts]))
+    return results
+
+
+def assert_close(got, want):
+    scale = max(1.0, np.abs(want).max())
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+TASK_LOSS_SPECS = {"bce": BCE, "softmax-1": softmax_spec(1, 15),
+                   "softmax-6": softmax_spec(6, 11)}
+
+
+class TestFusedTaskLoss:
+    """The fused node against the composed tape-op chain in `oracles`."""
+
+    def case(self, spec, seed, spread):
+        rng = np.random.default_rng(seed)
+        rows, steps = 6, 4
+        ys = [rng.uniform(-spread, spread, size=(rows, spec.output_size))
+              for _ in range(steps)]
+        targets = rng.integers(0, spec.classes, size=(rows, steps, spec.groups))
+        mask = rng.random((rows, steps)) < 0.7
+        mask[:2, 1] = False                # masked rows inside a live step
+        mask[:, 2] = False                 # and a step with no target at all
+        return ys, targets, mask / rows    # weighted as batch_objective does
+
+    @pytest.mark.parametrize("name", sorted(TASK_LOSS_SPECS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_composed_chain(self, name, seed):
+        spec = TASK_LOSS_SPECS[name]
+        ys, targets, weights = self.case(spec, seed, 3.0)
+        (value, adjs), (want_value, want_adjs) = fused_and_composed(
+            spec, ys, targets, weights)
+        assert_close(value, want_value)
+        for got, want in zip(adjs, want_adjs):
+            assert_close(got, want)
+        np.testing.assert_array_equal(adjs[2], 0.0)
+        np.testing.assert_array_equal(adjs[1][:2], 0.0)
+
+    @pytest.mark.parametrize("name", sorted(TASK_LOSS_SPECS))
+    def test_saturated_readouts(self, name):
+        # Underflow of exp to 0 is what saturation is; overflow, division
+        # by zero and invalid operations must not happen.
+        spec = TASK_LOSS_SPECS[name]
+        ys, targets, weights = self.case(spec, 7, 1e3)
+        with np.errstate(all="raise", under="ignore"):
+            (value, adjs), (want_value, want_adjs) = fused_and_composed(
+                spec, ys, targets, weights)
+            probs = spec.probs(np.stack(ys, axis=1))
+        assert_close(value, want_value)
+        picked = np.take_along_axis(probs, targets[..., None], axis=-1)[..., 0]
+        clamped = picked < PROB_CLAMP
+        assert clamped.any() and not clamped.all()
+        for t, (got, want) in enumerate(zip(adjs, want_adjs)):
+            assert_close(got, want)
+            per_group = got.reshape(len(got), spec.groups, -1)
+            if spec.head == "bce":
+                per_group = got[:, :, None]
+            assert np.all(per_group[clamped[:, t]] == 0.0)
 
 
 class TestTotalLoss:
@@ -230,6 +323,53 @@ class TestMaskingAndPermutation:
         _, _, breakdown, outputs = batch_objective(spec, params, cfg, batch)
         nats = per_position_nats(spec, outputs, batch.targets, batch.target_mask)
         assert abs(nats.sum() / batch.batch_size - breakdown.task_loss) < 1e-12
+
+
+def objective_case(task, seed=0):
+    """A small lstm batch of `task` with its spec and params."""
+    spec = task_spec(task)
+    if task == "text":
+        corpus = synth_corpus(seed, size=4000)
+        batch = gen_text(corpus, seed, seq_len=7, batch=3)
+    else:
+        batch = {"logic": gen_logic, "addition": gen_addition,
+                 "sort": gen_sort}[task](seed, batch=3, max_len=4)
+    params = init_params("lstm", spec.input_size, 6, spec.output_size, seed=seed)
+    return spec, params, ActConfig(max_steps=5, time_penalty=1e-2), batch
+
+
+class TestObjectiveTape:
+    @pytest.mark.parametrize("task", ["logic", "addition", "sort", "text"])
+    def test_objective_adds_at_most_three_nodes(self, task, monkeypatch):
+        # The loss node, the ponder scale and the ponder add, whatever T
+        # and the number of groups.
+        spec, params, cfg, batch = objective_case(task)
+        after_run = []
+
+        def run_and_count(*args, **kwargs):
+            res = run_batch(*args, **kwargs)
+            after_run.append(len(res.tape))
+            return res
+
+        monkeypatch.setattr(trainer, "run_batch", run_and_count)
+        _, res, _, _ = batch_objective(spec, params, cfg, batch)
+        assert batch.inputs.shape[1] > 1
+        assert len(res.tape) - after_run[0] <= 3
+
+    @pytest.mark.parametrize("task", ["logic", "addition"])
+    def test_tape_is_freed_by_reference_counting(self, task):
+        # A backward closure that holds a Var makes a tape -> closure ->
+        # Var -> tape cycle, which only the cycle collector would free.
+        spec, params, cfg, batch = objective_case(task)
+        gc.disable()
+        try:
+            result = batch_objective(spec, params, cfg, batch)
+            result[1].tape.backward(result[0])
+            readout = weakref.ref(result[1].outputs[0].data)
+            del result
+            assert readout() is None
+        finally:
+            gc.enable()
 
 
 class TestUntrainedBpcBaseline:

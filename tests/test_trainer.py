@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -190,6 +191,25 @@ class TestCheckpoint:
         blob[-4:] = struct.pack("<I", zlib.crc32(body))
         open(path, "wb").write(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage,message", [
+        ("missing moment", "no record 'adam.v/b_halt'"),
+        ("param shape", "w_out has shape (2, 2)"),
+        ("moment shape", "'adam.m/w_in' has shape (2, 2)"),
+    ])
+    def test_missing_or_misshaped_record_is_checkpoint_error(self, tmp_path,
+                                                             damage, message):
+        # CRC-valid files, written by save_checkpoint itself.
+        config, params, state, path = self.roundtrip_setup(tmp_path)
+        if damage == "missing moment":
+            del state.v["b_halt"]
+        elif damage == "param shape":
+            params.w_out = np.zeros((2, 2))
+        else:
+            state.m["w_in"] = np.zeros((2, 2))
+        save_checkpoint(path, params, state, config)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 
 
