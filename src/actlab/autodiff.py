@@ -81,8 +81,9 @@ class Var:
 class Tape:
     """Recorded computation: values, parent ids, and local backward rules.
 
-    Gradient accumulation is additive: running backward twice doubles the
-    stored adjoints, so tests and training use a fresh tape per pass.
+    Each `backward` replaces `gradients` with the adjoints of its own loss,
+    so a tape can be swept from several losses in turn and a replay gives
+    the same gradients again.
 
     `backward` keeps the `Outer` packets each parent receives in a stack
     and forms that parent's adjoint as concat(a).T @ concat(b), plus any
@@ -98,7 +99,7 @@ class Tape:
         self._values: list[np.ndarray] = []
         self._parents: list[tuple[int, ...]] = []
         self._backs: list[Callable | None] = []
-        self.gradients: list[np.ndarray | None] = []
+        self.gradients: list[np.ndarray | None] = []    # set by `backward`
 
     def __len__(self) -> int:
         return len(self._values)
@@ -113,11 +114,10 @@ class Tape:
         self._values.append(value)
         self._parents.append(parents)
         self._backs.append(back)
-        self.gradients.append(None)
         return Var(self, idx, value)
 
-    def backward(self, loss: Var, seed: float = 1.0) -> None:
-        """Accumulate d(seed * loss)/d(node) into `gradients` for every node."""
+    def backward(self, loss: Var) -> None:
+        """Set `gradients` to d(loss)/d(node) for every node up to `loss`."""
         if loss.tape is not self:
             raise ContractError("loss was recorded on a different tape")
         if loss.data.size != 1:
@@ -125,7 +125,7 @@ class Tape:
                 f"backward requires a scalar loss node, got shape {loss.data.shape}")
         n = loss.idx + 1
         adj: list[np.ndarray | None] = [None] * n
-        adj[loss.idx] = np.full(loss.data.shape, float(seed))
+        adj[loss.idx] = np.ones(loss.data.shape)
         stacks: dict[int, list] = {}      # parent id -> [packets, rows]
 
         def flush(p: int) -> None:
@@ -153,16 +153,11 @@ class Tape:
                             flush(p)
                     else:
                         adj[p] = gp if adj[p] is None else adj[p] + gp
-        grads = self.gradients
-        for i in range(n):
-            g = adj[i]
-            if g is None:
-                continue
-            grads[i] = g if grads[i] is None else grads[i] + g
+        self.gradients = adj
 
     def grad(self, var: Var) -> np.ndarray:
-        """Accumulated adjoint of `var`; zeros if no path reached it."""
-        g = self.gradients[var.idx]
+        """Adjoint of `var` from the last backward; zeros if no path reached it."""
+        g = self.gradients[var.idx] if var.idx < len(self.gradients) else None
         if g is None:
             return np.zeros_like(self._values[var.idx])
         return g

@@ -236,14 +236,13 @@ def halting_activation(pv: ParamVars, state: CellState) -> Var:
 
 
 def init_params(kind: str, input_size: int, hidden_size: int, output_size: int,
-                seed, halt_bias: float = 1.0,
-                forget_bias: float = 1.0) -> CellParams:
+                seed, halt_bias: float = 1.0) -> CellParams:
     """Seeded initialization.
 
     Weights are uniform(-r, r) with r = 1/sqrt(fan_in), drawn in a fixed
     field order so the same seed always yields bit-identical parameters.
     Biases start at zero except the halting bias (positive, to keep early
-    pondering short) and the LSTM forget-gate bias.
+    pondering short) and the LSTM forget-gate bias (+1).
     """
     if kind not in CELLS:
         raise ContractError(f"unknown cell kind {kind!r}; expected one of {sorted(CELLS)}")
@@ -260,7 +259,7 @@ def init_params(kind: str, input_size: int, hidden_size: int, output_size: int,
     w_halt = draw(hidden_size, 1)
     b_rec = np.zeros((1, proj))
     if kind == "lstm":
-        b_rec[0, hidden_size:2 * hidden_size] = forget_bias
+        b_rec[0, hidden_size:2 * hidden_size] = 1.0
     params = CellParams(kind, input_size, hidden_size, output_size,
                         w_in, w_rec, b_rec,
                         w_out, np.zeros((1, output_size)),

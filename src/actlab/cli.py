@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .act import halting_distribution
 from .autodiff import ContractError, DimensionError, NumericError
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, TrainConfig, parse_config, parse_config_text
@@ -210,12 +209,13 @@ def _cmd_trace(args) -> int:
     nats = per_position_nats(spec, outputs, batch.targets, batch.target_mask)
     dists = spec.probs(outputs)
 
+    # The engine's own halting decisions: N, R and p = h^1 .. h^(N-1), R.
     rows = []
     for e in range(batch.batch_size):
         for t in range(int(batch.lengths[e])):
-            n_steps, probs, remainder = halting_distribution(
-                (h.data[e, 0] for h in res.halt_vars[t]),
-                act_cfg.epsilon, act_cfg.max_steps)
+            n_steps, remainder = int(res.steps[e, t]), float(res.remainders[e, t])
+            probs = [float(h.data[e, 0]) for h in res.halt_vars[t][:n_steps - 1]]
+            probs.append(remainder)
             rows.append([e, t, _render_input(config.task, batch.inputs[e, t]),
                          n_steps, repr(n_steps + remainder), repr(remainder),
                          repr(float(nats[e, t])) if batch.target_mask[e, t] else "",

@@ -17,7 +17,8 @@ from typing import Optional
 
 from .act import ActConfig
 from .autodiff import ContractError
-from .tasks import TASKS, TaskSpec, task_spec
+from .tasks import (ADDITION_MAX_DIGITS, SORT_MAX_LEN, SORT_MIN_LEN, TASKS,
+                    TaskSpec, task_spec)
 
 
 class ConfigError(ValueError):
@@ -96,6 +97,14 @@ class TrainConfig:
             raise ConfigError("task.min_len exceeds task.max_len")
         if out.min_digits > out.max_digits:
             raise ConfigError("task.min_digits exceeds task.max_digits")
+        if out.task == "sort" and not (SORT_MIN_LEN <= out.min_len
+                                       and out.max_len <= SORT_MAX_LEN):
+            raise ConfigError(
+                f"task.min_len and task.max_len must lie in [{SORT_MIN_LEN}, "
+                f"{SORT_MAX_LEN}] for sort, got {out.min_len} and {out.max_len}")
+        if out.task == "addition" and out.max_digits > ADDITION_MAX_DIGITS:
+            raise ConfigError(f"task.max_digits must be <= {ADDITION_MAX_DIGITS}, "
+                              f"got {out.max_digits}")
         return out
 
 

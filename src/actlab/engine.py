@@ -1,7 +1,9 @@
 """Whole-minibatch pondering on one tape: the package's pondering loop.
 
-Training, evaluation, `trace` and `gradcheck` all run this loop. It
-mirrors the per-sequence reference in `act` but steps every batch member
+Training, evaluation, `trace` and `gradcheck` all run this loop, and it
+holds the package's only halting law: `trace` prints the update counts,
+remainders and halting activations it records. It mirrors the
+per-sequence reference in `tests/oracles.py` but steps every batch member
 at once, which is what makes CPU training affordable: each intermediate
 update is one set of matrix ops instead of a Python loop per example.
 
@@ -14,13 +16,13 @@ Each input step is one pass over its updates. Update n adds w * s^n into
 running mean-field sums, where w is h^n on rows that go on past n and the
 remainder R on rows that halt at n. R lives on the tape: it starts at 1
 and loses h^n on every update a row goes on past, the same sequential
-1 - h^1 - h^2 - ... that `act.halting_distribution` computes, so the two
-agree bit for bit. The output is read out once per input step, from the
-mean state. The readout is affine and the weights sum to one, so this
-equals the reference's sum of w * readout(s^n) up to rounding; the test
-suite pins values and gradients to the reference at 1e-12. Positions at
-or past a row's length hold the readout of its frozen state; every loss
-and metric masks them out.
+1 - h^1 - h^2 - ... that the reference's `halting_distribution` computes,
+so the two agree bit for bit. The output is read out once per input step,
+from the mean state. The readout is affine and the weights sum to one, so
+this equals the reference's sum of w * readout(s^n) up to rounding; the
+test suite pins values and gradients to the reference at 1e-12. Positions
+at or past a row's length hold the readout of its frozen state; every
+loss and metric masks them out.
 """
 
 from __future__ import annotations
@@ -83,8 +85,7 @@ def _masked(var: Var, rows: np.ndarray) -> Optional[Var]:
 
 
 def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
-              lengths: Optional[np.ndarray] = None,
-              tape: Optional[Tape] = None) -> BatchRunResult:
+              lengths: Optional[np.ndarray] = None) -> BatchRunResult:
     """Run the pondering loop over a (batch, T, input_size) input block.
 
     `lengths` gives each example's true sequence length; steps at or past
@@ -100,7 +101,7 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         lengths = np.full(n_batch, n_steps_total, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
 
-    tape = tape if tape is not None else Tape()
+    tape = Tape()
     pv = ParamVars.record(tape, params)
     state = cell.zero_state(tape, params.hidden_size, batch=n_batch)
 

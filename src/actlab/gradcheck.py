@@ -49,21 +49,21 @@ def _rel_err(a: float, n: float) -> float:
 
 def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
                         batch: TaskBatch) -> tuple[bool, bool]:
+    # One forward; each backward replaces the tape's gradients, so every
+    # check below reads the adjoints of its own loss alone.
+    loss_var, res, _, _ = batch_objective(spec, params, cfg, batch)
+    tape = res.tape
     ponder_ok = True
     for t in range(batch.inputs.shape[1]):
-        # Per-step ponder derivative: fresh forward per step so adjoints
-        # from other steps cannot accumulate into the comparison. Each
-        # row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
-        _, res, _, _ = batch_objective(spec, params, cfg, batch)
-        res.tape.backward(ad.reduce_sum(res.remainder_vars[t]))
+        # Each row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
+        tape.backward(ad.reduce_sum(res.remainder_vars[t]))
         for n, h_var in enumerate(res.halt_vars[t], start=1):
             want = np.where(n < res.steps[:, t], -1.0, 0.0)
-            ponder_ok &= bool(np.all(res.tape.grad(h_var)[:, 0] == want))
+            ponder_ok &= bool(np.all(tape.grad(h_var)[:, 0] == want))
     # Full objective: each row's halting activation gets zero gradient.
-    loss_var, res, _, _ = batch_objective(spec, params, cfg, batch)
-    res.tape.backward(loss_var)
+    tape.backward(loss_var)
     halt_zero_ok = all(
-        res.tape.grad(res.halt_vars[t][res.steps[e, t] - 1])[e, 0] == 0.0
+        tape.grad(res.halt_vars[t][res.steps[e, t] - 1])[e, 0] == 0.0
         for e, t in zip(*np.nonzero(res.active)))
     return ponder_ok, halt_zero_ok
 

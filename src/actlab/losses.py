@@ -130,9 +130,8 @@ class DifficultyRow:
     mean_error: float
 
 
-def ponder_by_difficulty(ponders, difficulties, steps=None,
-                         errors=None) -> list[DifficultyRow]:
-    """Group mean ponder (and error) by integer difficulty.
+def ponder_by_difficulty(ponders, difficulties, steps, errors) -> list[DifficultyRow]:
+    """Group mean ponder, update count and error by integer difficulty.
 
     All arguments are flat, aligned arrays; buckets that never occur are
     omitted. The rows carry what the difficulty figures plot: one point
@@ -140,8 +139,8 @@ def ponder_by_difficulty(ponders, difficulties, steps=None,
     """
     ponders = np.asarray(ponders, dtype=np.float64).ravel()
     difficulties = np.asarray(difficulties).ravel()
-    steps = None if steps is None else np.asarray(steps, dtype=np.float64).ravel()
-    errors = None if errors is None else np.asarray(errors, dtype=np.float64).ravel()
+    steps = np.asarray(steps, dtype=np.float64).ravel()
+    errors = np.asarray(errors, dtype=np.float64).ravel()
     rows = []
     for d in np.unique(difficulties):
         sel = difficulties == d
@@ -149,8 +148,8 @@ def ponder_by_difficulty(ponders, difficulties, steps=None,
             difficulty=int(d),
             count=int(sel.sum()),
             mean_ponder=float(ponders[sel].mean()),
-            mean_steps=float(steps[sel].mean()) if steps is not None else float("nan"),
-            mean_error=float(errors[sel].mean()) if errors is not None else float("nan"),
+            mean_steps=float(steps[sel].mean()),
+            mean_error=float(errors[sel].mean()),
         ))
     return rows
 

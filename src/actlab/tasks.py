@@ -116,15 +116,21 @@ class TaskSpec:
         return expd / expd.sum(axis=-1, keepdims=True)
 
 
+LOGIC_MAX_GATES = 10         # gates per logic vector, drawn from 1..this
+# Ranges the generators accept; `TrainConfig.resolve` rejects the rest.
+ADDITION_MAX_DIGITS = 5      # digits per addition input vector
+SORT_MIN_LEN, SORT_MAX_LEN = 2, 15   # values per sort sequence
+SORT_MIN_SEPARATION = 1e-6   # closer sort values are redrawn
+
 TASKS: dict[str, TaskSpec] = {
     "parity":   TaskSpec("parity", 64, 1, "bce", 1, 2, 128, "rnn", 128, 100,
                          (1, 1), (0, 0)),
     "logic":    TaskSpec("logic", 102, 1, "bce", 1, 2, 16, "lstm", 128, 100,
                          (1, 10), (0, 0)),
     "addition": TaskSpec("addition", 50, 66, "softmax", 6, 11, 32, "lstm", 512, 20,
-                         (1, 5), (1, 5)),
+                         (1, 5), (1, ADDITION_MAX_DIGITS)),
     "sort":     TaskSpec("sort", 2, 15, "softmax", 1, 15, 16, "lstm", 512, 100,
-                         (2, 15), (0, 0)),
+                         (SORT_MIN_LEN, SORT_MAX_LEN), (0, 0)),
     "text":     TaskSpec("text", 256, 256, "softmax", 1, 256, 8, "lstm", 1500, 100,
                          (1, 1), (0, 0)),
 }
@@ -170,8 +176,8 @@ def gen_parity(seed, n_bits: int = 64, batch: int = 128,
                      np.ones(batch, dtype=np.int64)).validate()
 
 
-def gen_logic(seed, batch: int = 16, min_len: int = 1, max_len: int = 10,
-              min_gates: int = 1, max_gates: int = 10) -> TaskBatch:
+def gen_logic(seed, batch: int = 16, min_len: int = 1,
+              max_len: int = 10) -> TaskBatch:
     """Chained binary logic: each vector holds two operand bits and up to
     ten one-hot gate ids; the target is the result of applying the gates
     recursively, carrying the previous vector's target as the hidden
@@ -187,7 +193,7 @@ def gen_logic(seed, batch: int = 16, min_len: int = 1, max_len: int = 10,
         b0 = int(rng.integers(0, 2))
         for t in range(int(lengths[e])):
             b1 = int(rng.integers(0, 2))
-            n_gates = int(rng.integers(min_gates, max_gates + 1))
+            n_gates = int(rng.integers(1, LOGIC_MAX_GATES + 1))
             gates = rng.integers(1, 11, size=n_gates)
             vec = inputs[e, t]
             if t == 0:
@@ -215,8 +221,8 @@ def gen_addition(seed, batch: int = 32, min_len: int = 1, max_len: int = 5,
     simultaneous digit classifications, class 10 marking positions past
     the end of the sum. The first step carries no target.
     """
-    if max_digits > 5:
-        raise ContractError("input vectors hold at most 5 digits")
+    if max_digits > ADDITION_MAX_DIGITS:
+        raise ContractError(f"input vectors hold at most {ADDITION_MAX_DIGITS} digits")
     rng = np.random.default_rng(seed)
     lengths = rng.integers(min_len, max_len + 1, size=batch)
     t_max = int(lengths.max())
@@ -244,17 +250,18 @@ def gen_addition(seed, batch: int = 32, min_len: int = 1, max_len: int = 5,
                      lengths.astype(np.int64)).validate()
 
 
-def gen_sort(seed, batch: int = 16, min_len: int = 2, max_len: int = 15,
-             min_separation: float = 1e-6) -> TaskBatch:
+def gen_sort(seed, batch: int = 16, min_len: int = SORT_MIN_LEN,
+             max_len: int = SORT_MAX_LEN) -> TaskBatch:
     """Sort standard-normal draws: values arrive one per step with an
     end-of-sequence flag, then the network emits the ascending order as
     index classifications during an equally long output phase.
 
-    Values closer than `min_separation` are redrawn so targets stay
+    Values closer than `SORT_MIN_SEPARATION` are redrawn so targets stay
     well defined.
     """
-    if not 2 <= min_len <= max_len <= 15:
-        raise ContractError("sort lengths must satisfy 2 <= min <= max <= 15")
+    if not SORT_MIN_LEN <= min_len <= max_len <= SORT_MAX_LEN:
+        raise ContractError(f"sort lengths must satisfy {SORT_MIN_LEN} <= min "
+                            f"<= max <= {SORT_MAX_LEN}")
     rng = np.random.default_rng(seed)
     sort_lens = rng.integers(min_len, max_len + 1, size=batch)
     t_max = 2 * int(sort_lens.max())
@@ -267,7 +274,7 @@ def gen_sort(seed, batch: int = 16, min_len: int = 2, max_len: int = 15,
         while True:
             values = rng.standard_normal(n)
             gaps = np.diff(np.sort(values))
-            if n == 1 or np.all(gaps >= min_separation):
+            if np.all(gaps >= SORT_MIN_SEPARATION):
                 break
         inputs[e, :n, 0] = values
         inputs[e, n - 1, 1] = 1.0

@@ -42,9 +42,14 @@ def load_corpus(config: TrainConfig) -> Optional[bytes]:
         raise ConfigError("task.corpus must point at a byte file for the text task")
     try:
         with open(config.corpus, "rb") as fh:
-            return fh.read()
+            corpus = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read corpus {config.corpus!r}: {exc}") from exc
+    if len(corpus) < config.seq_len + 1:
+        raise ConfigError(f"corpus {config.corpus!r} has {len(corpus)} bytes; "
+                          f"task.seq_len {config.seq_len} needs at least "
+                          f"{config.seq_len + 1}")
+    return corpus
 
 
 def make_batch(config: TrainConfig, rng, corpus: Optional[bytes] = None,
@@ -133,8 +138,8 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
         mean_steps=float(details.steps.mean()),
         capped_fraction=float(capped.mean()),
         difficulty_rows=ponder_by_difficulty(
-            details.ponders, details.difficulties, steps=details.steps,
-            errors=details.step_errors),
+            details.ponders, details.difficulties, details.steps,
+            details.step_errors),
     )
     return metrics, details
 
@@ -278,13 +283,20 @@ def _sweep_one(args) -> Optional[tuple[float, float]]:
     try:
         metrics = train(config, out_dir=out_dir).metrics
         return metrics.sequence_error_rate, metrics.mean_ponder
-    except Exception:                          # counted, summary still emitted
+    except Exception as exc:                   # counted, summary still emitted
+        import logging
+        logging.getLogger(__name__).warning(
+            "sweep run tau=%g seed=%d failed: %s", config.tau, config.seed, exc,
+            exc_info=True)
         return None
 
 
 def sweep(config: TrainConfig, taus: list[float], replicas: int,
           out_dir: Optional[str] = None, workers: int = 1) -> list[SweepRow]:
     """Train `replicas` fresh seeds per time penalty and summarize finals."""
+    load_corpus(config)            # an unreadable corpus fails the sweep up front
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     run_seeds = derive_seeds(config.seed, len(taus) * replicas)
     jobs = []
     for i, tau in enumerate(taus):

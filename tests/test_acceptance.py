@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from actlab import autodiff as ad
-from actlab.act import ActConfig, halting_distribution, run_sequence
+from actlab.act import ActConfig
 from actlab.cells import init_params
 from actlab.config import parse_config_text
 from actlab.engine import run_batch
@@ -24,7 +24,7 @@ from actlab.tasks import (GATE_NAMES, apply_gate, gen_addition, gen_logic,
                           task_spec)
 from actlab.trainer import evaluate, resolved_spec, train
 
-from oracles import plain_rnn_outputs
+from oracles import halting_distribution, plain_rnn_outputs, run_sequence
 from test_tasks import (_PUBLISHED_TABLE, decode_addition_inputs,
                         decode_addition_target, eval_logic_sequence_oracle)
 

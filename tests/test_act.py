@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actlab import autodiff as ad
-from actlab.act import (ActConfig, act_step, augment_input,
-                        halting_distribution, run_sequence)
+from actlab.act import ActConfig, augment_input
 from actlab.autodiff import ContractError, NumericError, Tape
 from actlab.cells import CELLS, ParamVars, init_params
 
-from oracles import plain_rnn_outputs, run_sequence_plain
+from oracles import (act_step, halting_distribution, plain_rnn_outputs,
+                     run_sequence, run_sequence_plain)
 
 
 class TestAugmentInput:

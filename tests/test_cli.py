@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from actlab.act import ActConfig, run_sequence
+from actlab.act import ActConfig
 from actlab.cells import init_params
 from actlab.checkpoint import save_checkpoint
 from actlab.cli import _entropy_bits, main
@@ -17,6 +17,7 @@ from actlab.config import (ConfigError, config_text, parse_config, parse_config_
 from actlab.optim import OptimizerState
 from actlab.trainer import evaluate, make_batch
 
+from oracles import run_sequence
 from test_tasks import decode_addition_inputs, decode_addition_target
 
 
@@ -86,6 +87,9 @@ class TestConfigParsing:
         (["task.name=logic", "task.min_len=0"], "task.min_len"),
         (["task.name=logic", "task.max_len=0"], "task.max_len"),
         (["task.bits=0"], "task.bits"),
+        (["task.name=sort", "task.min_len=1"], "task.min_len"),
+        (["task.name=sort", "task.max_len=16"], "task.max_len"),
+        (["task.name=addition", "task.max_digits=6"], "task.max_digits"),
     ])
     def test_values_training_cannot_run_are_rejected(self, overrides, key):
         # Each of these used to pass resolve and crash training later.
@@ -277,6 +281,26 @@ class TestGenCommand:
         assert run_cli(["gen", "--task", "text", "--out", out])[0] == 2
         assert run_cli(["gen", "--task", "text", "--out", out, "--corpus",
                         str(tmp_path / "missing.bin")])[0] == 2
+
+    def test_corpus_shorter_than_a_window_is_config_error(self, tmp_path,
+                                                          caplog):
+        corpus = tmp_path / "short.bin"
+        corpus.write_bytes(bytes(range(100)))
+        argv = ["--set", "task.name=text", "--set", f"task.corpus={corpus}",
+                "--set", "task.seq_len=500", "--set", "cell.hidden=4"]
+        assert run_cli(["gradcheck", *argv])[0] == 2
+        assert run_cli(["train", *argv, "--set", "train.iterations=1",
+                        "--out-dir", str(tmp_path / "run")])[0] == 2
+        assert run_cli(["gen", "--task", "text", "--corpus", str(corpus),
+                        "--seq-len", "500", "--out", str(tmp_path / "t.csv")])[0] == 2
+        assert "short.bin" in caplog.text and "501" in caplog.text
+
+    def test_sweep_with_unreadable_corpus_is_config_error(self, tmp_path, caplog):
+        code, _ = run_cli(["sweep", "--set", "task.name=text", "--set",
+                           "task.corpus=/nonexistent/corpus.bin", "--taus", "0.01",
+                           "--replicas", "1", "--out-dir", str(tmp_path / "d")])
+        assert code == 2
+        assert "/nonexistent/corpus.bin" in caplog.text
 
     def test_corpus_generation(self, tmp_path):
         out = tmp_path / "corpus.bin"

@@ -6,13 +6,13 @@ import pytest
 
 from actlab import autodiff as ad
 from actlab import engine
-from actlab.act import ActConfig, halting_distribution, run_sequence
+from actlab.act import ActConfig
 from actlab.cells import init_params
 from actlab.engine import run_batch
 from actlab.tasks import gen_logic, task_spec
 from actlab.trainer import batch_objective
 
-from oracles import joint_softmax_cross_entropy
+from oracles import halting_distribution, joint_softmax_cross_entropy, run_sequence
 
 
 def random_case(kind, seed, batch=5, t_max=4, input_size=3, hidden=6, out=4):

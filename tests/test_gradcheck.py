@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from actlab import gradcheck
 from actlab.act import ActConfig
 from actlab.autodiff import ContractError
 from actlab.cells import init_params
 from actlab.gradcheck import halting_gradient_check
-from actlab.tasks import gen_parity, task_spec
+from actlab.tasks import gen_logic, gen_parity, task_spec
 
 
 def setup_case(seed=0, hidden=6, n_bits=4):
@@ -51,3 +52,22 @@ class TestGradCheck:
         assert report.coords_skipped
         assert {name for name, _ in report.coords_skipped} <= {"w_halt", "b_halt"}
         assert report.max_rel_err < 1e-4      # everything checked still passes
+
+    def test_closed_forms_run_on_one_forward(self, monkeypatch):
+        # Every ponder check and the zero-gradient check share one tape:
+        # each backward replaces the gradients of the one before.
+        spec = task_spec("logic")
+        params = init_params("lstm", spec.input_size, 4, spec.output_size, seed=2)
+        batch = gen_logic(seed=3, batch=3, min_len=3, max_len=3)
+        calls = []
+        real = gradcheck.batch_objective
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(gradcheck, "batch_objective", counted)
+        ponder_ok, halt_zero_ok = gradcheck._check_closed_forms(
+            spec, params, ActConfig(max_steps=5, time_penalty=1e-2), batch)
+        assert ponder_ok and halt_zero_ok
+        assert len(calls) == 1

@@ -262,17 +262,19 @@ class TestPonderByDifficulty:
 
     def test_cap_one_runs_have_unit_steps(self):
         rows = ponder_by_difficulty([2.0] * 6, [1, 1, 2, 2, 3, 3],
-                                    steps=[1] * 6)
+                                    steps=[1] * 6, errors=[0] * 6)
         assert all(r.mean_steps == 1.0 for r in rows)
 
     def test_exact_bucket_means_and_omitted_buckets(self):
         ponder = [1.5, 2.5, 10.0]
         difficulty = [1, 1, 7]
-        rows = ponder_by_difficulty(ponder, difficulty)
+        rows = ponder_by_difficulty(ponder, difficulty, steps=[1, 2, 9],
+                                    errors=[0, 1, 1])
         assert [r.difficulty for r in rows] == [1, 7]
         assert rows[0].mean_ponder == 2.0
         assert rows[1].mean_ponder == 10.0
         assert rows[0].count == 2
+        assert (rows[0].mean_steps, rows[0].mean_error) == (1.5, 0.5)
 
 
 class TestMaskingAndPermutation:

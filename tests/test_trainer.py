@@ -406,6 +406,21 @@ train.lr = 1e308
         assert rows[0].n_runs == 0
         assert np.isnan(rows[0].error_mean)
 
+    def test_all_failed_replicas_still_write_the_summary(self, tmp_path,
+                                                         monkeypatch, caplog):
+        def failing_train(config, out_dir=None, on_row=None):
+            raise NumericError(f"replica seed {config.seed} diverged")
+
+        monkeypatch.setattr(trainer, "train", failing_train)
+        out = tmp_path / "not" / "yet" / "there"
+        rows = sweep(parity_config(), [1e-3], replicas=3, out_dir=str(out))
+        assert (rows[0].n_runs, rows[0].n_failed) == (0, 3)
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[2].split(",")[1:3] == ["0", "3"]
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 3
+        assert all("diverged" in r.getMessage() for r in warnings)
+
     def test_sweep_csv_schema(self, tmp_path):
         import io
         config = parity_config(iterations=5, eval_every=5, eval_batches=1)
