@@ -102,6 +102,8 @@ class TrainConfig:
             raise ConfigError(
                 f"task.min_len and task.max_len must lie in [{SORT_MIN_LEN}, "
                 f"{SORT_MAX_LEN}] for sort, got {out.min_len} and {out.max_len}")
+        if out.task == "addition" and out.min_digits < 1:
+            raise ConfigError(f"task.min_digits must be >= 1, got {out.min_digits}")
         if out.task == "addition" and out.max_digits > ADDITION_MAX_DIGITS:
             raise ConfigError(f"task.max_digits must be <= {ADDITION_MAX_DIGITS}, "
                               f"got {out.max_digits}")

@@ -8,21 +8,30 @@ at once, which is what makes CPU training affordable: each intermediate
 update is one set of matrix ops instead of a Python loop per example.
 
 Per-example halting decisions are taken on plain floats, exactly as in the
-reference path; rows that have already halted (or whose sequence has
-ended) are frozen with select ops rather than zero-multiplied masks, so a
-diverging frozen row cannot poison live rows through 0 * inf.
+reference path. Each update steps only the rows still running: an input
+step gathers its active rows into a compact block, and rows that halt
+leave the block, so the cell, the halting unit and the mean-field
+weighting never see a halted row or a position past a row's length.
+Within an input step the running set only shrinks, and lengths are
+prefixes, so every block is a row subset of the one before. Padded inputs
+are never read: whatever they hold, even NaN or inf, the outputs at
+active positions and every gradient equal those of a zero-padded batch
+bit for bit.
 
-Each input step is one pass over its updates. Update n adds w * s^n into
-running mean-field sums, where w is h^n on rows that go on past n and the
-remainder R on rows that halt at n. R lives on the tape: it starts at 1
-and loses h^n on every update a row goes on past, the same sequential
-1 - h^1 - h^2 - ... that the reference's `halting_distribution` computes,
-so the two agree bit for bit. The output is read out once per input step,
-from the mean state. The readout is affine and the weights sum to one, so
-this equals the reference's sum of w * readout(s^n) up to rounding; the
-test suite pins values and gradients to the reference at 1e-12. Positions
-at or past a row's length hold the readout of its frozen state; every
-loss and metric masks them out.
+Each input step is one pass over its updates. Update n weights s^n by w,
+where w is h^n on rows that go on past n and the remainder R on rows that
+halt at n. R lives on the tape: it starts at 1 and loses h^n on every
+update a row goes on past, the same sequential 1 - h^1 - h^2 - ... that
+the reference's `halting_distribution` computes, so the two agree bit for
+bit. A halted row's weighted sum is final when it leaves the block; at
+the end of the input step one `put_rows` node per state part adds each
+row's terms in update order and writes them back into the full batch, and
+one more does the same for R. The output is read out once per input
+step, from the mean state. The readout is affine and the weights sum to
+one, so this equals the reference's sum of w * readout(s^n) up to
+rounding; the test suite pins values and gradients to the reference at
+1e-12. Positions at or past a row's length hold the readout of its last
+state; every loss and metric masks them out.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ class BatchRunResult:
     halted_by_cap: np.ndarray     # (batch, T) bool
     ponder_var: Var               # on-tape part of sum_e P_e (scalar)
     ponder_const: float           # constant part (the integer update counts)
-    halt_vars: list[list[Var]]    # per input step: h^1 .. h^n, each (batch, 1)
+    halt_vars: list[list[Var]]    # per input step: h^1 .. h^n on the rows stepped
+    halt_rows: list[list[np.ndarray]]  # their batch indices, increasing
     remainder_vars: list[Var]     # per input step: R (batch, 1); 1 on inactive rows
 
     @property
@@ -63,24 +73,19 @@ class BatchRunResult:
     def per_example_ponder(self) -> np.ndarray:
         return self.ponders.sum(axis=1)
 
+    def halt_row(self, e: int, t: int, n: int) -> int:
+        """Row of batch member e in h^n of input step t; n <= steps[e, t]."""
+        return int(np.searchsorted(self.halt_rows[t][n - 1], e))
+
     @property
     def batch_ponder_sum(self) -> float:
         return float(self.ponder_var.data) + self.ponder_const
 
 
-def _freeze(run_mask: np.ndarray, new: CellState, old: CellState) -> CellState:
-    """Keep `old` rows where run_mask is false."""
-    if run_mask.all():
-        return new
-    width = new.hidden.data.shape[1]
-    mask = np.broadcast_to(run_mask[:, None], (run_mask.size, width))
-    parts = tuple(ad.where_mask(mask, n, o)
-                  for n, o in zip(new.parts(), old.parts()))
-    return type(new)(*parts)
-
-
 def _masked(var: Var, rows: np.ndarray) -> Optional[Var]:
     """`var` on the selected rows and 0 elsewhere; None if no row is selected."""
+    if rows.all():
+        return var
     return ad.const_mul(var, rows[:, None]) if rows.any() else None
 
 
@@ -104,6 +109,7 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
     tape = Tape()
     pv = ParamVars.record(tape, params)
     state = cell.zero_state(tape, params.hidden_size, batch=n_batch)
+    ones = tape.leaf(np.ones((n_batch, 1)))
 
     outputs: list[Var] = []
     steps = np.zeros((n_batch, n_steps_total), dtype=np.int64)
@@ -113,54 +119,76 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
     ponder_var = tape.leaf(np.zeros(()))
     ponder_const = 0.0
     step_halt_vars: list[list[Var]] = []
+    step_halt_rows: list[list[np.ndarray]] = []
     remainder_vars: list[Var] = []
 
     for t in range(n_steps_total):
         active = active_all[:, t]
-        x_first, x_rest = (augment_input(inputs[:, t], n) for n in (1, 2))
-        r_var = tape.leaf(np.ones((n_batch, 1)))
-        running = active.copy()
-        cum = np.zeros(n_batch)
         halt_vars: list[Var] = []
-        sums: list[Var] = []
-        work = state
-        n = 0
-        while running.any():
-            n += 1
-            work = _freeze(running, cell.step(pv, work, x_first if n == 1 else x_rest),
-                           work)
-            h_var = halting_activation(pv, work)
-            h_vals = h_var.data[:, 0]
-            if not np.all(np.isfinite(h_vals[running])):
-                raise NumericError(
-                    f"halting activation is not finite at input step {t}, update {n}")
-            cum[running] += h_vals[running]
-            halt_now = running & ((cum >= 1.0 - cfg.epsilon) | (n == cfg.max_steps))
-            steps[halt_now, t] = n
-            capped[:, t] |= halt_now & (cum < 1.0 - cfg.epsilon)
-            halt_vars.append(h_var)
-            running &= ~halt_now
+        halt_rows: list[np.ndarray] = []
+        r_full = ones
+        # With no active row nothing runs: the state stays and R stays at 1.
+        if active.any():
+            # The block holds the rows still running, in batch order: `rows`
+            # as a batch mask, `idx` as batch indices.
+            rows, idx = active, np.flatnonzero(active)
+            work = state if active.all() else cell.from_parts(
+                tuple(ad.take_rows(part, active) for part in state.parts()))
+            x_first, x_rest = (augment_input(inputs[idx, t], n) for n in (1, 2))
+            r_var = tape.leaf(np.ones((idx.size, 1)))
+            cum = np.zeros(idx.size)
+            sums: list[tuple[np.ndarray, tuple[Var, ...]]] = []
+            r_pieces: list[tuple[np.ndarray, Var]] = []
+            n = 0
+            while True:
+                n += 1
+                work = cell.step(pv, work, x_first if n == 1 else x_rest)
+                h_var = halting_activation(pv, work)
+                h_vals = h_var.data[:, 0]
+                if not np.all(np.isfinite(h_vals)):
+                    raise NumericError(
+                        f"halting activation is not finite at input step {t}, update {n}")
+                cum += h_vals
+                halt_now = (cum >= 1.0 - cfg.epsilon) | (n == cfg.max_steps)
+                steps[idx[halt_now], t] = n
+                capped[idx[halt_now & (cum < 1.0 - cfg.epsilon)], t] = True
+                halt_vars.append(h_var)
+                halt_rows.append(idx)
+                going_on = ~halt_now
 
-            # Mean-field weight: h^n on rows that go on, R on rows halting now.
-            h_on, r_at = _masked(h_var, running), _masked(r_var, halt_now)
-            if h_on is None:
-                w = r_at
-            else:
-                w = h_on if r_at is None else ad.add(h_on, r_at)
-                r_var = ad.sub(r_var, h_on)
-            parts = [ad.rowscale(part, w) for part in work.parts()]
-            sums = [ad.add(s, p) for s, p in zip(sums, parts)] if sums else parts
+                # Mean-field weight: h^n on rows that go on, R on rows halting now.
+                h_on, r_at = _masked(h_var, going_on), _masked(r_var, halt_now)
+                if h_on is None:
+                    w = r_at
+                else:
+                    w = h_on if r_at is None else ad.add(h_on, r_at)
+                    r_var = ad.sub(r_var, h_on)
+                sums.append((rows, tuple(ad.rowscale(part, w) for part in work.parts())))
+                if r_at is not None:
+                    r_pieces.append((rows, r_at))
+                if h_on is None:
+                    break
+                if r_at is not None:
+                    # Rows halting now leave the block; their sums are final.
+                    work = cell.from_parts(
+                        tuple(ad.take_rows(part, going_on) for part in work.parts()))
+                    r_var = ad.take_rows(r_var, going_on)
+                    x_rest, cum, idx = x_rest[going_on], cum[going_on], idx[going_on]
+                    rows = np.zeros(n_batch, dtype=bool)
+                    rows[idx] = True
 
-        # With no active row nothing ran: the state stays and R stays at 1.
-        if sums:
-            state = _freeze(active, cell.from_parts(tuple(sums)), state)
-            ponder_var = ad.add(ponder_var, ad.reduce_sum(_masked(r_var, active)))
+            state = cell.from_parts(tuple(
+                ad.put_rows(old, [(m, parts[j]) for m, parts in sums])
+                for j, old in enumerate(state.parts())))
+            r_full = ad.put_rows(ones, r_pieces)
+            ponder_var = ad.add(ponder_var, ad.reduce_sum(_masked(r_full, active)))
         outputs.append(readout(pv, state))
-        remainders[active, t] = r_var.data[active, 0]
+        remainders[active, t] = r_full.data[active, 0]
         step_halt_vars.append(halt_vars)
-        remainder_vars.append(r_var)
+        step_halt_rows.append(halt_rows)
+        remainder_vars.append(r_full)
         ponder_const += float(steps[active, t].sum())
 
     return BatchRunResult(tape, pv, outputs, steps, remainders, active_all,
                           capped, ponder_var, ponder_const, step_halt_vars,
-                          remainder_vars)
+                          step_halt_rows, remainder_vars)

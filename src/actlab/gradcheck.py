@@ -57,14 +57,17 @@ def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
     for t in range(batch.inputs.shape[1]):
         # Each row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
         tape.backward(ad.reduce_sum(res.remainder_vars[t]))
-        for n, h_var in enumerate(res.halt_vars[t], start=1):
-            want = np.where(n < res.steps[:, t], -1.0, 0.0)
+        for n, (h_var, rows) in enumerate(zip(res.halt_vars[t], res.halt_rows[t]),
+                                          start=1):
+            want = np.where(n < res.steps[rows, t], -1.0, 0.0)
             ponder_ok &= bool(np.all(tape.grad(h_var)[:, 0] == want))
     # Full objective: each row's halting activation gets zero gradient.
     tape.backward(loss_var)
-    halt_zero_ok = all(
-        tape.grad(res.halt_vars[t][res.steps[e, t] - 1])[e, 0] == 0.0
-        for e, t in zip(*np.nonzero(res.active)))
+    halt_zero_ok = True
+    for e, t in zip(*np.nonzero(res.active)):
+        n = res.steps[e, t]
+        halt_zero_ok &= bool(
+            tape.grad(res.halt_vars[t][n - 1])[res.halt_row(e, t, n), 0] == 0.0)
     return ponder_ok, halt_zero_ok
 
 

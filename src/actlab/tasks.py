@@ -221,8 +221,8 @@ def gen_addition(seed, batch: int = 32, min_len: int = 1, max_len: int = 5,
     simultaneous digit classifications, class 10 marking positions past
     the end of the sum. The first step carries no target.
     """
-    if max_digits > ADDITION_MAX_DIGITS:
-        raise ContractError(f"input vectors hold at most {ADDITION_MAX_DIGITS} digits")
+    if min_digits < 1 or max_digits > ADDITION_MAX_DIGITS:
+        raise ContractError(f"input vectors hold 1 to {ADDITION_MAX_DIGITS} digits")
     rng = np.random.default_rng(seed)
     lengths = rng.integers(min_len, max_len + 1, size=batch)
     t_max = int(lengths.max())

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from actlab import autodiff as ad
 from actlab.autodiff import Tape
 from actlab.cells import CELLS, CellState, ParamVars, init_params, readout
-from actlab.engine import _freeze
 
 from oracles import COMPOSED_STEPS, lstm_step_plain, rnn_step_plain
 
@@ -91,6 +90,13 @@ class TestLstmStep:
         assert np.all(np.abs(c) <= np.maximum(np.abs(c0), 1.0) + 1.0)
 
 
+def freeze(run_mask, new, old):
+    """Keep `old` rows where run_mask is false, by `where_mask` on each part."""
+    mask = np.broadcast_to(run_mask[:, None], new.hidden.data.shape)
+    return CellState(*(ad.where_mask(mask, n, o)
+                       for n, o in zip(new.parts(), old.parts())))
+
+
 def step_with_adjoints(step, params, x, state_arrays, upstream, run_mask=None):
     """One batched step (optionally frozen where run_mask is false), then
     backward from sum(part * upstream) over the new state's parts.
@@ -103,7 +109,7 @@ def step_with_adjoints(step, params, x, state_arrays, upstream, run_mask=None):
     state = CellState(*(tape.leaf(a) for a in state_arrays))
     new = step(pv, state, x)
     if run_mask is not None:
-        new = _freeze(run_mask, new, state)
+        new = freeze(run_mask, new, state)
     loss = None
     for part, g in zip(new.parts(), upstream):
         term = ad.reduce_sum(ad.mul(part, tape.leaf(g)))

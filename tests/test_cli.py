@@ -90,6 +90,7 @@ class TestConfigParsing:
         (["task.name=sort", "task.min_len=1"], "task.min_len"),
         (["task.name=sort", "task.max_len=16"], "task.max_len"),
         (["task.name=addition", "task.max_digits=6"], "task.max_digits"),
+        (["task.name=addition", "task.min_digits=-1"], "task.min_digits"),
     ])
     def test_values_training_cannot_run_are_rejected(self, overrides, key):
         # Each of these used to pass resolve and crash training later.

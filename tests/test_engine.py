@@ -7,7 +7,7 @@ import pytest
 from actlab import autodiff as ad
 from actlab import engine
 from actlab.act import ActConfig
-from actlab.cells import init_params
+from actlab.cells import CELLS, init_params
 from actlab.engine import run_batch
 from actlab.tasks import gen_logic, task_spec
 from actlab.trainer import batch_objective
@@ -120,15 +120,17 @@ def test_closed_forms_exact_under_padding(kind, halt_bias, halt_scale):
     assert not res.active.all()
     assert len(np.unique(res.steps[res.active])) > 1
     for e, t in zip(*np.nonzero(res.active)):
-        assert res.tape.grad(res.halt_vars[t][res.steps[e, t] - 1])[e, 0] == 0.0
+        n = res.steps[e, t]
+        assert res.tape.grad(res.halt_vars[t][n - 1])[res.halt_row(e, t, n), 0] == 0.0
 
     for t in range(inputs.shape[1]):
         fresh = run_batch(kind, params, cfg, inputs, lengths)
         if fresh.remainder_vars[t] is None:
             continue
         fresh.tape.backward(ad.reduce_sum(fresh.remainder_vars[t]))
-        for n, h_var in enumerate(fresh.halt_vars[t], start=1):
-            want = np.where(n < fresh.steps[:, t], -1.0, 0.0)
+        for n, (h_var, rows) in enumerate(zip(fresh.halt_vars[t], fresh.halt_rows[t]),
+                                          start=1):
+            want = np.where(n < fresh.steps[rows, t], -1.0, 0.0)
             assert np.all(fresh.tape.grad(h_var)[:, 0] == want)
 
 
@@ -162,7 +164,8 @@ def test_remainders_match_halting_law_bit_for_bit():
         assert not res.active.all()
         assert all(r is not None for r in res.remainder_vars)
         for e, t in zip(*np.nonzero(res.active)):
-            h = (h_var.data[e, 0] for h_var in res.halt_vars[t])
+            h = (h_var.data[res.halt_row(e, t, n), 0]
+                 for n, h_var in enumerate(res.halt_vars[t], start=1))
             n, _, remainder = halting_distribution(h, cfg.epsilon, cfg.max_steps)
             assert n == res.steps[e, t]
             assert res.remainders[e, t] == remainder
@@ -185,6 +188,69 @@ def test_one_readout_per_input_step(monkeypatch):
     res = run_batch("lstm", params, ActConfig(max_steps=7), inputs, lengths)
     assert res.steps.max() > 1
     assert len(calls) == inputs.shape[1]
+
+
+@pytest.mark.parametrize("pad", [np.nan, np.inf, 1e300])
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_padding_cannot_poison_values_or_gradients(kind, pad):
+    """Whatever padded positions hold, the outputs at active positions and
+    every parameter gradient equal those of the zero-padded batch, bit for
+    bit: padded inputs are never stepped, so they reach no packet."""
+    rng = np.random.default_rng(6)
+    params = init_params(kind, 3, 6, 4, seed=7, halt_bias=-1.0)
+    lengths = np.array([4, 2, 3])
+    padded = np.arange(4)[None, :] >= lengths[:, None]
+    zero = np.where(padded[..., None], 0.0, rng.normal(size=(3, 4, 3)))
+    cfg = ActConfig(max_steps=7)
+
+    def run(inputs):
+        res = run_batch(kind, params, cfg, inputs, lengths)
+        loss = ad.scale(res.ponder_var, 1e-2)
+        for t, y in enumerate(res.outputs):
+            keep = np.broadcast_to(res.active[:, t, None], y.shape)
+            loss = ad.add(loss, ad.reduce_sum(ad.const_mul(y, keep)))
+        res.tape.backward(loss)
+        outputs = np.stack([y.data for y in res.outputs], axis=1)[res.active]
+        return res, loss, outputs, {name: res.tape.grad(var)
+                                    for name, var in res.param_vars.items()}
+
+    base, base_loss, base_outputs, base_grads = run(zero)
+    assert len(np.unique(base.steps[base.active])) > 1
+    with np.errstate(all="ignore"):
+        res, loss, outputs, grads = run(np.where(padded[..., None], pad, zero))
+    np.testing.assert_array_equal(res.steps, base.steps)
+    np.testing.assert_array_equal(res.remainders, base.remainders)
+    assert loss.data == base_loss.data
+    np.testing.assert_array_equal(outputs, base_outputs)
+    for name, g in base_grads.items():
+        assert np.all(np.isfinite(g))
+        np.testing.assert_array_equal(grads[name], g)
+
+
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_only_running_rows_are_stepped(kind, monkeypatch):
+    """The cell sees each active row exactly N times per input step, and
+    no row is frozen with a select."""
+    params, inputs, lengths, _, _ = random_case(kind, 0, batch=12, t_max=6)
+    params.b_halt[:] = -1.0
+    params.w_halt *= 4.0
+    stepped = []
+    original = CELLS[kind].step
+
+    def counted(pv, state, xd):
+        stepped.append(xd.shape[0])
+        return original(pv, state, xd)
+
+    def no_select(*args):
+        raise AssertionError("run_batch recorded a where_mask node")
+
+    monkeypatch.setattr(CELLS[kind], "step", staticmethod(counted))
+    monkeypatch.setattr(ad, "where_mask", no_select)
+    res = run_batch(kind, params, ActConfig(max_steps=7), inputs, lengths)
+    assert not res.active.all()
+    assert len(np.unique(res.steps[res.active])) > 2
+    assert sum(stepped) == res.steps[res.active].sum()
+    assert sum(stepped) < res.steps.max(axis=0).sum() * inputs.shape[0]
 
 
 def test_node_budget_per_update():
@@ -225,9 +291,10 @@ def test_input_step_with_no_active_row():
 
 
 def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
-    # Every cell update hands W_in, W_rec and b_rec a deferred packet; the
-    # backward must form each of their adjoints once per chunk of at most
-    # OUTER_FLUSH_ROWS stacked rows, never once per update.
+    # Every cell update hands W_in, W_rec and b_rec a deferred packet of
+    # the rows it stepped; the backward must stack exactly the live rows
+    # and form each of their adjoints once per chunk, flushing as soon as a
+    # stack reaches OUTER_FLUSH_ROWS rows, never once per update.
     spec = task_spec("logic")
     batch = gen_logic(3, batch=8, min_len=3, max_len=4)
     params = init_params("lstm", spec.input_size, 16, spec.output_size, seed=2,
@@ -248,11 +315,19 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
         res.tape.backward(loss)
         updates = int(res.steps.max(axis=0).sum())
         assert updates > 2 * batch.inputs.shape[1]
+        # Packets arrive in reverse update order, one per update.
+        want, stacked = [], 0
+        for rows in reversed([rows for step in res.halt_rows for rows in step]):
+            stacked += rows.size
+            if stacked >= flush_rows:
+                want.append(stacked)
+                stacked = 0
+        want += [stacked] if stacked else []
+        assert sum(want) == res.steps[res.active].sum() < updates * 8
         for name in ("w_in", "w_rec", "b_rec"):
             var = getattr(res.param_vars, name)
             chunks = [rows for shape, rows in formed if shape == var.data.shape]
-            assert sum(chunks) == updates * 8
-            assert len(chunks) == -(-updates * 8 // flush_rows)
+            assert chunks == want
         assert len(formed) == 3 * len(chunks)
         return {name: res.tape.grad(var) for name, var in res.param_vars.items()}
 
