@@ -300,72 +300,6 @@ def narrow(a: Var, axis: int, start: int, length: int) -> Var:
     return a.tape._record(np.ascontiguousarray(ad[sl]), (a.idx,), back)
 
 
-def take_rows(a: Var, keep: np.ndarray) -> Var:
-    """The rows of a (m,n) matrix selected by the boolean mask `keep` (m,).
-
-    Unselected rows get an exact zero adjoint, never 0 * g.
-    """
-    ad = a.data
-    if ad.ndim != 2 or keep.shape != (ad.shape[0],) or keep.dtype != bool:
-        raise DimensionError(f"take_rows needs a bool mask of {ad.shape[0]} rows, "
-                             f"got {keep.dtype} {keep.shape} for {ad.shape}")
-
-    def back(g):
-        full = np.zeros_like(ad)
-        full[keep] = g
-        return (full,)
-
-    return a.tape._record(ad[keep], (a.idx,), back)
-
-
-def put_rows(base: Var, pieces: Sequence[tuple[np.ndarray, Var]]) -> Var:
-    """`base` (m,n) with every row a piece covers replaced by the sum of the
-    pieces that cover it, in piece order.
-
-    A piece is (rows, v): a boolean mask (m,) and one row of v per selected
-    row. A covered row starts from 0, so it holds the sequential sum of its
-    pieces (a zero sum reads +0); base's value there is never read and its
-    adjoint there is an exact 0. Each piece's adjoint is g on its rows.
-    Consecutive pieces that pass the same mask object are added on their
-    compact rows, with one gather and one scatter for the run.
-    """
-    tape = _same_tape(base, *(v for _, v in pieces))
-    bd = base.data
-    runs: list[tuple[np.ndarray, list[np.ndarray]]] = []
-    for rows, v in pieces:
-        if runs and rows is runs[-1][0]:
-            runs[-1][1].append(v.data)
-        else:
-            runs.append((rows, [v.data]))
-    covered = np.zeros(bd.shape[0], dtype=bool)
-    for rows, values in runs:
-        want = (np.count_nonzero(rows),) + bd.shape[1:]
-        if rows.shape != covered.shape or rows.dtype != bool or any(
-                v.shape != want for v in values):
-            raise DimensionError(
-                f"put_rows pieces {[v.shape for v in values]} do not fit a "
-                f"{rows.dtype} mask {rows.shape} into {bd.shape}")
-        covered |= rows
-    value = bd.copy()
-    value[covered] = 0.0
-    for rows, values in runs:
-        block = value[rows]
-        for v in values:
-            block += v
-        value[rows] = block
-    counts = [(rows, len(values)) for rows, values in runs]
-
-    def back(g):
-        g_base = g.copy()
-        g_base[covered] = 0.0
-        adjoints = [g_base]
-        for rows, count in counts:
-            adjoints += [g[rows]] * count
-        return adjoints
-
-    return tape._record(value, (base.idx, *(v.idx for _, v in pieces)), back)
-
-
 def reduce_sum(a: Var) -> Var:
     """Sum of all elements, as a scalar node."""
     ad = a.data
@@ -377,13 +311,9 @@ def reduce_sum(a: Var) -> Var:
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe elementwise logistic; saturates cleanly for |x| large."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Elementwise logistic as 0.5 + 0.5 tanh(x / 2): no overflow, and it
+    saturates to exactly 0 or 1 for |x| large."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def sigmoid(a: Var) -> Var:

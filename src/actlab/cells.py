@@ -2,29 +2,30 @@
 
 Both cells step a fixed-size state with shared weights: the input is first
 projected by the input weight matrix (whose extra last row carries the
-step flag added by the pondering loop), combined with the recurrent
+step flag set on an input's first update), combined with the recurrent
 projection, and passed through the cell nonlinearity. The readout is an
 affine map of the output-visible part of the state; for the LSTM that is
 the hidden vector, so the memory-cell portion has no output weights at
 all (equivalently, its readout columns are fixed to zero and never
 updated).
 
-Each cell update is one fused tape node with a hand-written backward,
-not a chain of elementwise tape ops: the pondering loop runs it N times
-per input, so per-node overhead is the hot path. The input x is a plain
-array, not a tape node: it is data, so nothing needs its adjoint. The
-forward computes the pre-activation z = x W_in + h W_rec + b once. The
-backward turns the upstream adjoint into one dz of z's shape. The adjoint
-of h is the GEMM dz W_recᵀ. W_in, W_rec and b get deferred `Outer`
-packets (x, dz), (h, dz) and (1, dz): the tape stacks them over every
-update and forms each weight adjoint as one GEMM, Xᵀ DZ or Hᵀ DZ, and
-the bias adjoint as one reduction over the stacked DZ, splitting the
-stack only when it reaches `autodiff.OUTER_FLUSH_ROWS` rows.
+A cell update is array code with a hand-written backward, not a tape
+node: the pondering loop records a whole input step's updates as one node
+(`engine`), and the per-sequence test reference wraps single updates in
+nodes of their own. `step(xb, s, W_rec)` takes xb = x W_in + b, the part
+of the pre-activation z = x W_in + s W_rec + b that does not depend on
+the state, so a caller that feeds one input to several updates forms it
+once. It returns the new state and `back(ds, dz)`, which writes the
+adjoint of z into the buffer dz and returns the adjoint of the old state,
+dz W_recᵀ included. The weight adjoints Xᵀ dz and Hᵀ dz and the bias sums
+are left to the caller, which stacks them over updates as `autodiff.Outer`
+packets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -101,11 +102,8 @@ class ParamVars:
 
 @dataclass
 class CellState:
-    """Complete dynamic state: hidden activations, plus memory cells for LSTM.
-
-    Rows index batch members; stepping is a pure function of
-    (state, input, params).
-    """
+    """The state as tape nodes: hidden activations, plus memory cells for
+    LSTM. Rows index batch members; the readout reads `hidden`."""
 
     hidden: Var
     cell: Optional[Var] = None
@@ -114,112 +112,86 @@ class CellState:
         return (self.hidden,) if self.cell is None else (self.hidden, self.cell)
 
 
-def _preactivation(xd: np.ndarray, hd: np.ndarray, w_in: np.ndarray,
-                   w_rec: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """z = x W_in + h W_rec + b, shared by both cells."""
-    if xd.shape[1] != w_in.shape[0] or hd.shape[1] != w_rec.shape[0]:
-        raise DimensionError(
-            f"cell inputs {xd.shape} and {hd.shape} do not fit weights "
-            f"{w_in.shape} and {w_rec.shape}")
-    return xd @ w_in + hd @ w_rec + b
-
-
-def _preactivation_adjoints(dz: np.ndarray, xd: np.ndarray, hd: np.ndarray,
-                            w_rec: np.ndarray) -> tuple:
-    """Adjoints of (h, W_in, W_rec, b) from the adjoint dz of z; the last
-    three as deferred outer products."""
-    ones = np.ones((dz.shape[0], 1))
-    return (dz @ w_rec.T, ad.Outer(xd, dz), ad.Outer(hd, dz),
-            ad.Outer(ones, dz))
-
-
 class RnnCell:
-    """s' = tanh(x W_in + s W_rec + b).
-
-    One update is one tape node with parents (s, W_in, W_rec, b); its
-    backward forms dz = ds' * (1 - s'^2) and maps it to all four adjoints.
-    """
+    """s' = tanh(x W_in + s W_rec + b); the state is h alone."""
 
     kind = "rnn"
     proj_multiple = 1
+    state_multiple = 1
 
     @staticmethod
-    def zero_state(tape: Tape, hidden_size: int, batch: int = 1) -> CellState:
-        return CellState(tape.leaf(np.zeros((batch, hidden_size))))
+    def step(xb: np.ndarray, s: np.ndarray, w_rec: np.ndarray):
+        out = s @ w_rec
+        out += xb
+        np.tanh(out, out=out)
 
-    @staticmethod
-    def step(pv: ParamVars, state: CellState, xd: np.ndarray) -> CellState:
-        hd = state.hidden.data
-        w_in, w_rec = pv.w_in.data, pv.w_rec.data
-        out = np.tanh(_preactivation(xd, hd, w_in, w_rec, pv.b_rec.data))
+        def back(ds, dz):
+            np.multiply(ds, 1.0 - out * out, out=dz)
+            return dz @ w_rec.T
 
-        def back(g):
-            return _preactivation_adjoints(g * (1.0 - out * out), xd, hd, w_rec)
+        return out, back
 
-        return CellState(ad.record(
-            out, (state.hidden, pv.w_in, pv.w_rec, pv.b_rec), back))
 
-    @staticmethod
-    def from_parts(parts: tuple[Var, ...]) -> CellState:
-        return CellState(*parts)
+@lru_cache(maxsize=None)
+def _gate_scales(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column scale, shift and squared scale of the LSTM gate map."""
+    scale = np.full(4 * n, 0.5)
+    scale[2 * n:3 * n] = 1.0
+    return scale, 1.0 - scale, scale * scale
 
 
 class LstmCell:
     """Forget-gate LSTM without peepholes; gate order i, f, g, o.
 
-    One update is one tape node with parents (h, c, W_in, W_rec, b)
-    whose value is [h' | c'], plus two `narrow` nodes that hand h' and c'
-    to the state. The i, f and o gates are taken as
+    The state is [h | c]. The i, f and o gates are taken as
     sigmoid(z) = (1 + tanh(z/2)) / 2, which cannot overflow and saturates
     to exactly 0 or 1, so no masks are needed. The backward assembles dz
     for all four gates in one array, using sigmoid' = (1 - tanh(z/2)^2)/4
-    and tanh' = 1 - tanh(z)^2, and returns all five adjoints.
+    and tanh' = 1 - tanh(z)^2.
     """
 
     kind = "lstm"
     proj_multiple = 4
+    state_multiple = 2
 
     @staticmethod
-    def zero_state(tape: Tape, hidden_size: int, batch: int = 1) -> CellState:
-        return CellState(tape.leaf(np.zeros((batch, hidden_size))),
-                         tape.leaf(np.zeros((batch, hidden_size))))
-
-    @staticmethod
-    def step(pv: ParamVars, state: CellState, xd: np.ndarray) -> CellState:
-        hd, cd = state.hidden.data, state.cell.data
-        w_in, w_rec = pv.w_in.data, pv.w_rec.data
-        n = hd.shape[1]
+    def step(xb: np.ndarray, s: np.ndarray, w_rec: np.ndarray):
+        n = w_rec.shape[0]
+        scale, shift, scale_sq = _gate_scales(n)
+        cd = s[:, n:]
         # One tanh over all of z: tanh(z/2) on the i, f, o columns, tanh(z)
         # on g; then t/2 + 1/2 turns the former into sigmoids and leaves g.
-        scale = np.full(4 * n, 0.5)
-        scale[2 * n:3 * n] = 1.0
-        t = np.tanh(_preactivation(xd, hd, w_in, w_rec, pv.b_rec.data) * scale)
-        gates = t * scale + (1.0 - scale)
+        t = s[:, :n] @ w_rec
+        t += xb
+        t *= scale
+        np.tanh(t, out=t)
+        gates = t * scale
+        gates += shift
         i, f, g, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
-        hc = np.empty((hd.shape[0], 2 * n))
-        np.add(f * cd, i * g, out=hc[:, n:])
-        tc = np.tanh(hc[:, n:])
-        np.multiply(o, tc, out=hc[:, :n])
+        out = np.empty_like(s)
+        np.add(f * cd, i * g, out=out[:, n:])
+        tc = np.tanh(out[:, n:])
+        np.multiply(o, tc, out=out[:, :n])
 
-        def back(grad):
-            dh = grad[:, :n]
-            dc = grad[:, n:] + dh * o * (1.0 - tc * tc)
-            dz = np.empty_like(gates)
+        def back(ds, dz):
+            dh = ds[:, :n]
+            dc = 1.0 - tc * tc
+            dc *= o
+            dc *= dh
+            dc += ds[:, n:]
             np.multiply(dc, g, out=dz[:, :n])
             np.multiply(dc, cd, out=dz[:, n:2 * n])
             np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
             np.multiply(dh, tc, out=dz[:, 3 * n:])
-            dz *= (1.0 - t * t) * (scale * scale)
-            dh_prev, dw_in, dw_rec, db = _preactivation_adjoints(dz, xd, hd, w_rec)
-            return dh_prev, dc * f, dw_in, dw_rec, db
+            deriv = 1.0 - t * t
+            deriv *= scale_sq
+            dz *= deriv
+            ds_prev = np.empty_like(ds)
+            ds_prev[:, :n] = dz @ w_rec.T
+            np.multiply(dc, f, out=ds_prev[:, n:])
+            return ds_prev
 
-        node = ad.record(
-            hc, (state.hidden, state.cell, pv.w_in, pv.w_rec, pv.b_rec), back)
-        return CellState(ad.narrow(node, 1, 0, n), ad.narrow(node, 1, n, n))
-
-    @staticmethod
-    def from_parts(parts: tuple[Var, ...]) -> CellState:
-        return CellState(*parts)
+        return out, back
 
 
 CELLS = {"rnn": RnnCell, "lstm": LstmCell}
@@ -230,9 +202,10 @@ def readout(pv: ParamVars, state: CellState) -> Var:
     return ad.add(ad.matmul(state.hidden, pv.w_out), pv.b_out)
 
 
-def halting_activation(pv: ParamVars, state: CellState) -> Var:
-    """h = sigmoid(s_visible W_halt + b_halt), one unit per batch row."""
-    return ad.sigmoid(ad.add(ad.matmul(state.hidden, pv.w_halt), pv.b_halt))
+def halting_activation(hidden: np.ndarray, w_halt: np.ndarray,
+                       b_halt: np.ndarray) -> np.ndarray:
+    """h = sigmoid(s_visible W_halt + b_halt), one value per row, as (rows,)."""
+    return ad.logistic(hidden @ w_halt[:, 0] + b_halt[0, 0])
 
 
 def init_params(kind: str, input_size: int, hidden_size: int, output_size: int,

@@ -214,8 +214,8 @@ def _cmd_trace(args) -> int:
     for e in range(batch.batch_size):
         for t in range(int(batch.lengths[e])):
             n_steps, remainder = int(res.steps[e, t]), float(res.remainders[e, t])
-            probs = [float(h.data[res.halt_row(e, t, n), 0])
-                     for n, h in enumerate(res.halt_vars[t][:n_steps - 1], start=1)]
+            probs = [float(h[res.halt_row(e, t, n)])
+                     for n, h in enumerate(res.halts[t][:n_steps - 1], start=1)]
             probs.append(remainder)
             rows.append([e, t, _render_input(config.task, batch.inputs[e, t]),
                          n_steps, repr(n_steps + remainder), repr(remainder),

@@ -11,7 +11,8 @@ The check also pins the two closed forms the pondering gradient must
 satisfy: each step's ponder has derivative exactly -1 in its pre-halt
 activations and exactly 0 in the halting one, and the total objective has
 derivative exactly 0 in every halting activation (the remainder carries
-that step's probability mass instead).
+that step's probability mass instead). Both are read, with `==`, from the
+halting adjoints the engine's step nodes keep (`BatchRunResult.halt_grads`).
 """
 
 from __future__ import annotations
@@ -57,17 +58,16 @@ def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
     for t in range(batch.inputs.shape[1]):
         # Each row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
         tape.backward(ad.reduce_sum(res.remainder_vars[t]))
-        for n, (h_var, rows) in enumerate(zip(res.halt_vars[t], res.halt_rows[t]),
-                                          start=1):
+        for n, (grad, rows) in enumerate(zip(res.halt_grads(t), res.halt_rows[t]),
+                                         start=1):
             want = np.where(n < res.steps[rows, t], -1.0, 0.0)
-            ponder_ok &= bool(np.all(tape.grad(h_var)[:, 0] == want))
+            ponder_ok &= bool(np.all(grad == want))
     # Full objective: each row's halting activation gets zero gradient.
     tape.backward(loss_var)
     halt_zero_ok = True
     for e, t in zip(*np.nonzero(res.active)):
         n = res.steps[e, t]
-        halt_zero_ok &= bool(
-            tape.grad(res.halt_vars[t][n - 1])[res.halt_row(e, t, n), 0] == 0.0)
+        halt_zero_ok &= bool(res.halt_grads(t)[n - 1][res.halt_row(e, t, n)] == 0.0)
     return ponder_ok, halt_zero_ok
 
 

@@ -11,8 +11,10 @@ them, never the other way round.
   they are the reference for the fused nodes' hand-written backward.
 - The per-sequence pondering reference: `halting_distribution`,
   `act_step` and `run_sequence` ponder one sequence at a time on the
-  package's tape with its fused cells. The batched loop in
-  `actlab.engine` is pinned to them at 1e-12 (values and gradients).
+  package's tape, each update one node around the package's cell
+  (`cell_step`), the halting unit, weights, remainder and ponder built
+  from tape ops. The batched loop in `actlab.engine` is pinned to them at
+  1e-12 (values and gradients).
 """
 
 import math
@@ -24,8 +26,7 @@ import numpy as np
 from actlab import autodiff as ad
 from actlab.act import ActConfig, augment_input
 from actlab.autodiff import ContractError, NumericError, Tape, Var
-from actlab.cells import (CELLS, CellParams, CellState, ParamVars,
-                          halting_activation, readout)
+from actlab.cells import CELLS, CellParams, CellState, ParamVars, readout
 from actlab.losses import PROB_CLAMP
 
 
@@ -212,6 +213,48 @@ def plain_rnn_outputs(p, xs):
 
 
 # ---------------------------------------------------------------------------
+# The package's cells as tape nodes
+# ---------------------------------------------------------------------------
+
+def zero_state(cell, tape: Tape, hidden_size: int, batch: int = 1) -> CellState:
+    """All-zero state leaves: h, plus c for the LSTM."""
+    return CellState(*(tape.leaf(np.zeros((batch, hidden_size)))
+                       for _ in range(cell.state_multiple)))
+
+
+def cell_step(cell, pv: ParamVars, state: CellState, xd) -> CellState:
+    """One update of the package's cell as one tape node.
+
+    Its parents are the state parts, W_in, W_rec and b; x is a constant
+    array. The node's value is the cell's [h' | c']; for the LSTM two
+    `narrow` nodes hand h' and c' to the state. Its backward is the cell's
+    own, with the weight adjoints as `Outer` packets.
+    """
+    xd = np.asarray(xd, dtype=np.float64)
+    s = np.concatenate([p.data for p in state.parts()], axis=1)
+    n = s.shape[1] // cell.state_multiple
+    hd = s[:, :n]
+    out, back = cell.step(xd @ pv.w_in.data + pv.b_rec.data, s, pv.w_rec.data)
+
+    def node_back(g):
+        dz = np.empty((g.shape[0], pv.w_rec.data.shape[1]))
+        ds = back(g, dz)
+        ones = np.ones((dz.shape[0], 1))
+        return (*np.split(ds, cell.state_multiple, axis=1), ad.Outer(xd, dz),
+                ad.Outer(hd, dz), ad.Outer(ones, dz))
+
+    node = ad.record(out, (*state.parts(), pv.w_in, pv.w_rec, pv.b_rec), node_back)
+    if cell.state_multiple == 1:
+        return CellState(node)
+    return CellState(ad.narrow(node, 1, 0, n), ad.narrow(node, 1, n, n))
+
+
+def halting_node(pv: ParamVars, state: CellState) -> Var:
+    """h = sigmoid(s_visible W_halt + b_halt) from tape ops, one unit per row."""
+    return ad.sigmoid(ad.add(ad.matmul(state.hidden, pv.w_halt), pv.b_halt))
+
+
+# ---------------------------------------------------------------------------
 # Per-sequence pondering reference on the package's tape
 # ---------------------------------------------------------------------------
 #
@@ -307,8 +350,8 @@ def act_step(cell, prev_state: CellState, x_t, pv: ParamVars, cfg: ActConfig,
         state = prev_state
         n = 1
         while True:
-            state = cell.step(pv, state, x_first if n == 1 else x_rest)
-            hv = halting_activation(pv, state)
+            state = cell_step(cell, pv, state, x_first if n == 1 else x_rest)
+            hv = halting_node(pv, state)
             h_val = float(hv.data[0, 0])
             if not math.isfinite(h_val):
                 raise NumericError(
@@ -342,7 +385,7 @@ def act_step(cell, prev_state: CellState, x_t, pv: ParamVars, cfg: ActConfig,
             acc = ad.add(acc, ad.rowscale(part, w))
         return acc
 
-    mean_state = cell.from_parts(tuple(
+    mean_state = CellState(*(
         mean([s.parts()[j] for s in states]) for j in range(len(states[0].parts()))))
     mean_output = mean(outputs)
     ponder_var = ad.add_scalar(r_var, float(n_steps))         # rho = N + R
@@ -368,7 +411,7 @@ def run_sequence(cell, params: CellParams, cfg: ActConfig, inputs,
         cell = CELLS[cell]
     tape = tape if tape is not None else Tape()
     pv = ParamVars.record(tape, params)
-    state = cell.zero_state(tape, params.hidden_size)
+    state = zero_state(cell, tape, params.hidden_size)
 
     final_states, outputs, traces = [], [], []
     ponder_var: Optional[Var] = None

@@ -8,8 +8,9 @@ from actlab.act import ActConfig, augment_input
 from actlab.autodiff import ContractError, NumericError, Tape
 from actlab.cells import CELLS, ParamVars, init_params
 
-from oracles import (act_step, halting_distribution, plain_rnn_outputs,
-                     run_sequence, run_sequence_plain)
+from oracles import (act_step, cell_step, halting_distribution,
+                     plain_rnn_outputs, run_sequence, run_sequence_plain,
+                     zero_state)
 
 
 class TestAugmentInput:
@@ -94,14 +95,14 @@ class TestActStep:
         tape = Tape()
         pv = ParamVars.record(tape, p)
         cell = CELLS["rnn"]
-        state = cell.zero_state(tape, p.hidden_size)
+        state = zero_state(cell, tape, p.hidden_size)
         x = np.array([0.5, -1.0, 0.25])
         trace, s_t, y_t = act_step(cell, state, x, pv, cfg, tape)
         assert trace.steps_taken == 1
         assert trace.halting_probs == [1.0]
         assert trace.ponder == 2.0
         # Bit-exact passthrough of the single update.
-        plain = cell.step(pv, cell.zero_state(tape, p.hidden_size),
+        plain = cell_step(cell, pv, zero_state(cell, tape, p.hidden_size),
                           np.atleast_2d(augment_input(x, 1)))
         np.testing.assert_array_equal(s_t.hidden.data, plain.hidden.data)
 
@@ -114,7 +115,7 @@ class TestActStep:
         tape = Tape()
         pv = ParamVars.record(tape, p)
         cell = CELLS["rnn"]
-        trace, s_t, y_t = act_step(cell, cell.zero_state(tape, 4),
+        trace, s_t, y_t = act_step(cell, zero_state(cell, tape, 4),
                                    np.array([0.1, 0.2, 0.3]), pv, cfg, tape)
         assert trace.steps_taken == 2
         assert trace.halted_by_cap
@@ -146,7 +147,7 @@ class TestActStep:
         pv = ParamVars.record(tape, p)
         cell = CELLS["rnn"]
         with pytest.raises(NumericError, match="update 1"):
-            act_step(cell, cell.zero_state(tape, 4), np.ones(3), pv,
+            act_step(cell, zero_state(cell, tape, 4), np.ones(3), pv,
                      ActConfig(), tape, input_step=5)
 
 

@@ -1,0 +1,60 @@
+"""The benchmark's stored reference outputs, checked in the tier-1 suite.
+
+The first seed-1 episode of each gated workload runs through
+`benchmarks/bench.py` as a benchmark run starts, and its final training
+loss, eval sequence error and mean update count must pass
+`workloads.reference_failures`. Rounding drift that would fail the
+benchmark's output check fails here first. The benchmark modules import
+each other by bare name, so their directory goes on `sys.path` while
+they load.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH.parent))
+        spec = importlib.util.spec_from_file_location("bench", BENCH)
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, "bench", module)
+        spec.loader.exec_module(module)
+        yield module
+
+
+@pytest.mark.parametrize("name", ["logic-ponder", "addition-wide"])
+def test_first_episode_matches_stored_reference(bench, name, tmp_path):
+    workload = bench.WORKLOADS[name]
+    s = bench.prepare(workload, bench.DEFAULT_SEED)
+    loop = bench.Loop()
+    episode = bench.run_episode(
+        s, np.random.default_rng(s.data_seed), np.random.default_rng(s.eval_seed),
+        loop, str(tmp_path / "ckpt.bin"), workload.episode_iterations,
+        workload.ckpt_cycles, timed=False)
+    assert loop.failed == 0, loop.failures
+    observed = {"final_loss": episode.losses[-1],
+                "eval_seq_error": episode.eval_seq_error,
+                "mean_steps": episode.mean_steps}
+    eval_sequences = s.config.eval_batches * s.config.batch
+    assert bench.reference_failures(observed, workload.reference,
+                                    eval_sequences) == [], observed
+
+
+def test_first_logic_ponder_step_records_under_100_nodes(bench):
+    # The step nodes keep the tape at a few nodes per input step however
+    # long rows ponder: under 100 for the first seed-1 batch, objective
+    # included, at a mean N near 9.
+    workload = bench.WORKLOADS["logic-ponder"]
+    s = bench.prepare(workload, bench.DEFAULT_SEED)
+    batch = bench.trainer.make_batch(s.config, np.random.default_rng(s.data_seed))
+    _, res, _, _ = bench.trainer.batch_objective(s.spec, s.init, s.act_cfg, batch)
+    assert res.steps[res.active].mean() > 8
+    assert len(res.tape) < 100

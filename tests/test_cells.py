@@ -7,7 +7,8 @@ from actlab import autodiff as ad
 from actlab.autodiff import Tape
 from actlab.cells import CELLS, CellState, ParamVars, init_params, readout
 
-from oracles import COMPOSED_STEPS, lstm_step_plain, rnn_step_plain
+from oracles import (COMPOSED_STEPS, cell_step, lstm_step_plain, rnn_step_plain,
+                     zero_state)
 
 
 def make_params(kind, input_size, hidden, output, *, fill=None, seed=0):
@@ -24,10 +25,10 @@ def step_once(params, x, state_arrays=None):
     pv = ParamVars.record(tape, params)
     cell = CELLS[params.kind]
     if state_arrays is None:
-        state = cell.zero_state(tape, params.hidden_size)
+        state = zero_state(cell, tape, params.hidden_size)
     else:
         state = CellState(*(tape.leaf(np.atleast_2d(a)) for a in state_arrays))
-    out = cell.step(pv, state, np.atleast_2d(x))
+    out = cell_step(cell, pv, state, np.atleast_2d(x))
     return tuple(p.data[0] for p in out.parts())
 
 
@@ -97,6 +98,11 @@ def freeze(run_mask, new, old):
                        for n, o in zip(new.parts(), old.parts())))
 
 
+def fused(kind):
+    """The package's cell step as a tape op with the composed steps' signature."""
+    return lambda pv, state, x: cell_step(CELLS[kind], pv, state, x)
+
+
 def step_with_adjoints(step, params, x, state_arrays, upstream, run_mask=None):
     """One batched step (optionally frozen where run_mask is false), then
     backward from sum(part * upstream) over the new state's parts.
@@ -120,7 +126,8 @@ def step_with_adjoints(step, params, x, state_arrays, upstream, run_mask=None):
 
 
 class TestFusedStep:
-    """The fused step node against the composed-op reference in `oracles`."""
+    """The cell's step and backward, recorded as one node by
+    `oracles.cell_step`, against the composed-op reference in `oracles`."""
 
     @pytest.mark.parametrize("frozen", [False, True])
     @pytest.mark.parametrize("kind, n_inputs", [("rnn", 5), ("lstm", 6)])
@@ -135,7 +142,7 @@ class TestFusedStep:
         upstream = [rng.normal(size=(batch, hidden)) for _ in range(n_parts)]
         run_mask = np.array([True, False, True, True, False]) if frozen else None
         got_values, got_grads = step_with_adjoints(
-            CELLS[kind].step, p, x, state0, upstream, run_mask)
+            fused(kind), p, x, state0, upstream, run_mask)
         ref_values, ref_grads = step_with_adjoints(
             COMPOSED_STEPS[kind], p, x, state0, upstream, run_mask)
         # Every input but x, which is a constant array, is a tape parent.
@@ -163,7 +170,7 @@ class TestFusedStep:
         upstream = [rng.normal(size=(batch, hidden)) for _ in range(n_parts)]
         with np.errstate(all="raise"):
             values, grads = step_with_adjoints(
-                CELLS[kind].step, p, rng.normal(size=(batch, 4)), state0, upstream)
+                fused(kind), p, rng.normal(size=(batch, 4)), state0, upstream)
         for arr in values + grads:
             assert np.all(np.isfinite(arr))
         on = np.broadcast_to(z > 0, (batch, z.size))
@@ -184,9 +191,9 @@ class TestFusedStep:
         tape = Tape()
         pv = ParamVars.record(tape, p)
         cell = CELLS[kind]
-        state = cell.zero_state(tape, p.hidden_size, batch=2)
+        state = zero_state(cell, tape, p.hidden_size, batch=2)
         before = len(tape)
-        cell.step(pv, state, np.ones((2, 4)))
+        cell_step(cell, pv, state, np.ones((2, 4)))
         added = len(tape) - before
         if kind == "rnn":
             assert added == 1

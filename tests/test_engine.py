@@ -34,6 +34,7 @@ def reference_objective(params, cfg, inputs, lengths, targets, mask, tau):
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     outputs = []
     ponders = []
+    halt_grads = []                 # per example and step: d/dh^1 .. d/dh^N
     for e in range(batch):
         t_e = int(lengths[e])
         res = run_sequence(params.kind, params, cfg, inputs[e, :t_e])
@@ -51,10 +52,12 @@ def reference_objective(params, cfg, inputs, lengths, targets, mask, tau):
             grads[name] += res.tape.grad(var)
         outputs.append(np.vstack([y.data for y in res.outputs]))
         ponders.append([tr.ponder for tr in res.traces])
+        halt_grads.append([[res.tape.grad(h)[0, 0] / batch for h in tr.halt_vars]
+                           for tr in res.traces])
     total /= batch
     for name in grads:
         grads[name] /= batch
-    return total, grads, outputs, ponders
+    return total, grads, outputs, ponders, halt_grads
 
 
 def batched_objective(params, cfg, inputs, lengths, targets, mask, tau):
@@ -81,7 +84,7 @@ def test_batch_matches_per_sequence(kind, seed):
     cfg = ActConfig(max_steps=7, time_penalty=1e-2)
     tau = cfg.time_penalty
 
-    ref_total, ref_grads, ref_outputs, ref_ponders = reference_objective(
+    ref_total, ref_grads, ref_outputs, ref_ponders, ref_halt_grads = reference_objective(
         params, cfg, inputs, lengths, targets, mask, tau)
     got_total, got_grads, res = batched_objective(
         params, cfg, inputs, lengths, targets, mask, tau)
@@ -103,6 +106,12 @@ def test_batch_matches_per_sequence(kind, seed):
         scale = max(1.0, np.abs(ref_grads[name]).max())
         np.testing.assert_allclose(got_grads[name] / scale,
                                    ref_grads[name] / scale, atol=1e-12, rtol=0)
+    # The halting adjoints the step nodes keep, row by row.
+    for e, per_step in enumerate(ref_halt_grads):
+        for t, want in enumerate(per_step):
+            got = [grad[res.halt_row(e, t, n)]
+                   for n, grad in enumerate(res.halt_grads(t)[:len(want)], start=1)]
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("kind,halt_bias,halt_scale",
@@ -121,17 +130,18 @@ def test_closed_forms_exact_under_padding(kind, halt_bias, halt_scale):
     assert len(np.unique(res.steps[res.active])) > 1
     for e, t in zip(*np.nonzero(res.active)):
         n = res.steps[e, t]
-        assert res.tape.grad(res.halt_vars[t][n - 1])[res.halt_row(e, t, n), 0] == 0.0
+        assert res.halt_grads(t)[n - 1][res.halt_row(e, t, n)] == 0.0
 
+    # Each sweep replaces the adjoints: later steps, which R at t does not
+    # depend on, read exact zeros.
     for t in range(inputs.shape[1]):
-        fresh = run_batch(kind, params, cfg, inputs, lengths)
-        if fresh.remainder_vars[t] is None:
-            continue
-        fresh.tape.backward(ad.reduce_sum(fresh.remainder_vars[t]))
-        for n, (h_var, rows) in enumerate(zip(fresh.halt_vars[t], fresh.halt_rows[t]),
-                                          start=1):
-            want = np.where(n < fresh.steps[rows, t], -1.0, 0.0)
-            assert np.all(fresh.tape.grad(h_var)[:, 0] == want)
+        res.tape.backward(ad.reduce_sum(res.remainder_vars[t]))
+        for n, (grad, rows) in enumerate(zip(res.halt_grads(t), res.halt_rows[t]),
+                                         start=1):
+            want = np.where(n < res.steps[rows, t], -1.0, 0.0)
+            assert np.all(grad == want)
+        for later in range(t + 1, inputs.shape[1]):
+            assert not any(grad.any() for grad in res.halt_grads(later))
 
 
 def test_forced_cap_one_batch():
@@ -145,8 +155,8 @@ def test_forced_cap_one_batch():
     res.tape.backward(res.ponder_var)
     for _, var in res.param_vars.items():
         assert not res.tape.grad(var).any()
-    for h_var in (h for step in res.halt_vars for h in step):
-        assert not res.tape.grad(h_var).any()
+    for t in range(inputs.shape[1]):
+        assert not any(grad.any() for grad in res.halt_grads(t))
     assert res.batch_ponder_sum == 2.0 * lengths.sum()
 
 
@@ -164,8 +174,8 @@ def test_remainders_match_halting_law_bit_for_bit():
         assert not res.active.all()
         assert all(r is not None for r in res.remainder_vars)
         for e, t in zip(*np.nonzero(res.active)):
-            h = (h_var.data[res.halt_row(e, t, n), 0]
-                 for n, h_var in enumerate(res.halt_vars[t], start=1))
+            h = (h_n[res.halt_row(e, t, n)]
+                 for n, h_n in enumerate(res.halts[t], start=1))
             n, _, remainder = halting_distribution(h, cfg.epsilon, cfg.max_steps)
             assert n == res.steps[e, t]
             assert res.remainders[e, t] == remainder
@@ -237,9 +247,9 @@ def test_only_running_rows_are_stepped(kind, monkeypatch):
     stepped = []
     original = CELLS[kind].step
 
-    def counted(pv, state, xd):
-        stepped.append(xd.shape[0])
-        return original(pv, state, xd)
+    def counted(xb, s, w_rec):
+        stepped.append(xb.shape[0])
+        return original(xb, s, w_rec)
 
     def no_select(*args):
         raise AssertionError("run_batch recorded a where_mask node")
@@ -253,24 +263,25 @@ def test_only_running_rows_are_stepped(kind, monkeypatch):
     assert sum(stepped) < res.steps.max(axis=0).sum() * inputs.shape[0]
 
 
-def test_node_budget_per_update():
-    # Per LSTM update: the fused step and its two slices, two freezes, the
-    # halting unit (3), the mean-field weight (up to 3), the remainder
-    # update and two running sums (4), plus a few nodes per input step.
-    # One readout per update would add at least two more.
+@pytest.mark.parametrize("halt_bias", [-2.0, 1.0])
+def test_node_budget_per_input_step(halt_bias):
+    # The parameters, the zero state and the ponder sum, then per input
+    # step: its node, the slices of R and h, the ponder sum (2) and the
+    # readout (2). None of it grows with the update count N.
     rng = np.random.default_rng(3)
-    params = init_params("lstm", 3, 6, 4, seed=1, halt_bias=-2.0)
+    params = init_params("lstm", 3, 6, 4, seed=1, halt_bias=halt_bias)
+    lengths = np.array([4, 2, 4, 1, 3])
     res = run_batch("lstm", params, ActConfig(), rng.normal(size=(5, 4, 3)),
-                    np.array([4, 2, 4, 1, 3]))
-    updates = int(res.steps.max(axis=0).sum())
-    assert res.steps[res.active].min() > 5
-    assert len(res.tape) <= 15 * updates
+                    lengths)
+    n_steps = res.active.shape[1]
+    assert (res.steps[res.active].min() > 5) == (halt_bias < 0)
+    assert len(res.tape) <= 7 * n_steps + 9
 
 
 def test_input_step_with_no_active_row():
     # The last input step is past both rows' lengths: it keeps the state,
-    # reads it out, and leaves R at 1. The active steps match the same
-    # batch trimmed to T = 2.
+    # reads it out, and R reads 0. The active steps match the same batch
+    # trimmed to T = 2.
     rng = np.random.default_rng(4)
     params = init_params("lstm", 3, 6, 4, seed=5, halt_bias=-1.0)
     inputs = rng.normal(size=(2, 3, 3))
@@ -283,18 +294,19 @@ def test_input_step_with_no_active_row():
     np.testing.assert_array_equal(res.outputs[2].data, res.outputs[1].data)
     np.testing.assert_array_equal(res.steps[:, :2], trimmed.steps)
     assert not res.steps[:, 2].any() and not res.remainders[:, 2].any()
-    assert res.halt_vars[2] == []
-    np.testing.assert_array_equal(res.remainder_vars[2].data, np.ones((2, 1)))
+    assert res.halts[2] == [] and res.step_vars[2] is None
+    np.testing.assert_array_equal(res.remainder_vars[2].data, np.zeros((2, 1)))
     assert res.batch_ponder_sum == trimmed.batch_ponder_sum
     res.tape.backward(ad.reduce_sum(res.outputs[2]))
     assert res.tape.grad(res.param_vars.w_rec).any()
 
 
 def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
-    # Every cell update hands W_in, W_rec and b_rec a deferred packet of
-    # the rows it stepped; the backward must stack exactly the live rows
-    # and form each of their adjoints once per chunk, flushing as soon as a
-    # stack reaches OUTER_FLUSH_ROWS rows, never once per update.
+    # Each input step's node hands every weight one deferred packet of the
+    # step's rows: W_rec, b_rec, w_halt and b_halt each update's rows, W_in
+    # each active row once plus the flag row. The backward must stack
+    # exactly those rows and form each adjoint once per chunk, flushing as
+    # soon as a stack reaches OUTER_FLUSH_ROWS rows, never once per update.
     spec = task_spec("logic")
     batch = gen_logic(3, batch=8, min_len=3, max_len=4)
     params = init_params("lstm", spec.input_size, 16, spec.output_size, seed=2,
@@ -308,6 +320,16 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
         formed.append((out.shape, sum(p.a.shape[0] for p in packets)))
         return out
 
+    def chunks(packet_rows, flush_rows):
+        # Packets arrive in reverse input-step order, one per step.
+        want, stacked = [], 0
+        for rows in reversed(packet_rows):
+            stacked += rows
+            if stacked >= flush_rows:
+                want.append(stacked)
+                stacked = 0
+        return want + ([stacked] if stacked else [])
+
     def weight_grads(flush_rows):
         formed.clear()
         monkeypatch.setattr(ad, "OUTER_FLUSH_ROWS", flush_rows)
@@ -315,25 +337,22 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
         res.tape.backward(loss)
         updates = int(res.steps.max(axis=0).sum())
         assert updates > 2 * batch.inputs.shape[1]
-        # Packets arrive in reverse update order, one per update.
-        want, stacked = [], 0
-        for rows in reversed([rows for step in res.halt_rows for rows in step]):
-            stacked += rows.size
-            if stacked >= flush_rows:
-                want.append(stacked)
-                stacked = 0
-        want += [stacked] if stacked else []
-        assert sum(want) == res.steps[res.active].sum() < updates * 8
-        for name in ("w_in", "w_rec", "b_rec"):
+        live = [sum(rows.size for rows in step) for step in res.halt_rows]
+        assert sum(live) == res.steps[res.active].sum() < updates * 8
+        packet_rows = {"w_rec": live, "b_rec": live, "w_halt": live,
+                       "b_halt": live,
+                       "w_in": [step[0].size + 1 for step in res.halt_rows]}
+        for name, rows in packet_rows.items():
             var = getattr(res.param_vars, name)
-            chunks = [rows for shape, rows in formed if shape == var.data.shape]
-            assert chunks == want
-        assert len(formed) == 3 * len(chunks)
+            got = [n for shape, n in formed if shape == var.data.shape]
+            assert got == chunks(rows, flush_rows)
+        assert len(formed) == sum(len(chunks(rows, flush_rows))
+                                  for rows in packet_rows.values())
         return {name: res.tape.grad(var) for name, var in res.param_vars.items()}
 
     monkeypatch.setattr(ad, "_outer_sum", counted)
     whole = weight_grads(ad.OUTER_FLUSH_ROWS)
-    assert len(formed) == 3
+    assert len(formed) == 5
     chunked = weight_grads(3 * 8)
     for name, g in whole.items():
         np.testing.assert_allclose(chunked[name], g, rtol=0,
@@ -344,3 +363,5 @@ def test_inputs_shape_contract():
     params = init_params("rnn", 3, 4, 2, seed=0)
     with pytest.raises(Exception, match="batch, T, input_size"):
         run_batch("rnn", params, ActConfig(), np.zeros((3, 3)))
+    with pytest.raises(ad.DimensionError, match="4 features"):
+        run_batch("rnn", params, ActConfig(), np.zeros((2, 3, 4)))
