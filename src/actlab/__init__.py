@@ -5,14 +5,14 @@ pondering mechanism with its analytic gradients, seeded generators for the
 benchmark tasks, and a deterministic training/evaluation CLI.
 """
 
-from .act import ActConfig, augment_input
+from .act import ActConfig
 from .autodiff import ContractError, DimensionError, NumericError, Tape, Var
-from .cells import CellParams, CellState, init_params
+from .cells import CellParams, init_params
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActConfig", "CellParams", "CellState", "ContractError", "DimensionError",
-    "NumericError", "Tape", "Var", "augment_input", "init_params",
+    "ActConfig", "CellParams", "ContractError", "DimensionError",
+    "NumericError", "Tape", "Var", "init_params",
     "__version__",
 ]

@@ -1,8 +1,7 @@
-"""Adaptive computation time: the pondering knobs and the step flag.
+"""Adaptive computation time: the pondering knobs.
 
 `ActConfig` holds the halting slack epsilon, the hard step cap and the
-time penalty; `augment_input` appends the flag that marks an input's
-first update. The halting law runs in `engine.run_batch`, the package's
+time penalty. The halting law runs in `engine.run_batch`, the package's
 only pondering loop; the per-sequence reference the test suite pins it
 to lives in `tests/oracles.py`.
 """
@@ -10,8 +9,6 @@ to lives in `tests/oracles.py`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .autodiff import ContractError
 
@@ -33,11 +30,3 @@ class ActConfig:
             raise ContractError(f"time_penalty must be >= 0, got {self.time_penalty}")
         return self
 
-
-def augment_input(x, n: int) -> np.ndarray:
-    """Append the step flag: 1 on the first update for an input, else 0."""
-    if n < 1:
-        raise ContractError(f"intermediate step index must be >= 1, got {n}")
-    arr = np.asarray(x, dtype=np.float64)
-    flag = np.full(arr.shape[:-1] + (1,), 1.0 if n == 1 else 0.0)
-    return np.concatenate([arr, flag], axis=-1)

@@ -4,11 +4,10 @@ The tape is a Wengert list: every operation appends one node whose inputs
 all have smaller ids, so a single reversed sweep propagates adjoints.
 Graphs are rebuilt per forward pass; nothing here is thread-shared.
 
-A backward rule may hand a parent an `Outer(a, b)` packet, meaning the
-adjoint a.T @ b, instead of a dense array. The sweep stacks a parent's
-packets and multiplies them out in one product when it reaches that
-parent, so a weight shared by many updates gets one large GEMM instead of
-one skinny GEMM and one full-size sum per update.
+Code outside this module records nodes with `record` and a backward rule
+of its own. The pondering loop (`engine`) records a whole batch as one
+such node; it stacks its weight rows itself and hands the tape dense
+adjoints, so every adjoint the sweep adds is a dense array.
 """
 
 from __future__ import annotations
@@ -34,35 +33,6 @@ def _as_f64(data) -> np.ndarray:
     return np.asarray(data, dtype=np.float64, order="C")
 
 
-# Rows a parent's stacked packets may hold before they are multiplied out
-# into its dense adjoint. The packets keep each update's rows alive until
-# then, and a flush adds one stacked copy of them: at lstm-1500 a dz row
-# is 48 KB, so a full stack is 48 MB and a flush holds about twice that.
-# Measured on one text backward (lstm-1500, batch 8, 500-byte window,
-# 8,000 rows): peak RSS 2,627 MB at 1024 rows, 2,722 MB at 2048, 3,246 MB
-# unflushed, and 2,617 MB for the dense per-update sums packets replace.
-OUTER_FLUSH_ROWS = 1024
-
-
-class Outer:
-    """Deferred adjoint a.T @ b, for a parent that is an (m, n) matrix.
-
-    `a` is (rows, m) and `b` is (rows, n).
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a = a
-        self.b = b
-
-
-def _outer_sum(packets: list[Outer]) -> np.ndarray:
-    """concat(a).T @ concat(b) over `packets`: their summed adjoint."""
-    return (np.concatenate([p.a for p in packets]).T
-            @ np.concatenate([p.b for p in packets]))
-
-
 class Var:
     """Handle to one recorded node on a tape."""
 
@@ -84,13 +54,6 @@ class Tape:
     Each `backward` replaces `gradients` with the adjoints of its own loss,
     so a tape can be swept from several losses in turn and a replay gives
     the same gradients again.
-
-    `backward` keeps the `Outer` packets each parent receives in a stack
-    and forms that parent's adjoint as concat(a).T @ concat(b), plus any
-    dense adjoint it also received, when the sweep reaches the parent and
-    before the adjoint is read. A stack that reaches OUTER_FLUSH_ROWS rows
-    is multiplied out into the dense adjoint early, so the stacked rows
-    never outgrow that bound.
     """
 
     __slots__ = ("_values", "_parents", "_backs", "gradients")
@@ -126,33 +89,14 @@ class Tape:
         n = loss.idx + 1
         adj: list[np.ndarray | None] = [None] * n
         adj[loss.idx] = np.ones(loss.data.shape)
-        stacks: dict[int, list] = {}      # parent id -> [packets, rows]
-
-        def flush(p: int) -> None:
-            product = _outer_sum(stacks.pop(p)[0])
-            if adj[p] is not None:
-                product += adj[p]
-            adj[p] = product
-
         for i in range(loss.idx, -1, -1):
-            if i in stacks:
-                flush(i)
             g = adj[i]
-            if g is None:
-                continue
             back = self._backs[i]
-            if back is not None:
-                for p, gp in zip(self._parents[i], back(g)):
-                    if gp is None:
-                        continue
-                    if type(gp) is Outer:
-                        stack = stacks.setdefault(p, [[], 0])
-                        stack[0].append(gp)
-                        stack[1] += gp.a.shape[0]
-                        if stack[1] >= OUTER_FLUSH_ROWS:
-                            flush(p)
-                    else:
-                        adj[p] = gp if adj[p] is None else adj[p] + gp
+            if g is None or back is None:
+                continue
+            for p, gp in zip(self._parents[i], back(g)):
+                if gp is not None:
+                    adj[p] = gp if adj[p] is None else adj[p] + gp
         self.gradients = adj
 
     def grad(self, var: Var) -> np.ndarray:

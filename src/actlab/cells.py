@@ -10,23 +10,23 @@ all (equivalently, its readout columns are fixed to zero and never
 updated).
 
 A cell update is array code with a hand-written backward, not a tape
-node: the pondering loop records a whole input step's updates as one node
-(`engine`), and the per-sequence test reference wraps single updates in
-nodes of their own. `step(xb, s, W_rec)` takes xb = x W_in + b, the part
-of the pre-activation z = x W_in + s W_rec + b that does not depend on
-the state, so a caller that feeds one input to several updates forms it
+node: the pondering loop records the whole batch as one node (`engine`),
+and the per-sequence test reference wraps single updates in nodes of its
+own. `step(xb, s, W_rec)` takes xb = x W_in + b, the part of the
+pre-activation z = x W_in + s W_rec + b that does not depend on the
+state, so a caller that feeds one input to several updates forms it
 once. It returns the new state and `back(ds, dz)`, which writes the
 adjoint of z into the buffer dz and returns the adjoint of the old state,
 dz W_recᵀ included. The weight adjoints Xᵀ dz and Hᵀ dz and the bias sums
-are left to the caller, which stacks them over updates as `autodiff.Outer`
-packets.
+are left to the caller, which stacks the rows of many updates into one
+GEMM per weight. `readout` and `halting_activation` are array code too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -98,18 +98,6 @@ class ParamVars:
     def items(self) -> Iterator[tuple[str, Var]]:
         for name in CellParams._FIELDS:
             yield name, getattr(self, name)
-
-
-@dataclass
-class CellState:
-    """The state as tape nodes: hidden activations, plus memory cells for
-    LSTM. Rows index batch members; the readout reads `hidden`."""
-
-    hidden: Var
-    cell: Optional[Var] = None
-
-    def parts(self) -> tuple[Var, ...]:
-        return (self.hidden,) if self.cell is None else (self.hidden, self.cell)
 
 
 class RnnCell:
@@ -197,9 +185,9 @@ class LstmCell:
 CELLS = {"rnn": RnnCell, "lstm": LstmCell}
 
 
-def readout(pv: ParamVars, state: CellState) -> Var:
-    """y = s_visible W_out + b_out."""
-    return ad.add(ad.matmul(state.hidden, pv.w_out), pv.b_out)
+def readout(hidden: np.ndarray, w_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
+    """y = s_visible W_out + b_out, one row per row of `hidden`."""
+    return hidden @ w_out + b_out
 
 
 def halting_activation(hidden: np.ndarray, w_halt: np.ndarray,

@@ -205,9 +205,8 @@ def _cmd_trace(args) -> int:
     rng = np.random.default_rng(args.seed)
     batch = make_batch(config, rng, corpus, batch_size=args.count)
     res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
-    outputs = np.stack([y.data for y in res.outputs], axis=1)
-    nats = per_position_nats(spec, outputs, batch.targets, batch.target_mask)
-    dists = spec.probs(outputs)
+    nats = per_position_nats(spec, res.outputs, batch.targets, batch.target_mask)
+    dists = spec.probs(res.outputs)
 
     # The engine's own halting decisions: N, R and p = h^1 .. h^(N-1), R.
     rows = []
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taus", help="comma-separated list; omit for the full grid")
     p.add_argument("--replicas", type=positive_int, default=1)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--stdout", action="store_true")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -282,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--corpus", help="byte file for --task text")
     p.add_argument("--seq-len", type=int, default=100)
-    p.add_argument("--size", type=int, default=1 << 20,
+    p.add_argument("--size", type=positive_int, default=1 << 20,
                    help="bytes for --task corpus")
     p.set_defaults(fn=_cmd_gen)
 

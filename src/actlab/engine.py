@@ -7,9 +7,10 @@ per-sequence reference in `tests/oracles.py` but steps every batch member
 at once, which is what makes CPU training affordable: each intermediate
 update is one set of matrix ops instead of a Python loop per example.
 
-Each input step is one tape node. Its parents are the batch state before
-the step and the parameters; its value is [mean state | R] for every
-batch row. Its forward runs the step's updates in plain numpy on a
+The whole batch is one tape node. Its parents are the parameters; its
+value is (batch, T, output + 1): each position's readout, then its R. A
+second node sums N + R over the active positions, the batch's ponder
+cost. The forward runs each input step's updates in plain numpy on a
 compact block of the rows still running: the cell (`cell.step`), the
 halting unit (`halting_activation`), then the mean-field weight. Rows
 that halt leave the block, so no update ever sees a halted row or a
@@ -31,23 +32,25 @@ update of a step sees the same input, so its projection x W_in is formed
 once per step, with the bias, and the flag row of W_in is added on the
 first update.
 
-The node's backward replays the updates in reverse. With g_S and g_R the
-adjoints of a row's mean state and R, and N its update count: d s^n gets
-w_n g_S, d R = g_R + <g_S, s^N>, d h^n = <g_S, s^n> - d R for n < N, and
-h^N gets exactly 0, as it enters only the halting decision. The halting
-and cell backward follow. The weights get `autodiff.Outer` packets over
-the step's rows, so `Tape.backward` forms each weight adjoint as a few
-stacked GEMMs: W_rec, b_rec, w_halt and b_halt stack each update's rows,
-and W_in stacks each active row once, with its dz summed over its updates,
-plus one row for the flag. The node keeps each update's halting-adjoint
-array for `BatchRunResult.halt_grads`.
+The output is read out from the mean state, as one (batch T, H) @ (H, O)
+product over all positions. The readout is affine and the weights sum to
+one, so this equals the reference's sum of w * readout(s^n) up to
+rounding; the test suite pins values and gradients to the reference at
+1e-12. Positions at or past a row's length hold the readout of its last
+state; every loss and metric masks them out.
 
-The output is read out once per input step, from the mean state. The
-readout is affine and the weights sum to one, so this equals the
-reference's sum of w * readout(s^n) up to rounding; the test suite pins
-values and gradients to the reference at 1e-12. Positions at or past a
-row's length hold the readout of its last state; every loss and metric
-masks them out.
+The node's backward forms the readout's input and W_out adjoints as one
+product each, then replays the input steps in reverse, and each step's
+updates in reverse. With g_S and g_R the adjoints of a row's mean state
+and R, and N its update count: d s^n gets w_n g_S, d R = g_R + <g_S, s^N>,
+d h^n = <g_S, s^n> - d R for n < N, and h^N gets exactly 0, as it enters
+only the halting decision. The halting and cell backward follow. Each
+other weight's adjoint is a stack of rows multiplied out as one GEMM:
+W_rec, b_rec, w_halt and b_halt stack each update's rows, and W_in stacks
+each active row once per input step, with its dz summed over its updates,
+plus one row for the flag. A stack is multiplied out whenever it reaches
+OUTER_FLUSH_ROWS rows, which bounds the rows it keeps alive. The backward
+keeps each update's halting-adjoint array for `BatchRunResult.halt_grads`.
 """
 
 from __future__ import annotations
@@ -60,7 +63,16 @@ import numpy as np
 from . import autodiff as ad
 from .act import ActConfig
 from .autodiff import ContractError, DimensionError, NumericError, Tape, Var
-from .cells import CELLS, CellParams, CellState, ParamVars, halting_activation, readout
+from .cells import CELLS, CellParams, ParamVars, halting_activation, readout
+
+# Rows a weight's stack may hold before it is multiplied out into the
+# weight's adjoint. The stack keeps each update's rows alive until then,
+# and a flush adds one stacked copy of them: at lstm-1500 a dz row is
+# 48 KB, so a full stack is 48 MB and a flush holds about twice that.
+# Measured on one text forward and backward (lstm-1500, batch 8, 500-byte
+# window, 8,000 rows, one BLAS thread): peak RSS 1,748 MB at 1024 rows,
+# 1,894 MB at 2048 and 2,708 MB unflushed.
+OUTER_FLUSH_ROWS = 1024
 
 
 @dataclass
@@ -69,18 +81,16 @@ class BatchRunResult:
 
     tape: Tape
     param_vars: ParamVars
-    outputs: list[Var]            # per input step: (batch, output_size)
+    node: Var                     # (batch, T, output + 1): readout, then R
+    ponder_var: Var               # sum of N + R over active positions (scalar)
+    outputs: np.ndarray           # (batch, T, output): the node's readouts
+    remainders: np.ndarray        # (batch, T): its R; 0 on inactive steps
     steps: np.ndarray             # (batch, T) int, N(t); 0 on inactive steps
-    remainders: np.ndarray        # (batch, T) float, R(t); 0 on inactive steps
     active: np.ndarray            # (batch, T) bool, t < sequence length
     halted_by_cap: np.ndarray     # (batch, T) bool
-    ponder_var: Var               # on-tape part of sum_e P_e (scalar)
-    ponder_const: float           # constant part (the integer update counts)
     halts: list[list[np.ndarray]]      # per input step: h^1 .. h^n on the rows stepped
     halt_rows: list[list[np.ndarray]]  # their batch indices, increasing
-    remainder_vars: list[Var]     # per input step: R (batch, 1); 0 on inactive rows
-    step_vars: list[Optional[Var]]     # per input step: its node, None if no row ran
-    step_halt_grads: list[list[np.ndarray]]  # written by each node's backward
+    step_halt_grads: list[list[np.ndarray]]  # written by the node's backward
 
     @property
     def ponders(self) -> np.ndarray:
@@ -98,47 +108,64 @@ class BatchRunResult:
     def halt_grads(self, t: int) -> list[np.ndarray]:
         """Adjoints of h^1 .. h^n of input step t from the last
         `tape.backward`, shaped like `halts[t]`; zeros if it did not reach
-        the step."""
-        node, grads = self.step_vars[t], self.tape.gradients
-        if node is None or node.idx >= len(grads) or grads[node.idx] is None:
+        the batch node."""
+        idx, grads = self.node.idx, self.tape.gradients
+        if idx >= len(grads) or grads[idx] is None:
             return [np.zeros(rows.size) for rows in self.halt_rows[t]]
         return self.step_halt_grads[t]
 
-    @property
-    def batch_ponder_sum(self) -> float:
-        return float(self.ponder_var.data) + self.ponder_const
+
+def _outer_sum(blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """concat(a).T @ concat(b) over row blocks (a, b): their summed adjoint."""
+    a, b = zip(*blocks)
+    return np.concatenate(a).T @ np.concatenate(b)
 
 
-def _record_step(cell, pv: ParamVars, cfg: ActConfig, state: Var, x: np.ndarray,
-                 idx0: np.ndarray, t: int):
-    """Record input step t as one node; see the module docstring.
+class _RowStack:
+    """One weight's adjoint, the sum of a.T @ b over the row blocks pushed,
+    formed as one stacked GEMM per OUTER_FLUSH_ROWS rows."""
 
-    `state` is the batch's [s | R] before the step and `x` the inputs of
-    its active rows `idx0`. Returns the node, each active row's N and
-    whether the step cap stopped it, and per update the halting values,
-    their batch rows, and the list the backward fills with their adjoints.
+    def __init__(self):
+        self.blocks, self.rows, self.total = [], 0, None
+
+    def push(self, a: np.ndarray, b: np.ndarray) -> None:
+        self.blocks.append((a, b))
+        self.rows += a.shape[0]
+        if self.rows >= OUTER_FLUSH_ROWS:
+            self.flush()
+
+    def flush(self) -> Optional[np.ndarray]:
+        """Multiply out the stacked rows; returns the adjoint so far."""
+        if self.blocks:
+            product = _outer_sum(self.blocks)
+            if self.total is not None:
+                product += self.total
+            self.blocks, self.rows, self.total = [], 0, product
+        return self.total
+
+
+def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
+                  idx0: np.ndarray, t: int, state, steps, capped, remainders):
+    """Run input step t on its active rows `idx0`, whose inputs are `x`.
+
+    Writes each row's mean state, N, whether the step cap stopped it and R
+    at its batch row of `state`, `steps`, `capped` and `remainders`.
+    Returns per update (block rows as positions among the active rows,
+    s_in, s_new, cell backward, h, w, halting rows or None).
     """
-    w_in, w_rec, b_rec, w_halt, b_halt = (
-        v.data for v in (pv.w_in, pv.w_rec, pv.b_rec, pv.w_halt, pv.b_halt))
+    w_in, w_rec, b_rec, w_halt, b_halt = weights
     n_hidden = w_rec.shape[0]
-    prev = state.data
-    width = prev.shape[1] - 1
     n_active = idx0.size
-    value = prev.copy()
-    value[:, width] = 0.0
-    steps = np.zeros(n_active, dtype=np.int64)
-    capped = np.zeros(n_active, dtype=bool)
 
     # The block: its rows as positions among the active rows, their state,
     # x W_in + b, running halting sum, R and mean-state sum.
     pos = np.arange(n_active)
-    s = prev[idx0, :width]
+    s = state[idx0]
     xb = x @ w_in[:-1]
     xb += b_rec
     cum = np.zeros(n_active)
     r = np.ones(n_active)
     acc = None
-    # Per update: (pos, s_in, s_new, cell backward, h, w, halting rows or None).
     updates = []
     n = 0
     while True:
@@ -162,80 +189,78 @@ def _record_step(cell, pv: ParamVars, cfg: ActConfig, state: Var, x: np.ndarray,
         if halt is None:
             s, r = s_new, r - h
             continue
-        done = pos[halt]
-        steps[done] = n
+        done = idx0[pos[halt]]
+        state[done], steps[done], remainders[done] = acc[halt], n, r[halt]
         capped[done] = cum[halt] < 1.0 - cfg.epsilon
-        rows = idx0[done]
-        value[rows, :width] = acc[halt]
-        value[rows, width] = r[halt]
         if halt.all():
             break
         go = ~halt
         pos, s, xb, cum, acc = pos[go], s_new[go], xb[go], cum[go], acc[go]
         r = r[go] - h[go]
+    return updates
 
+
+def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
+                   weights, stacks: tuple[_RowStack, ...]):
+    """Replay one input step's updates in reverse; see the module docstring.
+
+    `g_act` and `d_r` are the adjoints of the mean state and R of the
+    step's active rows, whose inputs are `x`; `d_r` is updated in place.
+    Pushes the step's weight rows onto `stacks`, in `weights` order, and
+    returns the adjoint of the state the step started from on those rows,
+    and each update's halting adjoint.
+    """
+    w_in, w_rec, _, w_halt, _ = weights
+    n_hidden = w_rec.shape[0]
     offsets = np.cumsum([0] + [u[0].size for u in updates]).tolist()
-    halt_grads: list[np.ndarray] = []
+    dz_all = np.empty((offsets[-1], w_rec.shape[1]))
+    dpre_all = np.empty((offsets[-1], 1))
+    dh_all: list[np.ndarray] = [None] * len(updates)
+    # Adjoint of the block's state, and each block row's dz summed over
+    # the updates after the one being replayed.
+    carry = dz_sum = g_pos = None
+    for k in range(len(updates) - 1, -1, -1):
+        pos, _, s_new, back, h, w, halt = updates[k]
+        if pos is not g_pos:
+            g_pos, g_blk = pos, g_act[pos]
+        dw = np.einsum("ij,ij->i", g_blk, s_new)
+        if halt is not None:
+            d_r[pos[halt]] += dw[halt]
+        dh = dw - d_r[pos]
+        if halt is not None:
+            dh[halt] = 0.0
+        dh_all[k] = dh
+        dpre = dh * h * (1.0 - h)
+        ds = g_blk * w[:, None]
+        if carry is not None:
+            ds += carry
+        ds[:, :n_hidden] += np.multiply.outer(dpre, w_halt[:, 0])
+        dz = dz_all[offsets[k]:offsets[k + 1]]
+        carry = back(ds, dz)
+        dpre_all[offsets[k]:offsets[k + 1], 0] = dpre
+        if dz_sum is None:
+            dz_sum = dz.copy()
+        else:
+            dz_sum += dz
+        before = updates[k - 1][6] if k else None
+        if before is not None:
+            # Rows that halted at the update before stop here: exact zeros.
+            go = ~before
+            carry, dz_sum = (_expand(a, go) for a in (carry, dz_sum))
 
-    def backward(g):
-        g_s, g_r = g[:, :width], g[:, width]
-        g_act, d_r = g_s[idx0], g_r[idx0]
-        dz_all = np.empty((offsets[-1], w_rec.shape[1]))
-        dpre_all = np.empty((offsets[-1], 1))
-        dh_all: list[np.ndarray] = [None] * len(updates)
-        # Adjoint of the block's state, and each block row's dz summed over
-        # the updates after the one being replayed.
-        carry = dz_sum = g_pos = None
-        for k in range(len(updates) - 1, -1, -1):
-            pos, _, s_new, back, h, w, halt = updates[k]
-            if pos is not g_pos:
-                g_pos, g_blk = pos, g_act[pos]
-            dw = np.einsum("ij,ij->i", g_blk, s_new)
-            if halt is not None:
-                d_r[pos[halt]] += dw[halt]
-            dh = dw - d_r[pos]
-            if halt is not None:
-                dh[halt] = 0.0
-            dh_all[k] = dh
-            dpre = dh * h * (1.0 - h)
-            ds = g_blk * w[:, None]
-            if carry is not None:
-                ds += carry
-            ds[:, :n_hidden] += np.multiply.outer(dpre, w_halt[:, 0])
-            dz = dz_all[offsets[k]:offsets[k + 1]]
-            carry = back(ds, dz)
-            dpre_all[offsets[k]:offsets[k + 1], 0] = dpre
-            if dz_sum is None:
-                dz_sum = dz.copy()
-            else:
-                dz_sum += dz
-            before = updates[k - 1][6] if k else None
-            if before is not None:
-                # Rows that halted at the update before stop here: exact zeros.
-                go = ~before
-                carry, dz_sum = (_expand(a, go) for a in (carry, dz_sum))
-        halt_grads[:] = dh_all
-
-        d_prev = np.zeros_like(prev)
-        d_prev[:, :width] = g_s
-        d_prev[idx0, :width] = carry
-        x_rows = np.zeros((n_active + 1, w_in.shape[0]))
-        x_rows[:-1, :-1] = x
-        x_rows[-1, -1] = 1.0
-        dz_rows = np.empty((n_active + 1, w_rec.shape[1]))
-        dz_rows[:-1] = dz_sum
-        dz_rows[-1] = dz_all[:offsets[1]].sum(axis=0)
-        h_in = np.concatenate([u[1][:, :n_hidden] for u in updates])
-        h_out = np.concatenate([u[2][:, :n_hidden] for u in updates])
-        ones = np.ones((offsets[-1], 1))
-        return (d_prev, ad.Outer(x_rows, dz_rows), ad.Outer(h_in, dz_all),
-                ad.Outer(ones, dz_all), ad.Outer(h_out, dpre_all),
-                ad.Outer(ones, dpre_all))
-
-    node = ad.record(value, (state, pv.w_in, pv.w_rec, pv.b_rec, pv.w_halt,
-                             pv.b_halt), backward)
-    halt_rows = [idx0[u[0]] for u in updates]
-    return node, steps, capped, [u[4] for u in updates], halt_rows, halt_grads
+    x_rows = np.zeros((x.shape[0] + 1, w_in.shape[0]))
+    x_rows[:-1, :-1] = x
+    x_rows[-1, -1] = 1.0
+    dz_rows = np.empty((x.shape[0] + 1, w_rec.shape[1]))
+    dz_rows[:-1] = dz_sum
+    dz_rows[-1] = dz_all[:offsets[1]].sum(axis=0)
+    h_in = np.concatenate([u[1][:, :n_hidden] for u in updates])
+    h_out = np.concatenate([u[2][:, :n_hidden] for u in updates])
+    ones = np.ones((offsets[-1], 1))
+    for stack, a, b in zip(stacks, (x_rows, h_in, ones, h_out, ones),
+                           (dz_rows, dz_all, dz_all, dpre_all, dpre_all)):
+        stack.push(a, b)
+    return carry, dh_all
 
 
 def _expand(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -267,46 +292,65 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
 
     tape = Tape()
     pv = ParamVars.record(tape, params)
-    width = cell.state_multiple * params.hidden_size
-    state = tape.leaf(np.zeros((n_batch, width + 1)))      # [s | R]
-    hidden = None
-
-    outputs: list[Var] = []
+    weights = tuple(v.data for v in (pv.w_in, pv.w_rec, pv.b_rec, pv.w_halt,
+                                     pv.b_halt))
+    w_out, b_out = pv.w_out.data, pv.b_out.data
+    n_hidden = params.hidden_size
+    width = cell.state_multiple * n_hidden
+    state = np.zeros((n_batch, width))
+    hidden = np.empty((n_batch, n_steps_total, n_hidden))   # per position
+    value = np.zeros((n_batch, n_steps_total, params.output_size + 1))
     steps = np.zeros((n_batch, n_steps_total), dtype=np.int64)
-    remainders = np.zeros((n_batch, n_steps_total))
-    active_all = np.arange(n_steps_total)[None, :] < lengths[:, None]
     capped = np.zeros((n_batch, n_steps_total), dtype=bool)
-    ponder_var = tape.leaf(np.zeros(()))
-    ponder_const = 0.0
-    halts, halt_rows, halt_grads = [], [], []
-    remainder_vars: list[Var] = []
-    step_vars: list[Optional[Var]] = []
+    active = np.arange(n_steps_total)[None, :] < lengths[:, None]
+    # Per input step: its active rows, their inputs and its updates.
+    records: list[Optional[tuple]] = []
+    halts, halt_rows = [], []
 
     for t in range(n_steps_total):
-        idx = np.flatnonzero(active_all[:, t])
-        node = None
-        step_halts, step_rows, step_grads = [], [], []
+        idx = np.flatnonzero(active[:, t])
+        record, updates = None, []
         # With no active row nothing runs: the state stays and R reads 0.
         if idx.size:
-            node, n_steps, n_capped, step_halts, step_rows, step_grads = \
-                _record_step(cell, pv, cfg, state, inputs[idx, t], idx, t)
-            steps[idx, t], capped[idx, t] = n_steps, n_capped
-            state, hidden = node, None
-            r_var = ad.narrow(node, 1, width, 1)
-            ponder_var = ad.add(ponder_var, ad.reduce_sum(r_var))
-        else:
-            r_var = tape.leaf(np.zeros((n_batch, 1)))
-        if hidden is None:
-            hidden = ad.narrow(state, 1, 0, params.hidden_size)
-        outputs.append(readout(pv, CellState(hidden)))
-        remainders[:, t] = r_var.data[:, 0]
-        halts.append(step_halts)
-        halt_rows.append(step_rows)
-        halt_grads.append(step_grads)
-        remainder_vars.append(r_var)
-        step_vars.append(node)
-        ponder_const += float(steps[idx, t].sum())
+            x = inputs[idx, t]
+            updates = _forward_step(cell, weights, cfg, x, idx, t, state,
+                                    steps[:, t], capped[:, t], value[:, t, -1])
+            record = (idx, x, updates)
+        records.append(record)
+        hidden[:, t] = state[:, :n_hidden]
+        halts.append([u[4] for u in updates])
+        halt_rows.append([idx[u[0]] for u in updates])
+    value[..., :-1] = readout(hidden.reshape(-1, n_hidden), w_out,
+                              b_out).reshape(n_batch, n_steps_total, -1)
+    halt_grads: list[list[np.ndarray]] = [[] for _ in range(n_steps_total)]
 
-    return BatchRunResult(tape, pv, outputs, steps, remainders, active_all,
-                          capped, ponder_var, ponder_const, halts, halt_rows,
-                          remainder_vars, step_vars, halt_grads)
+    def backward(g):
+        g_y = g[..., :-1].reshape(-1, w_out.shape[1])
+        g_r = g[..., -1]
+        g_hidden = (g_y @ w_out.T).reshape(hidden.shape)
+        d_w_out = hidden.reshape(-1, n_hidden).T @ g_y
+        d_b_out = g_y.sum(axis=0, keepdims=True)
+        stacks = tuple(_RowStack() for _ in weights)
+        g_state = np.zeros_like(state)
+        for t in range(n_steps_total - 1, -1, -1):
+            g_state[:, :n_hidden] += g_hidden[:, t]
+            if records[t] is None:
+                continue
+            idx, x, updates = records[t]
+            g_state[idx], halt_grads[t] = _backward_step(
+                updates, x, g_state[idx], g_r[idx, t], weights, stacks)
+        d_in, d_rec, d_b, d_halt, d_b_halt = (s.flush() for s in stacks)
+        return d_in, d_rec, d_b, d_w_out, d_b_out, d_halt, d_b_halt
+
+    node = ad.record(value, tuple(v for _, v in pv.items()), backward)
+
+    def ponder_backward(g):
+        d = np.zeros(value.shape)
+        d[..., -1] = g
+        return (d,)
+
+    ponder_var = ad.record(np.array(float(steps.sum()) + value[..., -1].sum()),
+                           (node,), ponder_backward)
+    return BatchRunResult(tape, pv, node, ponder_var, value[..., :-1],
+                          value[..., -1], steps, active, capped, halts,
+                          halt_rows, halt_grads)

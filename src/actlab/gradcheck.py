@@ -12,7 +12,7 @@ satisfy: each step's ponder has derivative exactly -1 in its pre-halt
 activations and exactly 0 in the halting one, and the total objective has
 derivative exactly 0 in every halting activation (the remainder carries
 that step's probability mass instead). Both are read, with `==`, from the
-halting adjoints the engine's step nodes keep (`BatchRunResult.halt_grads`).
+halting adjoints the engine's batch node keeps (`BatchRunResult.halt_grads`).
 """
 
 from __future__ import annotations
@@ -54,10 +54,12 @@ def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
     # check below reads the adjoints of its own loss alone.
     loss_var, res, _, _ = batch_objective(spec, params, cfg, batch)
     tape = res.tape
+    r_col = res.node.shape[2] - 1
     ponder_ok = True
     for t in range(batch.inputs.shape[1]):
         # Each row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
-        tape.backward(ad.reduce_sum(res.remainder_vars[t]))
+        r_t = ad.narrow(ad.narrow(res.node, 1, t, 1), 2, r_col, 1)
+        tape.backward(ad.reduce_sum(r_t))
         for n, (grad, rows) in enumerate(zip(res.halt_grads(t), res.halt_rows[t]),
                                          start=1):
             want = np.where(n < res.steps[rows, t], -1.0, 0.0)

@@ -5,14 +5,15 @@ The task loss is -log p[target] per output position and group, with p from
 clamped at p = PROB_CLAMP, where it stops passing gradient, and masked
 positions add exactly zero loss and gradient. `per_position_nats` computes
 it for `evaluate` and `trace`; training sums the same numbers in one tape
-node whose backward is the closed form p - onehot.
+node over the engine's (batch, T, ...) readout block, whose backward is
+the closed form p - onehot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -63,39 +64,39 @@ def _nats(spec: TaskSpec, probs: np.ndarray, targets, mask):
     return nats * mask, ids, picked
 
 
-def _task_loss(spec: TaskSpec, head: str, outputs: Sequence[Var], targets,
-               mask) -> Var:
-    """`per_position_nats` summed, as one node over the T per-step readouts.
+def _task_loss(spec: TaskSpec, head: str, outputs: Var, targets, mask) -> Var:
+    """`per_position_nats` summed, as one node over a readout block.
 
-    Readout t gets g * mask * (p - onehot) on groups whose p[target] >=
+    `outputs` is (batch, T, >= output_size): the readouts, then any further
+    columns, such as the engine's R, which get a zero adjoint. Readout
+    (e, t) gets g * mask * (p - onehot) on groups whose p[target] >=
     PROB_CLAMP and exactly 0 elsewhere: for bce the class-1 column, p - b;
     for softmax one flat block per group.
     """
     if spec.head != head:
         raise ContractError(f"task {spec.name!r} has a {spec.head} head, not {head}")
-    y = np.stack([v.data for v in outputs], axis=1)
+    y = outputs.data[..., :spec.output_size]
     w = np.asarray(mask, dtype=np.float64).reshape(y.shape[:2] + (1, 1))
     probs = spec.probs(y)
     nats, ids, picked = _nats(spec, probs, targets, w[..., 0, 0])
     np.put_along_axis(probs, ids, picked - 1.0, axis=-1)
     d = np.where((picked >= PROB_CLAMP) & (w != 0.0), probs, 0.0) * w
-    adj = d[..., 1] if head == "bce" else d.reshape(y.shape)
-    live = adj.any(axis=(0, 2))
+    adj = np.zeros(outputs.shape)
+    adj[..., :spec.output_size] = d[..., 1] if head == "bce" else d.reshape(y.shape)
 
-    def back(g):    # holds no Var: a closure over them would keep the tape alive
-        return tuple(g * adj[:, t] if live[t] else None for t in range(len(live)))
+    def back(g):    # holds no Var: a closure over one would keep the tape alive
+        return (g * adj,)
 
-    return ad.record(np.array(nats.sum()), outputs, back)
+    return ad.record(np.array(nats.sum()), (outputs,), back)
 
 
-def binary_cross_entropy(spec: TaskSpec, outputs: Sequence[Var], targets,
-                         mask) -> Var:
+def binary_cross_entropy(spec: TaskSpec, outputs: Var, targets, mask) -> Var:
     """The task-loss node of a one-logit bce head; see `_task_loss`."""
     return _task_loss(spec, "bce", outputs, targets, mask)
 
 
-def joint_softmax_cross_entropy(spec: TaskSpec, outputs: Sequence[Var],
-                                targets, mask) -> Var:
+def joint_softmax_cross_entropy(spec: TaskSpec, outputs: Var, targets,
+                                mask) -> Var:
     """The task-loss node of simultaneous softmax groups; see `_task_loss`."""
     return _task_loss(spec, "softmax", outputs, targets, mask)
 
@@ -107,12 +108,6 @@ def example_errors(predictions, targets, mask) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     wrong = np.any(predictions != targets, axis=-1) & mask     # (batch, T)
     return wrong.any(axis=-1)
-
-
-def sequence_error_rate(predictions, targets, mask) -> float:
-    """Fraction of examples with any mistake anywhere in the masked output."""
-    errs = example_errors(predictions, targets, mask)
-    return float(errs.mean()) if errs.size else 0.0
 
 
 def bits_per_character(nats) -> float:

@@ -78,23 +78,21 @@ def batch_objective(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
 
     Returns (loss node, run result, LossBreakdown, raw outputs). The loss
     node is the batch mean of per-sequence task loss plus tau times the
-    batch mean ponder cost; its constant part (integer update counts) is
-    carried in the breakdown, not on the tape.
+    batch mean ponder cost.
     """
     res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
     n = batch.batch_size
     # Each masked-in position weighs 1/n, so the task node is the batch mean.
     task_loss = (binary_cross_entropy if spec.head == "bce"
                  else joint_softmax_cross_entropy)
-    task_var = task_loss(spec, res.outputs, batch.targets, batch.target_mask / n)
+    task_var = task_loss(spec, res.node, batch.targets, batch.target_mask / n)
     loss_var = task_var
     if act_cfg.time_penalty > 0.0:
         loss_var = ad.add(task_var,
                           ad.scale(res.ponder_var, act_cfg.time_penalty / n))
-    outputs_data = np.stack([y.data for y in res.outputs], axis=1)
-    breakdown = total_loss(float(task_var.data), res.batch_ponder_sum / n,
+    breakdown = total_loss(float(task_var.data), float(res.ponder_var.data) / n,
                            act_cfg.time_penalty)
-    return loss_var, res, breakdown, outputs_data
+    return loss_var, res, breakdown, res.outputs
 
 
 @dataclass
@@ -116,11 +114,10 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
     columns = []                    # per batch: EvalDetails' fields, then capped
     for batch in batches:
         res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
-        outputs_data = np.stack([y.data for y in res.outputs], axis=1)
-        predictions = spec.decode(outputs_data)
+        predictions = spec.decode(res.outputs)
         mask = batch.target_mask
         wrong_step = np.any(predictions != batch.targets, axis=2) & mask
-        nats = per_position_nats(spec, outputs_data, batch.targets, mask)
+        nats = per_position_nats(spec, res.outputs, batch.targets, mask)
         active = res.active
         columns.append((res.ponders[active], res.steps[active],
                         batch.difficulty[active], wrong_step[active],
@@ -307,6 +304,8 @@ def sweep(config: TrainConfig, taus: list[float], replicas: int,
                        if out_dir is not None else None)
             jobs.append((run_config, run_dir))
 
+    # The pool starts all its workers at the first submit: never more than jobs.
+    workers = min(workers, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,9 +12,13 @@ them, never the other way round.
 - The per-sequence pondering reference: `halting_distribution`,
   `act_step` and `run_sequence` ponder one sequence at a time on the
   package's tape, each update one node around the package's cell
-  (`cell_step`), the halting unit, weights, remainder and ponder built
-  from tape ops. The batched loop in `actlab.engine` is pinned to them at
-  1e-12 (values and gradients).
+  (`cell_step`), the step flag (`augment_input`), the halting unit,
+  readout, weights, remainder and ponder built from tape ops on
+  `CellState` nodes. The batched loop in `actlab.engine` is pinned to
+  them at 1e-12 (values and gradients).
+
+`sequence_error_rate` scores a whole batch with the package's
+`example_errors`; the tests of that scoring use it.
 """
 
 import math
@@ -24,10 +28,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from actlab import autodiff as ad
-from actlab.act import ActConfig, augment_input
+from actlab.act import ActConfig
 from actlab.autodiff import ContractError, NumericError, Tape, Var
-from actlab.cells import CELLS, CellParams, CellState, ParamVars, readout
-from actlab.losses import PROB_CLAMP
+from actlab.cells import CELLS, CellParams, ParamVars
+from actlab.losses import PROB_CLAMP, example_errors
 
 
 def rel_err(analytic, numeric) -> float:
@@ -78,6 +82,18 @@ def lstm_step_plain(p, state, x):
     o = sigmoid_plain(z[3 * n:])
     c_new = f * c + i * g
     return o * np.tanh(c_new), c_new
+
+
+@dataclass
+class CellState:
+    """The state as tape nodes: hidden activations, plus memory cells for
+    LSTM. Rows index batch members; the readout reads `hidden`."""
+
+    hidden: Var
+    cell: Optional[Var] = None
+
+    def parts(self) -> tuple[Var, ...]:
+        return (self.hidden,) if self.cell is None else (self.hidden, self.cell)
 
 
 def _preactivation_composed(pv, state, x):
@@ -143,6 +159,12 @@ def composed_task_loss(spec, outputs, targets, mask):
             term = joint_softmax_cross_entropy(dists, targets[:, t], mask[:, t])
         loss = term if loss is None else ad.add(loss, term)
     return loss
+
+
+def sequence_error_rate(predictions, targets, mask) -> float:
+    """Fraction of examples with any mistake anywhere in the masked output."""
+    errs = example_errors(predictions, targets, mask)
+    return float(errs.mean()) if errs.size else 0.0
 
 
 def readout_plain(p, hidden):
@@ -216,6 +238,15 @@ def plain_rnn_outputs(p, xs):
 # The package's cells as tape nodes
 # ---------------------------------------------------------------------------
 
+def augment_input(x, n: int) -> np.ndarray:
+    """Append the step flag: 1 on the first update for an input, else 0."""
+    if n < 1:
+        raise ContractError(f"intermediate step index must be >= 1, got {n}")
+    arr = np.asarray(x, dtype=np.float64)
+    flag = np.full(arr.shape[:-1] + (1,), 1.0 if n == 1 else 0.0)
+    return np.concatenate([arr, flag], axis=-1)
+
+
 def zero_state(cell, tape: Tape, hidden_size: int, batch: int = 1) -> CellState:
     """All-zero state leaves: h, plus c for the LSTM."""
     return CellState(*(tape.leaf(np.zeros((batch, hidden_size)))
@@ -228,7 +259,7 @@ def cell_step(cell, pv: ParamVars, state: CellState, xd) -> CellState:
     Its parents are the state parts, W_in, W_rec and b; x is a constant
     array. The node's value is the cell's [h' | c']; for the LSTM two
     `narrow` nodes hand h' and c' to the state. Its backward is the cell's
-    own, with the weight adjoints as `Outer` packets.
+    own, with dense weight adjoints.
     """
     xd = np.asarray(xd, dtype=np.float64)
     s = np.concatenate([p.data for p in state.parts()], axis=1)
@@ -239,14 +270,18 @@ def cell_step(cell, pv: ParamVars, state: CellState, xd) -> CellState:
     def node_back(g):
         dz = np.empty((g.shape[0], pv.w_rec.data.shape[1]))
         ds = back(g, dz)
-        ones = np.ones((dz.shape[0], 1))
-        return (*np.split(ds, cell.state_multiple, axis=1), ad.Outer(xd, dz),
-                ad.Outer(hd, dz), ad.Outer(ones, dz))
+        return (*np.split(ds, cell.state_multiple, axis=1), xd.T @ dz, hd.T @ dz,
+                dz.sum(axis=0, keepdims=True))
 
     node = ad.record(out, (*state.parts(), pv.w_in, pv.w_rec, pv.b_rec), node_back)
     if cell.state_multiple == 1:
         return CellState(node)
     return CellState(ad.narrow(node, 1, 0, n), ad.narrow(node, 1, n, n))
+
+
+def readout(pv: ParamVars, state: CellState) -> Var:
+    """y = s_visible W_out + b_out from tape ops."""
+    return ad.add(ad.matmul(state.hidden, pv.w_out), pv.b_out)
 
 
 def halting_node(pv: ParamVars, state: CellState) -> Var:

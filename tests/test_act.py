@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actlab import autodiff as ad
-from actlab.act import ActConfig, augment_input
+from actlab.act import ActConfig
 from actlab.autodiff import ContractError, NumericError, Tape
 from actlab.cells import CELLS, ParamVars, init_params
 
-from oracles import (act_step, cell_step, halting_distribution,
+from oracles import (act_step, augment_input, cell_step, halting_distribution,
                      plain_rnn_outputs, run_sequence, run_sequence_plain,
                      zero_state)
 

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -314,102 +312,3 @@ class TestWhereMaskIsolation:
         tape.backward(ad.reduce_sum(out))
         assert np.all(np.isfinite(tape.grad(a)))
         np.testing.assert_array_equal(tape.grad(b), [[0.0, 0.0]])
-
-
-class TestOuterPackets:
-    """Deferred `Outer` adjoints must equal the dense sums they replace."""
-
-    @staticmethod
-    def run(packets, parent_fn=lambda v: v, dense_uses=0, seed=21):
-        """loss = sum over k of <u_k, a_k P> (+ <u, b P> per dense use),
-        where P = parent_fn(W). Returns the adjoints of W and of P."""
-        rng = np.random.default_rng(seed)
-        tape = Tape()
-        w = tape.leaf(rng.normal(size=(4, 5)))
-        parent = parent_fn(w)
-        terms = []
-        for k in range(6):
-            a = rng.normal(size=(3, 4))
-            if packets:
-                back = lambda g, a=a: (ad.Outer(a, g),)
-            else:
-                back = lambda g, a=a: (a.T @ g,)
-            node = ad.record(a @ parent.data, (parent,), back)
-            terms.append(ad.mul(node, tape.leaf(rng.normal(size=(3, 5)))))
-            if k < dense_uses:
-                dense = ad.matmul(tape.leaf(rng.normal(size=(2, 4))), parent)
-                terms.append(ad.mul(dense, tape.leaf(rng.normal(size=(2, 5)))))
-        loss = ad.reduce_sum(terms[0])
-        for term in terms[1:]:
-            loss = ad.add(loss, ad.reduce_sum(term))
-        tape.backward(loss)
-        return tape.grad(w), tape.grad(parent)
-
-    def check(self, **kwargs):
-        got, ref = self.run(True, **kwargs), self.run(False, **kwargs)
-        for g, r in zip(got, ref):
-            assert r.any()
-            np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
-
-    def test_packets_into_one_leaf(self):
-        self.check()
-
-    def test_dense_adjoints_and_packets_into_one_parent(self):
-        self.check(dense_uses=3)
-
-    def test_packets_into_a_non_leaf_parent(self):
-        # P = tanh(W) gets nothing but packets: Tape.grad(P) reads the
-        # multiplied-out adjoint, and W's comes through tanh's backward.
-        self.check(parent_fn=ad.tanh)
-
-    def test_stack_crossing_the_flush_constant(self, monkeypatch):
-        sizes = []
-        original = ad._outer_sum
-
-        def counted(packets):
-            sizes.append(sum(p.a.shape[0] for p in packets))
-            return original(packets)
-
-        monkeypatch.setattr(ad, "_outer_sum", counted)
-        monkeypatch.setattr(ad, "OUTER_FLUSH_ROWS", 10)
-        self.check(dense_uses=2)
-        # Four 3-row packets reach the bound; the last two are multiplied
-        # out when the sweep reaches the parent.
-        assert sizes == [12, 6]
-
-    def test_flushed_rows_are_released_before_the_next_flush(self, monkeypatch):
-        # Like a cell update, every node hands two parents packets that
-        # share one fresh b array. At each flush the only b arrays still
-        # alive must be the ones being multiplied out: no earlier chunk
-        # may survive into the next.
-        rng = np.random.default_rng(5)
-        tape = Tape()
-        w, v = tape.leaf(rng.normal(size=(4, 5))), tape.leaf(rng.normal(size=(4, 5)))
-        refs = []
-
-        def back(g, a):
-            b = g * 2.0
-            refs.append(weakref.ref(b))
-            return g, ad.Outer(a, b), ad.Outer(a, b)
-
-        node = tape.leaf(np.zeros((3, 5)))
-        for _ in range(10):
-            a = rng.normal(size=(3, 4))
-            node = ad.record(node.data + a @ (w.data + v.data), (node, w, v),
-                             lambda g, a=a: back(g, a))
-        flushes = []
-        original = ad._outer_sum
-
-        def checked(packets):
-            alive = [r() for r in refs if r() is not None]
-            flushes.append(len(packets))
-            assert len(alive) == len(packets)
-            assert all(any(x is p.b for p in packets) for x in alive)
-            return original(packets)
-
-        monkeypatch.setattr(ad, "_outer_sum", checked)
-        monkeypatch.setattr(ad, "OUTER_FLUSH_ROWS", 9)
-        tape.backward(ad.reduce_sum(node))
-        assert flushes == [3, 3, 3, 3, 3, 3, 1, 1]
-        assert all(r() is None for r in refs)
-        np.testing.assert_allclose(tape.grad(w), tape.grad(v), rtol=0, atol=0)

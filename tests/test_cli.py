@@ -190,10 +190,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--task", "parity", "--count", "0"],
+        ["gen", "--task", "corpus", "--size", "0"],
         ["eval", "--checkpoint", "model.bin", "--batches", "0"],
         ["gradcheck", "--examples", "0"],
         ["gradcheck", "--max-coords", "0"],
         ["sweep", "--replicas", "0"],
+        ["sweep", "--workers", "0"],
         ["trace", "--checkpoint", "model.bin", "--count", "0", "--stdout"],
     ])
     def test_counts_below_one_exit_two(self, argv, tmp_path, capsys):

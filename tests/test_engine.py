@@ -9,6 +9,7 @@ from actlab import engine
 from actlab.act import ActConfig
 from actlab.cells import CELLS, init_params
 from actlab.engine import run_batch
+from actlab.losses import joint_softmax_cross_entropy as block_softmax_loss
 from actlab.tasks import gen_logic, task_spec
 from actlab.trainer import batch_objective
 
@@ -60,18 +61,24 @@ def reference_objective(params, cfg, inputs, lengths, targets, mask, tau):
     return total, grads, outputs, ponders, halt_grads
 
 
+def position_sum(res, t, start, length):
+    """Sum of columns start .. start + length of the batch node at input
+    step t, as a node: a loss seeded on one step's readouts or R."""
+    step = ad.narrow(res.node, 1, t, 1)
+    return ad.reduce_sum(ad.narrow(step, 2, start, length))
+
+
 def batched_objective(params, cfg, inputs, lengths, targets, mask, tau):
+    """The engine's batch node under the package's task-loss node, which
+    `test_losses` pins to the composed chain the reference uses."""
     batch = inputs.shape[0]
     res = run_batch(params.kind, params, cfg, inputs, lengths)
-    loss = None
-    for t, y in enumerate(res.outputs):
-        dist = ad.softmax(y, axis=1)
-        term = joint_softmax_cross_entropy([dist], targets[:, t, :], mask[:, t])
-        loss = term if loss is None else ad.add(loss, term)
-    if res.ponder_var is not None:
-        loss = ad.add(loss, ad.scale(res.ponder_var, tau))
+    spec = task_spec("addition", output_size=params.output_size, groups=1,
+                     classes=params.output_size)
+    loss = ad.add(block_softmax_loss(spec, res.node, targets, mask),
+                  ad.scale(res.ponder_var, tau))
     loss = ad.scale(loss, 1.0 / batch)
-    total = float(loss.data) + tau * res.ponder_const / batch
+    total = float(loss.data)
     res.tape.backward(loss)
     grads = {name: res.tape.grad(var) for name, var in res.param_vars.items()}
     return total, grads, res
@@ -80,7 +87,16 @@ def batched_objective(params, cfg, inputs, lengths, targets, mask, tau):
 @pytest.mark.parametrize("kind", ["rnn", "lstm"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batch_matches_per_sequence(kind, seed):
-    params, inputs, lengths, targets, mask = random_case(kind, seed)
+    check_against_reference(kind, seed, t_max=4)
+
+
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_long_batch_matches_per_sequence(kind):
+    check_against_reference(kind, 3, t_max=64)
+
+
+def check_against_reference(kind, seed, t_max):
+    params, inputs, lengths, targets, mask = random_case(kind, seed, t_max=t_max)
     cfg = ActConfig(max_steps=7, time_penalty=1e-2)
     tau = cfg.time_penalty
 
@@ -92,21 +108,21 @@ def test_batch_matches_per_sequence(kind, seed):
     # Values: outputs on live steps, ponder diagnostics, loss.
     for e in range(inputs.shape[0]):
         t_e = int(lengths[e])
-        got_y = np.stack([res.outputs[t].data[e] for t in range(t_e)])
-        np.testing.assert_allclose(got_y, ref_outputs[e], atol=1e-12, rtol=0)
+        np.testing.assert_allclose(res.outputs[e, :t_e], ref_outputs[e],
+                                   atol=1e-12, rtol=0)
         np.testing.assert_allclose(res.ponders[e, :t_e], ref_ponders[e],
                                    atol=1e-12, rtol=0)
         assert not res.active[e, t_e:].any()
         assert np.all(res.ponders[e, t_e:] == 0.0)
     assert abs(got_total - ref_total) < 1e-12
-    assert abs(res.batch_ponder_sum - sum(sum(p) for p in ref_ponders)) < 1e-12
+    assert abs(res.ponder_var.data - sum(sum(p) for p in ref_ponders)) < 1e-12
 
     # Gradients, the part the masks could silently break.
     for name in ref_grads:
         scale = max(1.0, np.abs(ref_grads[name]).max())
         np.testing.assert_allclose(got_grads[name] / scale,
                                    ref_grads[name] / scale, atol=1e-12, rtol=0)
-    # The halting adjoints the step nodes keep, row by row.
+    # The halting adjoints the batch node keeps, row by row.
     for e, per_step in enumerate(ref_halt_grads):
         for t, want in enumerate(per_step):
             got = [grad[res.halt_row(e, t, n)]
@@ -135,7 +151,7 @@ def test_closed_forms_exact_under_padding(kind, halt_bias, halt_scale):
     # Each sweep replaces the adjoints: later steps, which R at t does not
     # depend on, read exact zeros.
     for t in range(inputs.shape[1]):
-        res.tape.backward(ad.reduce_sum(res.remainder_vars[t]))
+        res.tape.backward(position_sum(res, t, params.output_size, 1))
         for n, (grad, rows) in enumerate(zip(res.halt_grads(t), res.halt_rows[t]),
                                          start=1):
             want = np.where(n < res.steps[rows, t], -1.0, 0.0)
@@ -157,12 +173,12 @@ def test_forced_cap_one_batch():
         assert not res.tape.grad(var).any()
     for t in range(inputs.shape[1]):
         assert not any(grad.any() for grad in res.halt_grads(t))
-    assert res.batch_ponder_sum == 2.0 * lengths.sum()
+    assert res.ponder_var.data == 2.0 * lengths.sum()
 
 
 def test_remainders_match_halting_law_bit_for_bit():
     """R is 1 - h^1 - h^2 - ... in the halting law's order, on every padded
-    row, and every input step has an on-tape remainder."""
+    row."""
     seen = set()
     for kind, halt_bias, halt_scale in [("rnn", -1.0, 4.0), ("rnn", 2.0, 10.0),
                                         ("lstm", -1.0, 4.0), ("lstm", -2.0, 1.0)]:
@@ -172,32 +188,31 @@ def test_remainders_match_halting_law_bit_for_bit():
         cfg = ActConfig(max_steps=7)
         res = run_batch(kind, params, cfg, inputs, lengths)
         assert not res.active.all()
-        assert all(r is not None for r in res.remainder_vars)
         for e, t in zip(*np.nonzero(res.active)):
             h = (h_n[res.halt_row(e, t, n)]
                  for n, h_n in enumerate(res.halts[t], start=1))
             n, _, remainder = halting_distribution(h, cfg.epsilon, cfg.max_steps)
             assert n == res.steps[e, t]
             assert res.remainders[e, t] == remainder
-            assert res.remainder_vars[t].data[e, 0] == remainder
         seen.update(res.steps[res.active].tolist())
     assert seen == set(range(1, 8))
 
 
-def test_one_readout_per_input_step(monkeypatch):
+def test_one_readout_per_batch(monkeypatch):
+    # One product over every position, however many updates ran.
     params, inputs, lengths, _, _ = random_case("lstm", 3)
     params.b_halt[:] = -2.0
     calls = []
     original = engine.readout
 
-    def counted(pv, state):
-        calls.append(state)
-        return original(pv, state)
+    def counted(hidden, w_out, b_out):
+        calls.append(hidden.shape)
+        return original(hidden, w_out, b_out)
 
     monkeypatch.setattr(engine, "readout", counted)
     res = run_batch("lstm", params, ActConfig(max_steps=7), inputs, lengths)
     assert res.steps.max() > 1
-    assert len(calls) == inputs.shape[1]
+    assert calls == [(inputs.shape[0] * inputs.shape[1], params.hidden_size)]
 
 
 @pytest.mark.parametrize("pad", [np.nan, np.inf, 1e300])
@@ -215,12 +230,12 @@ def test_padding_cannot_poison_values_or_gradients(kind, pad):
 
     def run(inputs):
         res = run_batch(kind, params, cfg, inputs, lengths)
-        loss = ad.scale(res.ponder_var, 1e-2)
-        for t, y in enumerate(res.outputs):
-            keep = np.broadcast_to(res.active[:, t, None], y.shape)
-            loss = ad.add(loss, ad.reduce_sum(ad.const_mul(y, keep)))
+        keep = np.zeros(res.node.shape)
+        keep[..., :-1] = res.active[..., None]      # active readouts, no R
+        loss = ad.add(ad.scale(res.ponder_var, 1e-2),
+                      ad.reduce_sum(ad.const_mul(res.node, keep)))
         res.tape.backward(loss)
-        outputs = np.stack([y.data for y in res.outputs], axis=1)[res.active]
+        outputs = res.outputs[res.active]
         return res, loss, outputs, {name: res.tape.grad(var)
                                     for name, var in res.param_vars.items()}
 
@@ -263,19 +278,20 @@ def test_only_running_rows_are_stepped(kind, monkeypatch):
     assert sum(stepped) < res.steps.max(axis=0).sum() * inputs.shape[0]
 
 
-@pytest.mark.parametrize("halt_bias", [-2.0, 1.0])
-def test_node_budget_per_input_step(halt_bias):
-    # The parameters, the zero state and the ponder sum, then per input
-    # step: its node, the slices of R and h, the ponder sum (2) and the
-    # readout (2). None of it grows with the update count N.
-    rng = np.random.default_rng(3)
-    params = init_params("lstm", 3, 6, 4, seed=1, halt_bias=halt_bias)
-    lengths = np.array([4, 2, 4, 1, 3])
-    res = run_batch("lstm", params, ActConfig(), rng.normal(size=(5, 4, 3)),
-                    lengths)
-    n_steps = res.active.shape[1]
-    assert (res.steps[res.active].min() > 5) == (halt_bias < 0)
-    assert len(res.tape) <= 7 * n_steps + 9
+@pytest.mark.parametrize("n_steps", [1, 10, 64])
+@pytest.mark.parametrize("halt_bias, mean_n", [(-2.0, 9.0), (8.0, 1.0)])
+def test_node_budget_per_batch(halt_bias, mean_n, n_steps):
+    # The seven parameters, the batch node, the ponder sum, the loss, and
+    # the objective's scale and add: the same 12 nodes whatever T and N.
+    spec = task_spec("logic")
+    batch = gen_logic(5, batch=6, min_len=n_steps, max_len=n_steps)
+    params = init_params("lstm", spec.input_size, 16, spec.output_size, seed=1,
+                         halt_bias=halt_bias)
+    _, res, _, _ = batch_objective(spec, params, ActConfig(time_penalty=1e-2),
+                                   batch)
+    assert res.active.shape[1] == n_steps
+    assert abs(res.steps[res.active].mean() - mean_n) < 1.0
+    assert len(res.tape) == 12
 
 
 def test_input_step_with_no_active_row():
@@ -289,39 +305,37 @@ def test_input_step_with_no_active_row():
     cfg = ActConfig(max_steps=7)
     res = run_batch("lstm", params, cfg, inputs, lengths)
     trimmed = run_batch("lstm", params, cfg, inputs[:, :2], lengths)
-    for t in range(2):
-        np.testing.assert_array_equal(res.outputs[t].data, trimmed.outputs[t].data)
-    np.testing.assert_array_equal(res.outputs[2].data, res.outputs[1].data)
+    np.testing.assert_array_equal(res.outputs[:, :2], trimmed.outputs)
+    np.testing.assert_array_equal(res.outputs[:, 2], res.outputs[:, 1])
     np.testing.assert_array_equal(res.steps[:, :2], trimmed.steps)
     assert not res.steps[:, 2].any() and not res.remainders[:, 2].any()
-    assert res.halts[2] == [] and res.step_vars[2] is None
-    np.testing.assert_array_equal(res.remainder_vars[2].data, np.zeros((2, 1)))
-    assert res.batch_ponder_sum == trimmed.batch_ponder_sum
-    res.tape.backward(ad.reduce_sum(res.outputs[2]))
+    assert res.halts[2] == []
+    assert res.ponder_var.data == trimmed.ponder_var.data
+    res.tape.backward(position_sum(res, 2, 0, params.output_size))
     assert res.tape.grad(res.param_vars.w_rec).any()
 
 
 def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
-    # Each input step's node hands every weight one deferred packet of the
-    # step's rows: W_rec, b_rec, w_halt and b_halt each update's rows, W_in
-    # each active row once plus the flag row. The backward must stack
-    # exactly those rows and form each adjoint once per chunk, flushing as
-    # soon as a stack reaches OUTER_FLUSH_ROWS rows, never once per update.
+    # Each input step pushes one block of its rows onto every weight's
+    # stack: W_rec, b_rec, w_halt and b_halt each update's rows, W_in each
+    # active row once plus the flag row. The backward must stack exactly
+    # those rows and form each adjoint once per chunk, flushing as soon as
+    # a stack reaches OUTER_FLUSH_ROWS rows, never once per update.
     spec = task_spec("logic")
     batch = gen_logic(3, batch=8, min_len=3, max_len=4)
     params = init_params("lstm", spec.input_size, 16, spec.output_size, seed=2,
                          halt_bias=-2.0)
     cfg = ActConfig(max_steps=10)
     formed = []
-    original = ad._outer_sum
+    original = engine._outer_sum
 
-    def counted(packets):
-        out = original(packets)
-        formed.append((out.shape, sum(p.a.shape[0] for p in packets)))
+    def counted(blocks):
+        out = original(blocks)
+        formed.append((out.shape, sum(a.shape[0] for a, _ in blocks)))
         return out
 
     def chunks(packet_rows, flush_rows):
-        # Packets arrive in reverse input-step order, one per step.
+        # Blocks arrive in reverse input-step order, one per step.
         want, stacked = [], 0
         for rows in reversed(packet_rows):
             stacked += rows
@@ -332,7 +346,7 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
 
     def weight_grads(flush_rows):
         formed.clear()
-        monkeypatch.setattr(ad, "OUTER_FLUSH_ROWS", flush_rows)
+        monkeypatch.setattr(engine, "OUTER_FLUSH_ROWS", flush_rows)
         loss, res, _, _ = batch_objective(spec, params, cfg, batch)
         res.tape.backward(loss)
         updates = int(res.steps.max(axis=0).sum())
@@ -350,8 +364,8 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
                                   for rows in packet_rows.values())
         return {name: res.tape.grad(var) for name, var in res.param_vars.items()}
 
-    monkeypatch.setattr(ad, "_outer_sum", counted)
-    whole = weight_grads(ad.OUTER_FLUSH_ROWS)
+    monkeypatch.setattr(engine, "_outer_sum", counted)
+    whole = weight_grads(engine.OUTER_FLUSH_ROWS)
     assert len(formed) == 5
     chunked = weight_grads(3 * 8)
     for name, g in whole.items():

@@ -12,13 +12,12 @@ from actlab.cells import init_params
 from actlab.engine import run_batch
 from actlab.losses import (PROB_CLAMP, DifficultyRow, binary_cross_entropy,
                            bits_per_character, joint_softmax_cross_entropy,
-                           per_position_nats, ponder_by_difficulty,
-                           sequence_error_rate, total_loss)
+                           per_position_nats, ponder_by_difficulty, total_loss)
 from actlab.tasks import (gen_addition, gen_logic, gen_parity, gen_sort, gen_text,
                           synth_corpus, task_spec)
 from actlab.trainer import batch_objective, evaluate
 
-from oracles import composed_task_loss
+from oracles import composed_task_loss, sequence_error_rate
 
 BCE = task_spec("logic")                 # one logit per step, bce head
 
@@ -36,7 +35,7 @@ def loss_of(spec, readouts, targets, mask=None):
     """The task-loss node over one step of (rows, output_size) readouts."""
     rows = len(readouts)
     mask = np.ones(rows) if mask is None else mask
-    return entry_point(spec)(spec, [Tape().leaf(readouts)],
+    return entry_point(spec)(spec, Tape().leaf(np.reshape(readouts, (rows, 1, -1))),
                              np.reshape(targets, (rows, 1, -1)),
                              np.reshape(mask, (rows, 1)))
 
@@ -74,10 +73,10 @@ class TestBinaryCrossEntropy:
             return float(loss_of(BCE, y, targets).data)
 
         tape = Tape()
-        v = tape.leaf(y0)
-        tape.backward(binary_cross_entropy(BCE, [v], targets.reshape(2, 1, 1),
+        v = tape.leaf(y0[:, None])
+        tape.backward(binary_cross_entropy(BCE, v, targets.reshape(2, 1, 1),
                                            np.ones((2, 1))))
-        assert rel_err(tape.grad(v), fd_grad(f, y0)) < 1e-6
+        assert rel_err(tape.grad(v)[:, 0], fd_grad(f, y0)) < 1e-6
 
 
 class TestJointSoftmaxCrossEntropy:
@@ -119,19 +118,28 @@ class TestJointSoftmaxCrossEntropy:
 
     def test_head_must_match_entry_point(self):
         with pytest.raises(ContractError, match="head"):
-            binary_cross_entropy(softmax_spec(1, 4), [Tape().leaf(np.zeros((2, 4)))],
+            binary_cross_entropy(softmax_spec(1, 4), Tape().leaf(np.zeros((2, 1, 4))),
                                  np.zeros((2, 1, 1)), np.ones((2, 1)))
 
 
 def fused_and_composed(spec, ys, targets, weights):
-    """(value, readout adjoints) of the fused node, then of the composed chain."""
-    results = []
-    for build in (entry_point(spec), composed_task_loss):
-        tape = Tape()
-        readouts = [tape.leaf(y) for y in ys]
-        loss = build(spec, readouts, targets, weights)
-        tape.backward(loss)
-        results.append((float(loss.data), [tape.grad(v) for v in readouts]))
+    """(value, per-step readout adjoints) of the fused node, then of the
+    composed chain. The fused node reads the steps as one block with an
+    extra column after the readouts, like the engine's R, which must get a
+    zero adjoint."""
+    tape = Tape()
+    block = np.stack(ys, axis=1)
+    block = tape.leaf(np.concatenate([block, np.ones(block.shape[:2] + (1,))], axis=2))
+    loss = entry_point(spec)(spec, block, targets, weights)
+    tape.backward(loss)
+    adj = tape.grad(block)
+    assert not adj[..., -1].any()
+    results = [(float(loss.data), [adj[:, t, :-1] for t in range(len(ys))])]
+    tape = Tape()
+    readouts = [tape.leaf(y) for y in ys]
+    loss = composed_task_loss(spec, readouts, targets, weights)
+    tape.backward(loss)
+    results.append((float(loss.data), [tape.grad(v) for v in readouts]))
     return results
 
 
@@ -306,7 +314,7 @@ class TestMaskingAndPermutation:
         batch.target_mask[:3, 0] = False
         loss, res, _, _ = batch_objective(spec, params, cfg, batch)
         res.tape.backward(loss)
-        adj = res.tape.grad(res.outputs[0])
+        adj = res.tape.grad(res.node)[:, 0, :-1]
         np.testing.assert_array_equal(adj[:3], np.zeros((3, 1)))
         assert np.any(adj[3:] != 0.0)
 
@@ -367,7 +375,7 @@ class TestObjectiveTape:
         try:
             result = batch_objective(spec, params, cfg, batch)
             result[1].tape.backward(result[0])
-            readout = weakref.ref(result[1].outputs[0].data)
+            readout = weakref.ref(result[1].node.data)
             del result
             assert readout() is None
         finally:

@@ -104,8 +104,7 @@ class TestCheckpoint:
         cfg = ActConfig(max_steps=6)
         res1 = run_batch(params.kind, params, cfg, batch.inputs, batch.lengths)
         res2 = run_batch(params2.kind, params2, cfg, batch.inputs, batch.lengths)
-        for y1, y2 in zip(res1.outputs, res2.outputs):
-            assert y1.data.tobytes() == y2.data.tobytes()   # zero ulp
+        assert res1.outputs.tobytes() == res2.outputs.tobytes()   # zero ulp
 
     def test_corrupted_checksum_detected(self, tmp_path):
         _, _, _, path = self.roundtrip_setup(tmp_path)
@@ -420,6 +419,35 @@ train.lr = 1e308
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 3
         assert all("diverged" in r.getMessage() for r in warnings)
+
+    def test_pool_is_capped_at_the_job_count(self, monkeypatch):
+        # A process pool starts all its workers at the first submit, so a
+        # sweep asks for no more workers than it has runs, and runs one
+        # job in-process.
+        import concurrent.futures
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        monkeypatch.setattr(trainer, "_sweep_one", lambda job: (0.0, 1.0))
+        rows = sweep(parity_config(), [1e-3], replicas=3, workers=64)
+        assert pools == [3]
+        assert rows[0].n_runs == 3
+        sweep(parity_config(), [1e-3], replicas=1, workers=64)
+        assert pools == [3]
 
     def test_sweep_csv_schema(self, tmp_path):
         import io
