@@ -204,7 +204,7 @@ def _cmd_trace(args) -> int:
     corpus = load_corpus(config)
     rng = np.random.default_rng(args.seed)
     batch = make_batch(config, rng, corpus, batch_size=args.count)
-    res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
+    res = run_batch(params, act_cfg, batch.inputs, batch.lengths)
     nats = per_position_nats(spec, res.outputs, batch.targets, batch.target_mask)
     dists = spec.probs(res.outputs)
 
@@ -213,9 +213,7 @@ def _cmd_trace(args) -> int:
     for e in range(batch.batch_size):
         for t in range(int(batch.lengths[e])):
             n_steps, remainder = int(res.steps[e, t]), float(res.remainders[e, t])
-            probs = [float(h[res.halt_row(e, t, n)])
-                     for n, h in enumerate(res.halts[t][:n_steps - 1], start=1)]
-            probs.append(remainder)
+            probs = res.halts[e, t, :n_steps - 1].tolist() + [remainder]
             rows.append([e, t, _render_input(config.task, batch.inputs[e, t]),
                          n_steps, repr(n_steps + remainder), repr(remainder),
                          repr(float(nats[e, t])) if batch.target_mask[e, t] else "",

@@ -49,8 +49,12 @@ other weight's adjoint is a stack of rows multiplied out as one GEMM:
 W_rec, b_rec, w_halt and b_halt stack each update's rows, and W_in stacks
 each active row once per input step, with its dz summed over its updates,
 plus one row for the flag. A stack is multiplied out whenever it reaches
-OUTER_FLUSH_ROWS rows, which bounds the rows it keeps alive. The backward
-keeps each update's halting-adjoint array for `BatchRunResult.halt_grads`.
+OUTER_FLUSH_ROWS rows, which bounds the rows it keeps alive.
+
+The halting record is dense, like every other per-position result: h^n of
+position (e, t) sits at `BatchRunResult.halts[e, t, n - 1]` and its
+adjoint at `halt_grads[e, t, n - 1]`, for n <= N(e, t); every other entry
+is exactly 0. The N axis is as long as the batch's largest N.
 """
 
 from __future__ import annotations
@@ -88,31 +92,15 @@ class BatchRunResult:
     steps: np.ndarray             # (batch, T) int, N(t); 0 on inactive steps
     active: np.ndarray            # (batch, T) bool, t < sequence length
     halted_by_cap: np.ndarray     # (batch, T) bool
-    halts: list[list[np.ndarray]]      # per input step: h^1 .. h^n on the rows stepped
-    halt_rows: list[list[np.ndarray]]  # their batch indices, increasing
-    step_halt_grads: list[list[np.ndarray]]  # written by the node's backward
+    halts: np.ndarray             # (batch, T, max N): h^n at [e, t, n - 1]
+    # Shaped like `halts`: the adjoints of h from the last `tape.backward`
+    # that reached the batch node; 0 before any backward.
+    halt_grads: np.ndarray
 
     @property
     def ponders(self) -> np.ndarray:
         """rho per (example, step): N + R, zero where inactive."""
         return np.where(self.active, self.steps + self.remainders, 0.0)
-
-    @property
-    def per_example_ponder(self) -> np.ndarray:
-        return self.ponders.sum(axis=1)
-
-    def halt_row(self, e: int, t: int, n: int) -> int:
-        """Row of batch member e in h^n of input step t; n <= steps[e, t]."""
-        return int(np.searchsorted(self.halt_rows[t][n - 1], e))
-
-    def halt_grads(self, t: int) -> list[np.ndarray]:
-        """Adjoints of h^1 .. h^n of input step t from the last
-        `tape.backward`, shaped like `halts[t]`; zeros if it did not reach
-        the batch node."""
-        idx, grads = self.node.idx, self.tape.gradients
-        if idx >= len(grads) or grads[idx] is None:
-            return [np.zeros(rows.size) for rows in self.halt_rows[t]]
-        return self.step_halt_grads[t]
 
 
 def _outer_sum(blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -208,14 +196,14 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
     step's active rows, whose inputs are `x`; `d_r` is updated in place.
     Pushes the step's weight rows onto `stacks`, in `weights` order, and
     returns the adjoint of the state the step started from on those rows,
-    and each update's halting adjoint.
+    and their halting adjoints, (rows, updates), 0 past each row's halt.
     """
     w_in, w_rec, _, w_halt, _ = weights
     n_hidden = w_rec.shape[0]
     offsets = np.cumsum([0] + [u[0].size for u in updates]).tolist()
     dz_all = np.empty((offsets[-1], w_rec.shape[1]))
     dpre_all = np.empty((offsets[-1], 1))
-    dh_all: list[np.ndarray] = [None] * len(updates)
+    dh_all = np.zeros((x.shape[0], len(updates)))
     # Adjoint of the block's state, and each block row's dz summed over
     # the updates after the one being replayed.
     carry = dz_sum = g_pos = None
@@ -229,7 +217,7 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
         dh = dw - d_r[pos]
         if halt is not None:
             dh[halt] = 0.0
-        dh_all[k] = dh
+        dh_all[pos, k] = dh
         dpre = dh * h * (1.0 - h)
         ds = g_blk * w[:, None]
         if carry is not None:
@@ -270,15 +258,15 @@ def _expand(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return full
 
 
-def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
+def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
               lengths: Optional[np.ndarray] = None) -> BatchRunResult:
-    """Run the pondering loop over a (batch, T, input_size) input block.
+    """Run the pondering loop of the `params.kind` cell over a
+    (batch, T, input_size) input block.
 
     `lengths` gives each example's true sequence length; steps at or past
     it leave the state untouched and contribute nothing to ponder.
     """
-    if isinstance(cell, str):
-        cell = CELLS[cell]
+    cell = CELLS[params.kind]
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 3:
         raise ContractError(f"inputs must be (batch, T, input_size), got {inputs.shape}")
@@ -304,25 +292,24 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
     capped = np.zeros((n_batch, n_steps_total), dtype=bool)
     active = np.arange(n_steps_total)[None, :] < lengths[:, None]
     # Per input step: its active rows, their inputs and its updates.
-    records: list[Optional[tuple]] = []
-    halts, halt_rows = [], []
+    records: list[tuple] = []
 
     for t in range(n_steps_total):
         idx = np.flatnonzero(active[:, t])
-        record, updates = None, []
+        x = inputs[idx, t]
         # With no active row nothing runs: the state stays and R reads 0.
-        if idx.size:
-            x = inputs[idx, t]
-            updates = _forward_step(cell, weights, cfg, x, idx, t, state,
-                                    steps[:, t], capped[:, t], value[:, t, -1])
-            record = (idx, x, updates)
-        records.append(record)
+        updates = _forward_step(cell, weights, cfg, x, idx, t, state,
+                                steps[:, t], capped[:, t],
+                                value[:, t, -1]) if idx.size else []
+        records.append((idx, x, updates))
         hidden[:, t] = state[:, :n_hidden]
-        halts.append([u[4] for u in updates])
-        halt_rows.append([idx[u[0]] for u in updates])
     value[..., :-1] = readout(hidden.reshape(-1, n_hidden), w_out,
                               b_out).reshape(n_batch, n_steps_total, -1)
-    halt_grads: list[list[np.ndarray]] = [[] for _ in range(n_steps_total)]
+    halts = np.zeros((n_batch, n_steps_total, steps.max(initial=0)))
+    for t, (idx, _, updates) in enumerate(records):
+        for n, u in enumerate(updates):
+            halts[idx[u[0]], t, n] = u[4]
+    halt_grads = np.zeros_like(halts)
 
     def backward(g):
         g_y = g[..., :-1].reshape(-1, w_out.shape[1])
@@ -334,11 +321,10 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         g_state = np.zeros_like(state)
         for t in range(n_steps_total - 1, -1, -1):
             g_state[:, :n_hidden] += g_hidden[:, t]
-            if records[t] is None:
-                continue
             idx, x, updates = records[t]
-            g_state[idx], halt_grads[t] = _backward_step(
-                updates, x, g_state[idx], g_r[idx, t], weights, stacks)
+            if updates:
+                g_state[idx], halt_grads[idx, t, :len(updates)] = _backward_step(
+                    updates, x, g_state[idx], g_r[idx, t], weights, stacks)
         d_in, d_rec, d_b, d_halt, d_b_halt = (s.flush() for s in stacks)
         return d_in, d_rec, d_b, d_w_out, d_b_out, d_halt, d_b_halt
 
@@ -353,4 +339,4 @@ def run_batch(cell, params: CellParams, cfg: ActConfig, inputs: np.ndarray,
                            (node,), ponder_backward)
     return BatchRunResult(tape, pv, node, ponder_var, value[..., :-1],
                           value[..., -1], steps, active, capped, halts,
-                          halt_rows, halt_grads)
+                          halt_grads)

@@ -11,8 +11,9 @@ The check also pins the two closed forms the pondering gradient must
 satisfy: each step's ponder has derivative exactly -1 in its pre-halt
 activations and exactly 0 in the halting one, and the total objective has
 derivative exactly 0 in every halting activation (the remainder carries
-that step's probability mass instead). Both are read, with `==`, from the
-halting adjoints the engine's batch node keeps (`BatchRunResult.halt_grads`).
+that step's probability mass instead). Both compare whole slices, with
+`==`, of the dense (batch, T, max N) halting adjoints the engine's batch
+node writes (`BatchRunResult.halt_grads`, h^n's adjoint at [e, t, n - 1]).
 """
 
 from __future__ import annotations
@@ -55,21 +56,18 @@ def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
     loss_var, res, _, _ = batch_objective(spec, params, cfg, batch)
     tape = res.tape
     r_col = res.node.shape[2] - 1
+    n = np.arange(1, res.halts.shape[2] + 1)
     ponder_ok = True
     for t in range(batch.inputs.shape[1]):
         # Each row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
         r_t = ad.narrow(ad.narrow(res.node, 1, t, 1), 2, r_col, 1)
         tape.backward(ad.reduce_sum(r_t))
-        for n, (grad, rows) in enumerate(zip(res.halt_grads(t), res.halt_rows[t]),
-                                         start=1):
-            want = np.where(n < res.steps[rows, t], -1.0, 0.0)
-            ponder_ok &= bool(np.all(grad == want))
+        want = np.where(n < res.steps[:, t, None], -1.0, 0.0)
+        ponder_ok &= bool(np.all(res.halt_grads[:, t] == want))
     # Full objective: each row's halting activation gets zero gradient.
     tape.backward(loss_var)
-    halt_zero_ok = True
-    for e, t in zip(*np.nonzero(res.active)):
-        n = res.steps[e, t]
-        halt_zero_ok &= bool(res.halt_grads(t)[n - 1][res.halt_row(e, t, n)] == 0.0)
+    e, t = np.nonzero(res.active)
+    halt_zero_ok = bool(np.all(res.halt_grads[e, t, res.steps[e, t] - 1] == 0.0))
     return ponder_ok, halt_zero_ok
 
 

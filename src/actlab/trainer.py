@@ -80,7 +80,7 @@ def batch_objective(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
     node is the batch mean of per-sequence task loss plus tau times the
     batch mean ponder cost.
     """
-    res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
+    res = run_batch(params, act_cfg, batch.inputs, batch.lengths)
     n = batch.batch_size
     # Each masked-in position weighs 1/n, so the task node is the batch mean.
     task_loss = (binary_cross_entropy if spec.head == "bce"
@@ -113,7 +113,7 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
              batches: list[TaskBatch]) -> tuple[RunMetrics, EvalDetails]:
     columns = []                    # per batch: EvalDetails' fields, then capped
     for batch in batches:
-        res = run_batch(params.kind, params, act_cfg, batch.inputs, batch.lengths)
+        res = run_batch(params, act_cfg, batch.inputs, batch.lengths)
         predictions = spec.decode(res.outputs)
         mask = batch.target_mask
         wrong_step = np.any(predictions != batch.targets, axis=2) & mask
@@ -122,7 +122,7 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
         columns.append((res.ponders[active], res.steps[active],
                         batch.difficulty[active], wrong_step[active],
                         example_errors(predictions, batch.targets, mask),
-                        res.per_example_ponder, batch.difficulty[:, 0], nats[mask],
+                        res.ponders.sum(axis=1), batch.difficulty[:, 0], nats[mask],
                         res.halted_by_cap[active]))
     *fields, capped = (np.concatenate(c) for c in zip(*columns))
     details = EvalDetails(*fields)
@@ -172,7 +172,7 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
     spec = resolved_spec(config)
     corpus = load_corpus(config)
     act_cfg = config.act_config()
-    init_seed, data_seed, eval_seed = np.random.SeedSequence(config.seed).spawn(3)
+    init_seed, data_seed, eval_seed = derive_seeds(config.seed, 3)
     params = init_params(config.cell, spec.input_size, config.hidden,
                          spec.output_size, seed=init_seed)
     opt = OptimizerState.for_params(params)

@@ -452,8 +452,7 @@ def _ponder_by_byte_class(config, params, corpus):
     boundary, alnum = [], []
     for s in range(20):
         batch = gen_text(corpus, seed=93_000 + s, seq_len=64, batch=8)
-        res = run_batch(params.kind, params, act_cfg, batch.inputs,
-                        batch.lengths)
+        res = run_batch(params, act_cfg, batch.inputs, batch.lengths)
         bytes_in = batch.inputs.argmax(axis=2)          # (B, T)
         ponders = res.ponders
         for b in BOUNDARY_BYTES:

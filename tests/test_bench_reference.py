@@ -48,13 +48,14 @@ def test_first_episode_matches_stored_reference(bench, name, tmp_path):
                                     eval_sequences) == [], observed
 
 
-def test_first_logic_ponder_step_records_under_100_nodes(bench):
-    # The step nodes keep the tape at a few nodes per input step however
-    # long rows ponder: under 100 for the first seed-1 batch, objective
-    # included, at a mean N near 9.
+def test_first_logic_ponder_batch_records_one_engine_node(bench):
+    # The whole batch is one engine node, so the tape holds the same 12
+    # nodes however long rows ponder: the seven parameters, the batch node,
+    # the ponder sum, the loss, and the objective's scale and add, for the
+    # first seed-1 batch at a mean N near 9.
     workload = bench.WORKLOADS["logic-ponder"]
     s = bench.prepare(workload, bench.DEFAULT_SEED)
     batch = bench.trainer.make_batch(s.config, np.random.default_rng(s.data_seed))
     _, res, _, _ = bench.trainer.batch_objective(s.spec, s.init, s.act_cfg, batch)
     assert res.steps[res.active].mean() > 8
-    assert len(res.tape) < 100
+    assert len(res.tape) == 12

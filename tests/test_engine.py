@@ -72,7 +72,7 @@ def batched_objective(params, cfg, inputs, lengths, targets, mask, tau):
     """The engine's batch node under the package's task-loss node, which
     `test_losses` pins to the composed chain the reference uses."""
     batch = inputs.shape[0]
-    res = run_batch(params.kind, params, cfg, inputs, lengths)
+    res = run_batch(params, cfg, inputs, lengths)
     spec = task_spec("addition", output_size=params.output_size, groups=1,
                      classes=params.output_size)
     loss = ad.add(block_softmax_loss(spec, res.node, targets, mask),
@@ -122,12 +122,11 @@ def check_against_reference(kind, seed, t_max):
         scale = max(1.0, np.abs(ref_grads[name]).max())
         np.testing.assert_allclose(got_grads[name] / scale,
                                    ref_grads[name] / scale, atol=1e-12, rtol=0)
-    # The halting adjoints the batch node keeps, row by row.
+    # The halting adjoints the batch node keeps, position by position.
     for e, per_step in enumerate(ref_halt_grads):
         for t, want in enumerate(per_step):
-            got = [grad[res.halt_row(e, t, n)]
-                   for n, grad in enumerate(res.halt_grads(t)[:len(want)], start=1)]
-            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(res.halt_grads[e, t, :len(want)], want,
+                                       atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("kind,halt_bias,halt_scale",
@@ -144,25 +143,22 @@ def test_closed_forms_exact_under_padding(kind, halt_bias, halt_scale):
                                   cfg.time_penalty)
     assert not res.active.all()
     assert len(np.unique(res.steps[res.active])) > 1
-    for e, t in zip(*np.nonzero(res.active)):
-        n = res.steps[e, t]
-        assert res.halt_grads(t)[n - 1][res.halt_row(e, t, n)] == 0.0
+    e, t = np.nonzero(res.active)
+    assert np.all(res.halt_grads[e, t, res.steps[e, t] - 1] == 0.0)
 
     # Each sweep replaces the adjoints: later steps, which R at t does not
     # depend on, read exact zeros.
+    n = np.arange(1, res.halts.shape[2] + 1)
     for t in range(inputs.shape[1]):
         res.tape.backward(position_sum(res, t, params.output_size, 1))
-        for n, (grad, rows) in enumerate(zip(res.halt_grads(t), res.halt_rows[t]),
-                                         start=1):
-            want = np.where(n < res.steps[rows, t], -1.0, 0.0)
-            assert np.all(grad == want)
-        for later in range(t + 1, inputs.shape[1]):
-            assert not any(grad.any() for grad in res.halt_grads(later))
+        want = np.where(n < res.steps[:, t, None], -1.0, 0.0)
+        assert np.all(res.halt_grads[:, t] == want)
+        assert not res.halt_grads[:, t + 1:].any()
 
 
 def test_forced_cap_one_batch():
     params, inputs, lengths, targets, mask = random_case("lstm", 9)
-    res = run_batch("lstm", params, ActConfig(max_steps=1), inputs, lengths)
+    res = run_batch(params, ActConfig(max_steps=1), inputs, lengths)
     assert np.all(res.steps[res.active] == 1)
     assert np.all(res.remainders[res.active] == 1.0)
     assert np.all(res.halted_by_cap[res.active])
@@ -171,14 +167,13 @@ def test_forced_cap_one_batch():
     res.tape.backward(res.ponder_var)
     for _, var in res.param_vars.items():
         assert not res.tape.grad(var).any()
-    for t in range(inputs.shape[1]):
-        assert not any(grad.any() for grad in res.halt_grads(t))
+    assert not res.halt_grads.any()
     assert res.ponder_var.data == 2.0 * lengths.sum()
 
 
 def test_remainders_match_halting_law_bit_for_bit():
     """R is 1 - h^1 - h^2 - ... in the halting law's order, on every padded
-    row."""
+    row, and the dense halting record holds exactly h^1 .. h^N there."""
     seen = set()
     for kind, halt_bias, halt_scale in [("rnn", -1.0, 4.0), ("rnn", 2.0, 10.0),
                                         ("lstm", -1.0, 4.0), ("lstm", -2.0, 1.0)]:
@@ -186,14 +181,22 @@ def test_remainders_match_halting_law_bit_for_bit():
         params.b_halt[:] = halt_bias
         params.w_halt *= halt_scale
         cfg = ActConfig(max_steps=7)
-        res = run_batch(kind, params, cfg, inputs, lengths)
+        res = run_batch(params, cfg, inputs, lengths)
         assert not res.active.all()
+        assert res.halts.shape == res.steps.shape + (res.steps.max(),)
+        assert res.halt_grads.shape == res.halts.shape
+        assert not res.halt_grads.any()         # no backward yet
+        # Past each position's N, inactive positions included: exact zeros.
+        past = np.arange(res.halts.shape[2]) >= res.steps[..., None]
+        assert np.all(res.halts[~past] > 0.0) and not res.halts[past].any()
         for e, t in zip(*np.nonzero(res.active)):
-            h = (h_n[res.halt_row(e, t, n)]
-                 for n, h_n in enumerate(res.halts[t], start=1))
-            n, _, remainder = halting_distribution(h, cfg.epsilon, cfg.max_steps)
+            # The law stops at N on the record alone, zeros past N and all.
+            n, _, remainder = halting_distribution(res.halts[e, t], cfg.epsilon,
+                                                   cfg.max_steps)
             assert n == res.steps[e, t]
             assert res.remainders[e, t] == remainder
+        res.tape.backward(ad.reduce_sum(res.node))
+        assert res.halt_grads[~past].any() and not res.halt_grads[past].any()
         seen.update(res.steps[res.active].tolist())
     assert seen == set(range(1, 8))
 
@@ -210,7 +213,7 @@ def test_one_readout_per_batch(monkeypatch):
         return original(hidden, w_out, b_out)
 
     monkeypatch.setattr(engine, "readout", counted)
-    res = run_batch("lstm", params, ActConfig(max_steps=7), inputs, lengths)
+    res = run_batch(params, ActConfig(max_steps=7), inputs, lengths)
     assert res.steps.max() > 1
     assert calls == [(inputs.shape[0] * inputs.shape[1], params.hidden_size)]
 
@@ -229,7 +232,7 @@ def test_padding_cannot_poison_values_or_gradients(kind, pad):
     cfg = ActConfig(max_steps=7)
 
     def run(inputs):
-        res = run_batch(kind, params, cfg, inputs, lengths)
+        res = run_batch(params, cfg, inputs, lengths)
         keep = np.zeros(res.node.shape)
         keep[..., :-1] = res.active[..., None]      # active readouts, no R
         loss = ad.add(ad.scale(res.ponder_var, 1e-2),
@@ -271,7 +274,7 @@ def test_only_running_rows_are_stepped(kind, monkeypatch):
 
     monkeypatch.setattr(CELLS[kind], "step", staticmethod(counted))
     monkeypatch.setattr(ad, "where_mask", no_select)
-    res = run_batch(kind, params, ActConfig(max_steps=7), inputs, lengths)
+    res = run_batch(params, ActConfig(max_steps=7), inputs, lengths)
     assert not res.active.all()
     assert len(np.unique(res.steps[res.active])) > 2
     assert sum(stepped) == res.steps[res.active].sum()
@@ -303,13 +306,13 @@ def test_input_step_with_no_active_row():
     inputs = rng.normal(size=(2, 3, 3))
     lengths = np.array([2, 1])
     cfg = ActConfig(max_steps=7)
-    res = run_batch("lstm", params, cfg, inputs, lengths)
-    trimmed = run_batch("lstm", params, cfg, inputs[:, :2], lengths)
+    res = run_batch(params, cfg, inputs, lengths)
+    trimmed = run_batch(params, cfg, inputs[:, :2], lengths)
     np.testing.assert_array_equal(res.outputs[:, :2], trimmed.outputs)
     np.testing.assert_array_equal(res.outputs[:, 2], res.outputs[:, 1])
     np.testing.assert_array_equal(res.steps[:, :2], trimmed.steps)
     assert not res.steps[:, 2].any() and not res.remainders[:, 2].any()
-    assert res.halts[2] == []
+    assert not res.halts[:, 2].any()
     assert res.ponder_var.data == trimmed.ponder_var.data
     res.tape.backward(position_sum(res, 2, 0, params.output_size))
     assert res.tape.grad(res.param_vars.w_rec).any()
@@ -351,11 +354,13 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
         res.tape.backward(loss)
         updates = int(res.steps.max(axis=0).sum())
         assert updates > 2 * batch.inputs.shape[1]
-        live = [sum(rows.size for rows in step) for step in res.halt_rows]
+        # Rows stepped per input step, and rows at its first update.
+        live = np.count_nonzero(res.halts, axis=(0, 2)).tolist()
         assert sum(live) == res.steps[res.active].sum() < updates * 8
         packet_rows = {"w_rec": live, "b_rec": live, "w_halt": live,
                        "b_halt": live,
-                       "w_in": [step[0].size + 1 for step in res.halt_rows]}
+                       "w_in": (np.count_nonzero(res.halts[..., 0], axis=0)
+                                + 1).tolist()}
         for name, rows in packet_rows.items():
             var = getattr(res.param_vars, name)
             got = [n for shape, n in formed if shape == var.data.shape]
@@ -376,6 +381,6 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
 def test_inputs_shape_contract():
     params = init_params("rnn", 3, 4, 2, seed=0)
     with pytest.raises(Exception, match="batch, T, input_size"):
-        run_batch("rnn", params, ActConfig(), np.zeros((3, 3)))
+        run_batch(params, ActConfig(), np.zeros((3, 3)))
     with pytest.raises(ad.DimensionError, match="4 features"):
-        run_batch("rnn", params, ActConfig(), np.zeros((2, 3, 4)))
+        run_batch(params, ActConfig(), np.zeros((2, 3, 4)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actlab import gradcheck
+from actlab import engine, gradcheck
 from actlab.act import ActConfig
 from actlab.autodiff import ContractError
 from actlab.cells import init_params
@@ -71,3 +71,21 @@ class TestGradCheck:
             spec, params, ActConfig(max_steps=5, time_penalty=1e-2), batch)
         assert ponder_ok and halt_zero_ok
         assert len(calls) == 1
+
+    def test_closed_forms_fail_on_a_wrong_halting_adjoint(self, monkeypatch):
+        # A backward that records +0.5 on every row's last-update adjoint
+        # breaks both closed forms: the rows halting there read 0.5, not 0.
+        spec = task_spec("logic")
+        params = init_params("lstm", spec.input_size, 4, spec.output_size, seed=2)
+        batch = gen_logic(seed=3, batch=3, min_len=3, max_len=3)
+        cfg = ActConfig(max_steps=5, time_penalty=1e-2)
+        assert gradcheck._check_closed_forms(spec, params, cfg, batch) == (True, True)
+        real = engine._backward_step
+
+        def perturbed(*args):
+            carry, dh = real(*args)
+            dh[:, -1] += 0.5
+            return carry, dh
+
+        monkeypatch.setattr(engine, "_backward_step", perturbed)
+        assert gradcheck._check_closed_forms(spec, params, cfg, batch) == (False, False)

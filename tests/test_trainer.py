@@ -102,8 +102,8 @@ class TestCheckpoint:
         _, params2, _ = load_checkpoint(path)
         batch = gen_parity(seed=5, n_bits=8, batch=4)
         cfg = ActConfig(max_steps=6)
-        res1 = run_batch(params.kind, params, cfg, batch.inputs, batch.lengths)
-        res2 = run_batch(params2.kind, params2, cfg, batch.inputs, batch.lengths)
+        res1 = run_batch(params, cfg, batch.inputs, batch.lengths)
+        res2 = run_batch(params2, cfg, batch.inputs, batch.lengths)
         assert res1.outputs.tobytes() == res2.outputs.tobytes()   # zero ulp
 
     def test_corrupted_checksum_detected(self, tmp_path):
