@@ -17,7 +17,9 @@ pre-activation z = x W_in + s W_rec + b that does not depend on the
 state, so a caller that feeds one input to several updates forms it
 once. It returns the new state and `back(ds, dz)`, which writes the
 adjoint of z into the buffer dz and returns the adjoint of the old state,
-dz W_recᵀ included. The weight adjoints Xᵀ dz and Hᵀ dz and the bias sums
+dz W_recᵀ included. s=None stands for the zero state: the cell skips
+s W_rec, and `back` returns None instead of forming the old state's
+adjoint. The weight adjoints Xᵀ dz and Hᵀ dz and the bias sums
 are left to the caller, which stacks the rows of many updates into one
 GEMM per weight. `readout` and `halting_activation` are array code too.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -108,14 +110,17 @@ class RnnCell:
     state_multiple = 1
 
     @staticmethod
-    def step(xb: np.ndarray, s: np.ndarray, w_rec: np.ndarray):
-        out = s @ w_rec
-        out += xb
-        np.tanh(out, out=out)
+    def step(xb: np.ndarray, s: Optional[np.ndarray], w_rec: np.ndarray):
+        if s is None:
+            out = np.tanh(xb)
+        else:
+            out = s @ w_rec
+            out += xb
+            np.tanh(out, out=out)
 
         def back(ds, dz):
             np.multiply(ds, 1.0 - out * out, out=dz)
-            return dz @ w_rec.T
+            return None if s is None else dz @ w_rec.T
 
         return out, back
 
@@ -143,21 +148,28 @@ class LstmCell:
     state_multiple = 2
 
     @staticmethod
-    def step(xb: np.ndarray, s: np.ndarray, w_rec: np.ndarray):
+    def step(xb: np.ndarray, s: Optional[np.ndarray], w_rec: np.ndarray):
         n = w_rec.shape[0]
         scale, shift, scale_sq = _gate_scales(n)
-        cd = s[:, n:]
         # One tanh over all of z: tanh(z/2) on the i, f, o columns, tanh(z)
         # on g; then t/2 + 1/2 turns the former into sigmoids and leaves g.
-        t = s[:, :n] @ w_rec
-        t += xb
-        t *= scale
+        if s is None:
+            t = xb * scale
+        else:
+            t = s[:, :n] @ w_rec
+            t += xb
+            t *= scale
         np.tanh(t, out=t)
         gates = t * scale
         gates += shift
         i, f, g, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
-        out = np.empty_like(s)
-        np.add(f * cd, i * g, out=out[:, n:])
+        out = np.empty((xb.shape[0], 2 * n))
+        if s is None:
+            cd = None
+            np.multiply(i, g, out=out[:, n:])
+        else:
+            cd = s[:, n:]
+            np.add(f * cd, i * g, out=out[:, n:])
         tc = np.tanh(out[:, n:])
         np.multiply(o, tc, out=out[:, :n])
 
@@ -168,12 +180,17 @@ class LstmCell:
             dc *= dh
             dc += ds[:, n:]
             np.multiply(dc, g, out=dz[:, :n])
-            np.multiply(dc, cd, out=dz[:, n:2 * n])
+            if s is None:
+                dz[:, n:2 * n] = 0.0
+            else:
+                np.multiply(dc, cd, out=dz[:, n:2 * n])
             np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
             np.multiply(dh, tc, out=dz[:, 3 * n:])
             deriv = 1.0 - t * t
             deriv *= scale_sq
             dz *= deriv
+            if s is None:
+                return None
             ds_prev = np.empty_like(ds)
             ds_prev[:, :n] = dz @ w_rec.T
             np.multiply(dc, f, out=ds_prev[:, n:])

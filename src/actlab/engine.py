@@ -30,7 +30,9 @@ so the two agree bit for bit. Each row's weighted sum accumulates in
 place in update order and is final when the row leaves the block. Every
 update of a step sees the same input, so its projection x W_in is formed
 once per step, with the bias, and the flag row of W_in is added on the
-first update.
+first update. Every batch starts from the zero state, so the first update
+of input step 0 passes the cell s=None: it forms no s W_rec there, and
+the backward no adjoint of the initial state.
 
 The output is read out from the mean state, as one (batch T, H) @ (H, O)
 product over all positions. The readout is affine and the weights sum to
@@ -48,8 +50,10 @@ only the halting decision. The halting and cell backward follow. Each
 other weight's adjoint is a stack of rows multiplied out as one GEMM:
 W_rec, b_rec, w_halt and b_halt stack each update's rows, and W_in stacks
 each active row once per input step, with its dz summed over its updates,
-plus one row for the flag. A stack is multiplied out whenever it reaches
-OUTER_FLUSH_ROWS rows, which bounds the rows it keeps alive.
+plus one row for the flag. W_rec and b_rec share one stack, whose dz rows
+are stacked once per flush, and so do w_halt and b_halt. A stack is
+multiplied out whenever it reaches OUTER_FLUSH_ROWS rows, which bounds
+the rows it keeps alive.
 
 The halting record is dense, like every other per-position result: h^n of
 position (e, t) sits at `BatchRunResult.halts[e, t, n - 1]` and its
@@ -103,33 +107,31 @@ class BatchRunResult:
         return np.where(self.active, self.steps + self.remainders, 0.0)
 
 
-def _outer_sum(blocks: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """concat(a).T @ concat(b) over row blocks (a, b): their summed adjoint."""
-    a, b = zip(*blocks)
-    return np.concatenate(a).T @ np.concatenate(b)
-
-
 class _RowStack:
-    """One weight's adjoint, the sum of a.T @ b over the row blocks pushed,
-    formed as one stacked GEMM per OUTER_FLUSH_ROWS rows."""
+    """The adjoints of weights whose row blocks share a right factor b: per
+    left factor a, the sum of a.T @ b over the blocks pushed, formed as one
+    stacked GEMM per weight per OUTER_FLUSH_ROWS rows. The b rows are
+    stacked once for all the weights."""
 
-    def __init__(self):
-        self.blocks, self.rows, self.total = [], 0, None
+    def __init__(self, n_weights: int):
+        self.blocks, self.rows, self.totals = [], 0, (None,) * n_weights
 
-    def push(self, a: np.ndarray, b: np.ndarray) -> None:
-        self.blocks.append((a, b))
-        self.rows += a.shape[0]
+    def push(self, b: np.ndarray, *a: np.ndarray) -> None:
+        self.blocks.append((b, *a))
+        self.rows += b.shape[0]
         if self.rows >= OUTER_FLUSH_ROWS:
             self.flush()
 
-    def flush(self) -> Optional[np.ndarray]:
-        """Multiply out the stacked rows; returns the adjoint so far."""
+    def flush(self) -> tuple[Optional[np.ndarray], ...]:
+        """Multiply out the stacked rows; returns the adjoints so far."""
         if self.blocks:
-            product = _outer_sum(self.blocks)
-            if self.total is not None:
-                product += self.total
-            self.blocks, self.rows, self.total = [], 0, product
-        return self.total
+            b, *lefts = (np.concatenate(c) for c in zip(*self.blocks))
+            products = tuple(a.T @ b for a in lefts)
+            for product, total in zip(products, self.totals):
+                if total is not None:
+                    product += total
+            self.blocks, self.rows, self.totals = [], 0, products
+        return self.totals
 
 
 def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
@@ -158,7 +160,9 @@ def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
     n = 0
     while True:
         n += 1
-        s_new, back = cell.step(xb + w_in[-1] if n == 1 else xb, s, w_rec)
+        # The state before the first update of input step 0 is zero.
+        s_new, back = cell.step(xb + w_in[-1] if n == 1 else xb,
+                                None if n == 1 and t == 0 else s, w_rec)
         h = halting_activation(s_new[:, :n_hidden], w_halt, b_halt)
         if not np.all(np.isfinite(h)):
             raise NumericError(
@@ -194,9 +198,11 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
 
     `g_act` and `d_r` are the adjoints of the mean state and R of the
     step's active rows, whose inputs are `x`; `d_r` is updated in place.
-    Pushes the step's weight rows onto `stacks`, in `weights` order, and
-    returns the adjoint of the state the step started from on those rows,
-    and their halting adjoints, (rows, updates), 0 past each row's halt.
+    Pushes the step's weight rows onto `stacks`, the stacks of W_in, of
+    W_rec and b_rec, and of w_halt and b_halt. Returns the adjoint of the
+    state the step started from on those rows (None at input step 0,
+    which starts from the zero state), and their halting adjoints,
+    (rows, updates), 0 past each row's halt.
     """
     w_in, w_rec, _, w_halt, _ = weights
     n_hidden = w_rec.shape[0]
@@ -245,9 +251,10 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
     h_in = np.concatenate([u[1][:, :n_hidden] for u in updates])
     h_out = np.concatenate([u[2][:, :n_hidden] for u in updates])
     ones = np.ones((offsets[-1], 1))
-    for stack, a, b in zip(stacks, (x_rows, h_in, ones, h_out, ones),
-                           (dz_rows, dz_all, dz_all, dpre_all, dpre_all)):
-        stack.push(a, b)
+    in_stack, rec_stack, halt_stack = stacks
+    in_stack.push(dz_rows, x_rows)
+    rec_stack.push(dz_all, h_in, ones)
+    halt_stack.push(dpre_all, h_out, ones)
     return carry, dh_all
 
 
@@ -317,15 +324,17 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         g_hidden = (g_y @ w_out.T).reshape(hidden.shape)
         d_w_out = hidden.reshape(-1, n_hidden).T @ g_y
         d_b_out = g_y.sum(axis=0, keepdims=True)
-        stacks = tuple(_RowStack() for _ in weights)
+        stacks = _RowStack(1), _RowStack(2), _RowStack(2)
         g_state = np.zeros_like(state)
         for t in range(n_steps_total - 1, -1, -1):
             g_state[:, :n_hidden] += g_hidden[:, t]
             idx, x, updates = records[t]
             if updates:
-                g_state[idx], halt_grads[idx, t, :len(updates)] = _backward_step(
+                carry, halt_grads[idx, t, :len(updates)] = _backward_step(
                     updates, x, g_state[idx], g_r[idx, t], weights, stacks)
-        d_in, d_rec, d_b, d_halt, d_b_halt = (s.flush() for s in stacks)
+                if t:    # the zero initial state has no adjoint
+                    g_state[idx] = carry
+        (d_in,), (d_rec, d_b), (d_halt, d_b_halt) = (s.flush() for s in stacks)
         return d_in, d_rec, d_b, d_w_out, d_b_out, d_halt, d_b_halt
 
     node = ad.record(value, tuple(v for _, v in pv.items()), backward)

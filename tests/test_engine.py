@@ -281,6 +281,55 @@ def test_only_running_rows_are_stepped(kind, monkeypatch):
     assert sum(stepped) < res.steps.max(axis=0).sum() * inputs.shape[0]
 
 
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+@pytest.mark.parametrize("t_max, max_steps", [(1, 7), (4, 1), (4, 7)])
+def test_zero_initial_state_skips_recurrent_products(kind, t_max, max_steps,
+                                                     monkeypatch):
+    """Every batch starts from the zero state, so the cell gets s=None on
+    the first update of input step 0 and nowhere else: no s W_rec product
+    and no adjoint of the initial state. Values and gradients keep their
+    1e-12 pin to the reference, at T = 1 and with the cap at one update."""
+    params, inputs, lengths, targets, mask = random_case(kind, 4, t_max=t_max)
+    params.b_halt[:] = -1.0
+    cfg = ActConfig(max_steps=max_steps, time_penalty=1e-2)
+    calls, backs = [], []
+    original = CELLS[kind].step
+
+    def recorded(xb, s, w_rec):
+        calls.append((s is None, xb.shape[0]))
+        out, back = original(xb, s, w_rec)
+
+        def recorded_back(ds, dz):
+            ds_prev = back(ds, dz)
+            backs.append(ds_prev is None)
+            return ds_prev
+
+        return out, recorded_back
+
+    monkeypatch.setattr(CELLS[kind], "step", staticmethod(recorded))
+    got_total, got_grads, res = batched_objective(
+        params, cfg, inputs, lengths, targets, mask, cfg.time_penalty)
+    assert calls[0] == (True, inputs.shape[0])
+    assert [none for none, _ in calls[1:]] == [False] * (len(calls) - 1)
+    assert backs.count(True) == 1 and backs[-1]
+    assert len(calls) == len(backs) == res.steps.max(axis=0).sum()
+    assert sum(rows for _, rows in calls) == res.steps[res.active].sum()
+    if max_steps > 1:
+        assert res.steps.max() > 1
+
+    monkeypatch.undo()
+    ref_total, ref_grads, ref_outputs, _, _ = reference_objective(
+        params, cfg, inputs, lengths, targets, mask, cfg.time_penalty)
+    assert abs(got_total - ref_total) < 1e-12
+    for e in range(inputs.shape[0]):
+        np.testing.assert_allclose(res.outputs[e, :lengths[e]], ref_outputs[e],
+                                   atol=1e-12, rtol=0)
+    for name, want in ref_grads.items():
+        scale = max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(got_grads[name] / scale, want / scale,
+                                   atol=1e-12, rtol=0)
+
+
 @pytest.mark.parametrize("n_steps", [1, 10, 64])
 @pytest.mark.parametrize("halt_bias, mean_n", [(-2.0, 9.0), (8.0, 1.0)])
 def test_node_budget_per_batch(halt_bias, mean_n, n_steps):
@@ -319,22 +368,25 @@ def test_input_step_with_no_active_row():
 
 
 def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
-    # Each input step pushes one block of its rows onto every weight's
-    # stack: W_rec, b_rec, w_halt and b_halt each update's rows, W_in each
-    # active row once plus the flag row. The backward must stack exactly
-    # those rows and form each adjoint once per chunk, flushing as soon as
-    # a stack reaches OUTER_FLUSH_ROWS rows, never once per update.
+    # Each input step pushes one block of its rows onto each stack: W_rec
+    # and b_rec share one stack of each update's rows, w_halt and b_halt
+    # another, and W_in stacks each active row once plus the flag row. The
+    # backward must stack exactly those rows and form each adjoint once per
+    # chunk, flushing as soon as a stack reaches OUTER_FLUSH_ROWS rows,
+    # never once per update.
     spec = task_spec("logic")
     batch = gen_logic(3, batch=8, min_len=3, max_len=4)
     params = init_params("lstm", spec.input_size, 16, spec.output_size, seed=2,
                          halt_bias=-2.0)
     cfg = ActConfig(max_steps=10)
     formed = []
-    original = engine._outer_sum
+    original = engine._RowStack.flush
 
-    def counted(blocks):
-        out = original(blocks)
-        formed.append((out.shape, sum(a.shape[0] for a, _ in blocks)))
+    def counted(stack):
+        rows, pending = stack.rows, bool(stack.blocks)
+        out = original(stack)
+        if pending:
+            formed.extend((total.shape, rows) for total in out)
         return out
 
     def chunks(packet_rows, flush_rows):
@@ -369,7 +421,7 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
                                   for rows in packet_rows.values())
         return {name: res.tape.grad(var) for name, var in res.param_vars.items()}
 
-    monkeypatch.setattr(engine, "_outer_sum", counted)
+    monkeypatch.setattr(engine._RowStack, "flush", counted)
     whole = weight_grads(engine.OUTER_FLUSH_ROWS)
     assert len(formed) == 5
     chunked = weight_grads(3 * 8)

@@ -3,7 +3,7 @@ import pytest
 
 from actlab.autodiff import NumericError
 from actlab.cells import init_params
-from actlab.optim import OptimizerState, adam_update, clip_global_norm
+from actlab.optim import ADAM_BLOCK, OptimizerState, adam_update, clip_global_norm
 
 
 def tiny_params(seed=0):
@@ -66,6 +66,54 @@ class TestAdam:
         grads["w_rec"][0, 0] = np.nan
         with pytest.raises(NumericError, match="w_rec"):
             adam_update(params, grads, OptimizerState.for_params(params), lr=1e-4)
+
+    def test_failed_step_leaves_no_partial_update(self):
+        # b_halt is updated last; its NaN must stop the step before any
+        # parameter, moment or the step count changes.
+        rng = np.random.default_rng(1)
+        params = tiny_params()
+        state = OptimizerState.for_params(params)
+        adam_update(params, {n: rng.normal(size=a.shape) for n, a in params.items()},
+                    state, lr=1e-3)
+        grads = {n: rng.normal(size=a.shape) for n, a in params.items()}
+        grads["b_halt"][0, 0] = np.nan
+
+        def snapshot():
+            return ({n: a.tobytes() for n, a in params.items()},
+                    {n: a.tobytes() for n, a in state.m.items()},
+                    {n: a.tobytes() for n, a in state.v.items()}, state.step)
+
+        before = snapshot()
+        with pytest.raises(NumericError, match="b_halt"):
+            adam_update(params, grads, state, lr=1e-3)
+        assert snapshot() == before
+
+    def test_blocked_update_is_the_textbook_form_in_place(self):
+        # W_rec spans two blocks and part of a third. The result must be
+        # the textbook expression exactly, with each array updated in place.
+        params = init_params("lstm", 5, 130, 3, seed=4)
+        assert params.w_rec.size > 2 * ADAM_BLOCK and params.w_rec.size % ADAM_BLOCK
+        state = OptimizerState.for_params(params)
+        arrays = [(n, a, state.m[n], state.v[n]) for n, a in params.items()]
+        mirror = {n: a.copy() for n, a in params.items()}
+        m = {n: np.zeros_like(a) for n, a in mirror.items()}
+        v = {n: np.zeros_like(a) for n, a in mirror.items()}
+        rng = np.random.default_rng(9)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        for t in (1, 2, 3):
+            grads = {n: rng.normal(size=a.shape) for n, a in params.items()}
+            adam_update(params, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            for n, g in grads.items():
+                m[n] = m[n] * b1 + (1 - b1) * g
+                v[n] = v[n] * b2 + (1 - b2) * (g * g)
+                mirror[n] = mirror[n] - lr * (m[n] / (1 - b1 ** t)) / (
+                    np.sqrt(v[n] / (1 - b2 ** t)) + eps)
+        for n, arr, m_arr, v_arr in arrays:
+            assert getattr(params, n) is arr
+            assert state.m[n] is m_arr and state.v[n] is v_arr
+            assert np.all(arr == mirror[n])
+            assert np.all(m_arr == m[n]) and np.all(v_arr == v[n])
+        assert state.step == 3
 
     def test_deterministic_across_runs(self):
         def run():
