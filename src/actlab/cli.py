@@ -204,7 +204,7 @@ def _cmd_trace(args) -> int:
     corpus = load_corpus(config)
     rng = np.random.default_rng(args.seed)
     batch = make_batch(config, rng, corpus, batch_size=args.count)
-    res = run_batch(params, act_cfg, batch.inputs, batch.lengths)
+    res = run_batch(params, act_cfg, batch.inputs, batch.lengths, grad=False)
     nats = per_position_nats(spec, res.outputs, batch.targets, batch.target_mask)
     dists = spec.probs(res.outputs)
 

@@ -50,15 +50,26 @@ only the halting decision. The halting and cell backward follow. Each
 other weight's adjoint is a stack of rows multiplied out as one GEMM:
 W_rec, b_rec, w_halt and b_halt stack each update's rows, and W_in stacks
 each active row once per input step, with its dz summed over its updates,
-plus one row for the flag. W_rec and b_rec share one stack, whose dz rows
-are stacked once per flush, and so do w_halt and b_halt. A stack is
-multiplied out whenever it reaches OUTER_FLUSH_ROWS rows, which bounds
-the rows it keeps alive.
+plus one row for the flag. W_rec and b_rec share one stack of dz rows,
+and w_halt and b_halt one of halting adjoint rows. The replay writes each
+step's rows in place into buffers its stacks own, sized from the records
+to the largest chunk before the replay starts, and a stack is multiplied
+out whenever it reaches OUTER_FLUSH_ROWS rows, which bounds the rows it
+keeps alive.
 
 The halting record is dense, like every other per-position result: h^n of
 position (e, t) sits at `BatchRunResult.halts[e, t, n - 1]` and its
 adjoint at `halt_grads[e, t, n - 1]`, for n <= N(e, t); every other entry
 is exactly 0. The N axis is as long as the batch's largest N.
+
+`run_batch(..., grad=False)` is the same forward without the tape: it
+records no node, drops each update's cell backward as soon as the cell
+returns it, and keeps per update only its block rows and h, for the
+halting record. An update's gate arrays go with it, and its new state
+with the next update, which takes it as input, so the pass holds the
+per-position results and about one update's arrays. Evaluation and
+`trace` run this way; the values are those of the recording pass, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -74,12 +85,13 @@ from .autodiff import ContractError, DimensionError, NumericError, Tape, Var
 from .cells import CELLS, CellParams, ParamVars, halting_activation, readout
 
 # Rows a weight's stack may hold before it is multiplied out into the
-# weight's adjoint. The stack keeps each update's rows alive until then,
-# and a flush adds one stacked copy of them: at lstm-1500 a dz row is
-# 48 KB, so a full stack is 48 MB and a flush holds about twice that.
-# Measured on one text forward and backward (lstm-1500, batch 8, 500-byte
-# window, 8,000 rows, one BLAS thread): peak RSS 1,748 MB at 1024 rows,
-# 1,894 MB at 2048 and 2,708 MB unflushed.
+# weight's adjoint. The replay writes each update's rows into buffers the
+# stack owns, sized to its largest chunk, and a flush multiplies views of
+# them, with no stacked copy: at lstm-1500 a dz row is 48 KB, so a full
+# W_rec stack is about 48 MB. Measured on one text forward and backward
+# (lstm-1500, batch 8, 500-byte window, 8,000 rows, one BLAS thread):
+# peak RSS 1,694 MB at 1024 rows; with a stacked copy per flush, 1,748 MB
+# at 1024, 1,894 MB at 2048 and 2,708 MB unflushed.
 OUTER_FLUSH_ROWS = 1024
 
 
@@ -87,10 +99,11 @@ OUTER_FLUSH_ROWS = 1024
 class BatchRunResult:
     """Forward pass of a whole minibatch, ready for loss assembly."""
 
-    tape: Tape
-    param_vars: ParamVars
-    node: Var                     # (batch, T, output + 1): readout, then R
-    ponder_var: Var               # sum of N + R over active positions (scalar)
+    # The tape fields; None after a forward-only pass.
+    tape: Optional[Tape]
+    param_vars: Optional[ParamVars]
+    node: Optional[Var]           # (batch, T, output + 1): readout, then R
+    ponder_var: Optional[Var]     # sum of N + R over active positions (scalar)
     outputs: np.ndarray           # (batch, T, output): the node's readouts
     remainders: np.ndarray        # (batch, T): its R; 0 on inactive steps
     steps: np.ndarray             # (batch, T) int, N(t); 0 on inactive steps
@@ -98,8 +111,8 @@ class BatchRunResult:
     halted_by_cap: np.ndarray     # (batch, T) bool
     halts: np.ndarray             # (batch, T, max N): h^n at [e, t, n - 1]
     # Shaped like `halts`: the adjoints of h from the last `tape.backward`
-    # that reached the batch node; 0 before any backward.
-    halt_grads: np.ndarray
+    # that reached the batch node; 0 before any backward. A tape field.
+    halt_grads: Optional[np.ndarray]
 
     @property
     def ponders(self) -> np.ndarray:
@@ -109,39 +122,62 @@ class BatchRunResult:
 
 class _RowStack:
     """The adjoints of weights whose row blocks share a right factor b: per
-    left factor a, the sum of a.T @ b over the blocks pushed, formed as one
-    stacked GEMM per weight per OUTER_FLUSH_ROWS rows. The b rows are
-    stacked once for all the weights."""
+    left factor a, the sum of a.T @ b over the rows written, formed as one
+    GEMM per weight per chunk of at least OUTER_FLUSH_ROWS rows.
 
-    def __init__(self, n_weights: int):
-        self.blocks, self.rows, self.totals = [], 0, (None,) * n_weights
+    A backward writes each input step's rows in place into buffers the
+    stack owns, one for b and one per written left factor, sized to the
+    largest chunk; a constant ones column (a bias) is allocated once. A
+    flush multiplies views of the rows written since the last one.
+    """
 
-    def push(self, b: np.ndarray, *a: np.ndarray) -> None:
-        self.blocks.append((b, *a))
-        self.rows += b.shape[0]
+    def __init__(self, step_rows: list[int], widths: tuple[int, ...],
+                 ones: bool = False):
+        """`step_rows`: the rows each step will write, in the order they
+        come; `widths`: the columns of b, then of each written a."""
+        largest = rows = 0
+        for n in step_rows:
+            rows += n
+            largest = max(largest, rows)
+            if rows >= OUTER_FLUSH_ROWS:
+                rows = 0
+        self.buffers = [np.empty((largest, w)) for w in widths]
+        self.written = len(widths)
+        if ones:
+            self.buffers.append(np.ones((largest, 1)))
+        self.rows, self.totals = 0, (None,) * (len(self.buffers) - 1)
+
+    def take(self, n: int) -> tuple[np.ndarray, ...]:
+        """The next n rows of b and of each written a, to be filled in."""
         if self.rows >= OUTER_FLUSH_ROWS:
             self.flush()
+        start = self.rows
+        self.rows += n
+        return tuple(buf[start:self.rows] for buf in self.buffers[:self.written])
 
     def flush(self) -> tuple[Optional[np.ndarray], ...]:
-        """Multiply out the stacked rows; returns the adjoints so far."""
-        if self.blocks:
-            b, *lefts = (np.concatenate(c) for c in zip(*self.blocks))
+        """Multiply out the rows written; returns the adjoints so far."""
+        if self.rows:
+            b, *lefts = (buf[:self.rows] for buf in self.buffers)
             products = tuple(a.T @ b for a in lefts)
             for product, total in zip(products, self.totals):
                 if total is not None:
                     product += total
-            self.blocks, self.rows, self.totals = [], 0, products
+            self.rows, self.totals = 0, products
         return self.totals
 
 
 def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
-                  idx0: np.ndarray, t: int, state, steps, capped, remainders):
+                  idx0: np.ndarray, t: int, state, steps, capped, remainders,
+                  grad: bool):
     """Run input step t on its active rows `idx0`, whose inputs are `x`.
 
     Writes each row's mean state, N, whether the step cap stopped it and R
     at its batch row of `state`, `steps`, `capped` and `remainders`.
-    Returns per update (block rows as positions among the active rows,
-    s_in, s_new, cell backward, h, w, halting rows or None).
+    Returns per update (block rows as positions among the active rows, h,
+    then with `grad` s_in, s_new, cell backward, w, halting rows or None).
+    Without `grad` the cell's backward is dropped as soon as it is
+    returned, so no update's arrays outlive the next update.
     """
     w_in, w_rec, b_rec, w_halt, b_halt = weights
     n_hidden = w_rec.shape[0]
@@ -163,6 +199,8 @@ def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
         # The state before the first update of input step 0 is zero.
         s_new, back = cell.step(xb + w_in[-1] if n == 1 else xb,
                                 None if n == 1 and t == 0 else s, w_rec)
+        if not grad:
+            back = None
         h = halting_activation(s_new[:, :n_hidden], w_halt, b_halt)
         if not np.all(np.isfinite(h)):
             raise NumericError(
@@ -173,7 +211,7 @@ def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
             halt = None
         # Mean-field weight: h^n on rows that go on, R on rows halting now.
         w = h if halt is None else np.where(halt, r, h)
-        updates.append((pos, s, s_new, back, h, w, halt))
+        updates.append((pos, h, s, s_new, back, w, halt) if grad else (pos, h))
         if acc is None:
             acc = s_new * w[:, None]
         else:
@@ -198,23 +236,30 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
 
     `g_act` and `d_r` are the adjoints of the mean state and R of the
     step's active rows, whose inputs are `x`; `d_r` is updated in place.
-    Pushes the step's weight rows onto `stacks`, the stacks of W_in, of
+    Writes the step's weight rows into `stacks`, the stacks of W_in, of
     W_rec and b_rec, and of w_halt and b_halt. Returns the adjoint of the
     state the step started from on those rows (None at input step 0,
     which starts from the zero state), and their halting adjoints,
     (rows, updates), 0 past each row's halt.
     """
-    w_in, w_rec, _, w_halt, _ = weights
+    _, w_rec, _, w_halt, _ = weights
     n_hidden = w_rec.shape[0]
+    n_active = x.shape[0]
     offsets = np.cumsum([0] + [u[0].size for u in updates]).tolist()
-    dz_all = np.empty((offsets[-1], w_rec.shape[1]))
-    dpre_all = np.empty((offsets[-1], 1))
-    dh_all = np.zeros((x.shape[0], len(updates)))
-    # Adjoint of the block's state, and each block row's dz summed over
-    # the updates after the one being replayed.
-    carry = dz_sum = g_pos = None
+    in_stack, rec_stack, halt_stack = stacks
+    dz_all, h_in = rec_stack.take(offsets[-1])
+    dpre_all, h_out = halt_stack.take(offsets[-1])
+    # W_in's rows: each active row's x with its dz summed over its
+    # updates, then the flag row with the first update's dz summed.
+    dz_rows, x_rows = in_stack.take(n_active + 1)
+    dz_sum = dz_rows[:-1]
+    dz_sum[...] = 0.0
+    dh_all = np.zeros((n_active, len(updates)))
+    # Adjoint of the block's state.
+    carry = g_pos = None
     for k in range(len(updates) - 1, -1, -1):
-        pos, _, s_new, back, h, w, halt = updates[k]
+        pos, h, s, s_new, back, w, halt = updates[k]
+        rows = slice(offsets[k], offsets[k + 1])
         if pos is not g_pos:
             g_pos, g_blk = pos, g_act[pos]
         dw = np.einsum("ij,ij->i", g_blk, s_new)
@@ -229,32 +274,29 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
         if carry is not None:
             ds += carry
         ds[:, :n_hidden] += np.multiply.outer(dpre, w_halt[:, 0])
-        dz = dz_all[offsets[k]:offsets[k + 1]]
+        dz = dz_all[rows]
         carry = back(ds, dz)
-        dpre_all[offsets[k]:offsets[k + 1], 0] = dpre
-        if dz_sum is None:
-            dz_sum = dz.copy()
-        else:
+        dpre_all[rows, 0] = dpre
+        h_in[rows] = s[:, :n_hidden]
+        h_out[rows] = s_new[:, :n_hidden]
+        # Each row sums its dz from its last update back; the first term
+        # is copied rather than added to 0, so a -0.0 stays -0.0.
+        if k == len(updates) - 1:
+            dz_sum[pos] = dz
+        elif pos.size == n_active:
             dz_sum += dz
+        else:
+            dz_sum[pos] += dz
         before = updates[k - 1][6] if k else None
         if before is not None:
             # Rows that halted at the update before stop here: exact zeros.
-            go = ~before
-            carry, dz_sum = (_expand(a, go) for a in (carry, dz_sum))
+            carry = _expand(carry, ~before)
 
-    x_rows = np.zeros((x.shape[0] + 1, w_in.shape[0]))
     x_rows[:-1, :-1] = x
+    x_rows[:-1, -1] = 0.0
+    x_rows[-1] = 0.0
     x_rows[-1, -1] = 1.0
-    dz_rows = np.empty((x.shape[0] + 1, w_rec.shape[1]))
-    dz_rows[:-1] = dz_sum
     dz_rows[-1] = dz_all[:offsets[1]].sum(axis=0)
-    h_in = np.concatenate([u[1][:, :n_hidden] for u in updates])
-    h_out = np.concatenate([u[2][:, :n_hidden] for u in updates])
-    ones = np.ones((offsets[-1], 1))
-    in_stack, rec_stack, halt_stack = stacks
-    in_stack.push(dz_rows, x_rows)
-    rec_stack.push(dz_all, h_in, ones)
-    halt_stack.push(dpre_all, h_out, ones)
     return carry, dh_all
 
 
@@ -266,12 +308,15 @@ def _expand(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
-              lengths: Optional[np.ndarray] = None) -> BatchRunResult:
+              lengths: Optional[np.ndarray] = None, *,
+              grad: bool = True) -> BatchRunResult:
     """Run the pondering loop of the `params.kind` cell over a
     (batch, T, input_size) input block.
 
     `lengths` gives each example's true sequence length; steps at or past
-    it leave the state untouched and contribute nothing to ponder.
+    it leave the state untouched and contribute nothing to ponder. With
+    `grad=False` the pass is forward-only: it records no tape, keeps
+    nothing for a backward, and leaves the result's tape fields None.
     """
     cell = CELLS[params.kind]
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -285,11 +330,17 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         lengths = np.full(n_batch, n_steps_total, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
 
-    tape = Tape()
-    pv = ParamVars.record(tape, params)
-    weights = tuple(v.data for v in (pv.w_in, pv.w_rec, pv.b_rec, pv.w_halt,
-                                     pv.b_halt))
-    w_out, b_out = pv.w_out.data, pv.b_out.data
+    if grad:
+        tape = Tape()
+        pv = ParamVars.record(tape, params)
+        arrays = {name: v.data for name, v in pv.items()}
+    else:
+        tape = pv = None
+        arrays = {name: np.ascontiguousarray(a, dtype=np.float64)
+                  for name, a in params.items()}
+    weights = tuple(arrays[name] for name in ("w_in", "w_rec", "b_rec",
+                                              "w_halt", "b_halt"))
+    w_out, b_out = arrays["w_out"], arrays["b_out"]
     n_hidden = params.hidden_size
     width = cell.state_multiple * n_hidden
     state = np.zeros((n_batch, width))
@@ -298,7 +349,8 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
     steps = np.zeros((n_batch, n_steps_total), dtype=np.int64)
     capped = np.zeros((n_batch, n_steps_total), dtype=bool)
     active = np.arange(n_steps_total)[None, :] < lengths[:, None]
-    # Per input step: its active rows, their inputs and its updates.
+    # Per input step: its active rows, their inputs (kept only with
+    # `grad`) and its updates.
     records: list[tuple] = []
 
     for t in range(n_steps_total):
@@ -306,16 +358,19 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         x = inputs[idx, t]
         # With no active row nothing runs: the state stays and R reads 0.
         updates = _forward_step(cell, weights, cfg, x, idx, t, state,
-                                steps[:, t], capped[:, t],
-                                value[:, t, -1]) if idx.size else []
-        records.append((idx, x, updates))
+                                steps[:, t], capped[:, t], value[:, t, -1],
+                                grad) if idx.size else []
+        records.append((idx, x if grad else None, updates))
         hidden[:, t] = state[:, :n_hidden]
     value[..., :-1] = readout(hidden.reshape(-1, n_hidden), w_out,
                               b_out).reshape(n_batch, n_steps_total, -1)
     halts = np.zeros((n_batch, n_steps_total, steps.max(initial=0)))
     for t, (idx, _, updates) in enumerate(records):
         for n, u in enumerate(updates):
-            halts[idx[u[0]], t, n] = u[4]
+            halts[idx[u[0]], t, n] = u[1]
+    if not grad:
+        return BatchRunResult(None, None, None, None, value[..., :-1],
+                              value[..., -1], steps, active, capped, halts, None)
     halt_grads = np.zeros_like(halts)
 
     def backward(g):
@@ -324,7 +379,14 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         g_hidden = (g_y @ w_out.T).reshape(hidden.shape)
         d_w_out = hidden.reshape(-1, n_hidden).T @ g_y
         d_b_out = g_y.sum(axis=0, keepdims=True)
-        stacks = _RowStack(1), _RowStack(2), _RowStack(2)
+        # The rows each input step writes, in replay order.
+        replayed = [(idx, u) for idx, _, u in reversed(records) if u]
+        update_rows = [sum(v[0].size for v in u) for _, u in replayed]
+        w_in, w_rec = weights[:2]
+        stacks = (_RowStack([idx.size + 1 for idx, _ in replayed],
+                            (w_rec.shape[1], w_in.shape[0])),
+                  _RowStack(update_rows, (w_rec.shape[1], n_hidden), ones=True),
+                  _RowStack(update_rows, (1, n_hidden), ones=True))
         g_state = np.zeros_like(state)
         for t in range(n_steps_total - 1, -1, -1):
             g_state[:, :n_hidden] += g_hidden[:, t]

@@ -3,7 +3,8 @@
 A training run is a pure function of (config, seed): batch data, eval
 data, and initialization all derive from independent child seeds of the
 run seed, updates apply in a fixed parameter order, and metrics rows
-serialize deterministically.
+serialize deterministically. Evaluation records no tape: it runs
+consecutive eval batches as one forward-only block (`evaluate`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .act import ActConfig
-from .autodiff import NumericError
+from .autodiff import ContractError, DimensionError, NumericError
 from .cells import CellParams, init_params
 from .checkpoint import save_checkpoint
 from .config import (ConfigError, TrainConfig, config_digest, config_text,
@@ -33,6 +34,19 @@ from .tasks import (TaskBatch, TaskSpec, derive_seeds, gen_addition, gen_logic,
 
 METRICS_SCHEMA = 2
 SWEEP_SCHEMA = "sweep-summary-1"
+
+# Float64 values an eval block's per-position arrays may hold: rows times
+# the block's longest T times (input + hidden + output + 1), for the
+# inputs, the mean hidden state, the readout and R. A forward-only pass
+# keeps far less per position than a recording pass keeps for its
+# backward, but it steps all of a block's rows at once, so its per-update
+# arrays grow with the block. Peak RSS of a 40-batch eval, one recording
+# pass per batch -> blocks of 2^19 (2^20) values, one BLAS thread:
+# logic-ponder 63.7 -> 52.6 (59.8) MB, addition-wide 71.5 -> 68.1 (88.1)
+# MB. The gated configs' four eval batches, at most 64 x 10 x 232 and
+# 128 x 5 x 629 values, fit one block; an lstm-1500 text batch of 8 at a
+# 50-byte window (805,200 values) runs alone.
+EVAL_BLOCK_VALUES = 1 << 19
 
 
 def load_corpus(config: TrainConfig) -> Optional[bytes]:
@@ -109,21 +123,70 @@ class EvalDetails:
     nats: np.ndarray                # masked positions only
 
 
+def _eval_blocks(batches: list[TaskBatch],
+                 position_values: int) -> list[list[TaskBatch]]:
+    """Consecutive batches grouped into blocks whose per-position arrays,
+    `position_values` float64 values per position, padded to the block's
+    longest T, stay within EVAL_BLOCK_VALUES. A batch is never split; one
+    over the budget is a block of its own."""
+    blocks: list[list[TaskBatch]] = []
+    rows = n_steps = 0
+    for batch in batches:
+        n, t = batch.inputs.shape[:2]
+        if blocks and ((rows + n) * max(n_steps, t) * position_values
+                       <= EVAL_BLOCK_VALUES):
+            blocks[-1].append(batch)
+            rows, n_steps = rows + n, max(n_steps, t)
+        else:
+            blocks.append([batch])
+            rows, n_steps = n, t
+    return blocks
+
+
 def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
              batches: list[TaskBatch]) -> tuple[RunMetrics, EvalDetails]:
+    """Metrics and per-step details over `batches`.
+
+    Consecutive batches run as one forward-only block (`_eval_blocks`):
+    stacked along the batch axis and zero-padded to the block's longest T.
+    Each batch's rows and first T positions are then sliced back out, so
+    every number is computed per batch as if it had run alone.
+    """
+    if not batches:
+        raise ContractError("evaluate needs at least one batch; got an empty list")
+    widths = sorted({batch.inputs.shape[2] for batch in batches})
+    if len(widths) > 1:
+        raise DimensionError(f"eval batches have different input widths {widths}")
     columns = []                    # per batch: EvalDetails' fields, then capped
-    for batch in batches:
-        res = run_batch(params, act_cfg, batch.inputs, batch.lengths)
-        predictions = spec.decode(res.outputs)
-        mask = batch.target_mask
-        wrong_step = np.any(predictions != batch.targets, axis=2) & mask
-        nats = per_position_nats(spec, res.outputs, batch.targets, mask)
-        active = res.active
-        columns.append((res.ponders[active], res.steps[active],
-                        batch.difficulty[active], wrong_step[active],
-                        example_errors(predictions, batch.targets, mask),
-                        res.ponders.sum(axis=1), batch.difficulty[:, 0], nats[mask],
-                        res.halted_by_cap[active]))
+    for block in _eval_blocks(batches, params.input_size + params.hidden_size
+                              + params.output_size + 1):
+        inputs = np.zeros((sum(b.batch_size for b in block),
+                           max(b.inputs.shape[1] for b in block), widths[0]))
+        start = 0
+        for batch in block:
+            n, t = batch.inputs.shape[:2]
+            inputs[start:start + n, :t] = batch.inputs
+            start += n
+        res = run_batch(params, act_cfg, inputs,
+                        np.concatenate([b.lengths for b in block]), grad=False)
+        start = 0
+        for batch in block:
+            n, t = batch.inputs.shape[:2]
+            outputs, steps, remainders, active, capped = (
+                np.ascontiguousarray(a[start:start + n, :t])
+                for a in (res.outputs, res.steps, res.remainders, res.active,
+                          res.halted_by_cap))
+            start += n
+            ponders = np.where(active, steps + remainders, 0.0)
+            predictions = spec.decode(outputs)
+            mask = batch.target_mask
+            wrong_step = np.any(predictions != batch.targets, axis=2) & mask
+            nats = per_position_nats(spec, outputs, batch.targets, mask)
+            columns.append((ponders[active], steps[active],
+                            batch.difficulty[active], wrong_step[active],
+                            example_errors(predictions, batch.targets, mask),
+                            ponders.sum(axis=1), batch.difficulty[:, 0],
+                            nats[mask], capped[active]))
     *fields, capped = (np.concatenate(c) for c in zip(*columns))
     details = EvalDetails(*fields)
     metrics = RunMetrics(

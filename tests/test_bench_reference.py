@@ -59,3 +59,21 @@ def test_first_logic_ponder_batch_records_one_engine_node(bench):
     _, res, _, _ = bench.trainer.batch_objective(s.spec, s.init, s.act_cfg, batch)
     assert res.steps[res.active].mean() > 8
     assert len(res.tape) == 12
+
+
+@pytest.mark.parametrize("name", ["logic-ponder", "addition-wide"])
+def test_gated_eval_runs_as_one_block(bench, name):
+    # Each gated workload's eval batches fit one forward-only block even
+    # when every batch is as long as the task allows.
+    s = bench.prepare(bench.WORKLOADS[name], bench.DEFAULT_SEED)
+    config, trainer = s.config, bench.trainer
+    position_values = (s.init.input_size + s.init.hidden_size
+                       + s.init.output_size + 1)
+    assert (config.eval_batches * config.batch * config.max_len
+            * position_values <= trainer.EVAL_BLOCK_VALUES)
+    rng = np.random.default_rng(s.eval_seed)
+    for _ in range(3):
+        batches = [trainer.make_batch(config, rng)
+                   for _ in range(config.eval_batches)]
+        assert max(b.inputs.shape[1] for b in batches) <= config.max_len
+        assert trainer._eval_blocks(batches, position_values) == [batches]

@@ -1,6 +1,8 @@
 """The batched runner must agree with the per-sequence reference exactly
 (values and gradients), including variable-length padding and frozen rows."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -383,7 +385,7 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
     original = engine._RowStack.flush
 
     def counted(stack):
-        rows, pending = stack.rows, bool(stack.blocks)
+        rows, pending = stack.rows, stack.rows > 0
         out = original(stack)
         if pending:
             formed.extend((total.shape, rows) for total in out)
@@ -436,3 +438,72 @@ def test_inputs_shape_contract():
         run_batch(params, ActConfig(), np.zeros((3, 3)))
     with pytest.raises(ad.DimensionError, match="4 features"):
         run_batch(params, ActConfig(), np.zeros((2, 3, 4)))
+
+
+def forward_only_cases(kind):
+    """(params, cfg, inputs, lengths) cases: NaN-padded inputs with an
+    input step that no row reaches, the step cap at one update, and a
+    batch whose rows halt at many different updates."""
+    rng = np.random.default_rng(11)
+    params = init_params(kind, 3, 6, 4, seed=12, halt_bias=-1.0)
+    lengths = np.array([5, 2, 4, 1])
+    padded = np.arange(6)[None, :] >= lengths[:, None]
+    inputs = np.where(padded[..., None], np.nan, rng.normal(size=(4, 6, 3)))
+    yield params, ActConfig(max_steps=7), inputs, lengths
+    yield params, ActConfig(max_steps=1), inputs, lengths
+    params, inputs, lengths, _, _ = random_case(kind, 3, batch=7, t_max=5)
+    yield params, ActConfig(max_steps=20), inputs, lengths
+
+
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_forward_only_matches_recording_pass(kind):
+    for params, cfg, inputs, lengths in forward_only_cases(kind):
+        with np.errstate(invalid="ignore"):
+            rec = run_batch(params, cfg, inputs, lengths)
+            fwd = run_batch(params, cfg, inputs, lengths, grad=False)
+        for name in ("outputs", "remainders", "steps", "active",
+                     "halted_by_cap", "halts"):
+            got, want = getattr(fwd, name), getattr(rec, name)
+            assert got.shape == want.shape and np.all(got == want), name
+        assert np.all(fwd.ponders == rec.ponders)
+        assert (fwd.tape, fwd.param_vars, fwd.node, fwd.ponder_var,
+                fwd.halt_grads) == (None,) * 5
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_forward_only_keeps_no_update_arrays(kind, grad, monkeypatch):
+    """Forward-only, each update's cell backward and every array it holds
+    are gone by the next update, and its new state (the next update's
+    input) by the one after; nothing outlives the pass. The recording
+    pass keeps them all for its backward."""
+    params, inputs, lengths, _, _ = random_case(kind, 5, batch=6, t_max=4)
+    params.b_halt[:] = -2.0
+    original = CELLS[kind].step
+    outs, held = [], []      # weakrefs per update: its state; its backward's
+    # The backward's arrays that live on: the update's inputs and state,
+    # and the cell's cached column constants.
+    lasting = {"out", "s", "w_rec", "scale_sq"}
+
+    def alive(refs):
+        return [r for r in refs if r() is not None]
+
+    def watched(xb, s, w_rec):
+        if not grad:
+            assert not alive(held) and not alive(outs[:-1])
+        out, back = original(xb, s, w_rec)
+        outs.append(weakref.ref(out))
+        held.append(weakref.ref(back))
+        held.extend(weakref.ref(c.cell_contents) for name, c
+                    in zip(back.__code__.co_freevars, back.__closure__)
+                    if isinstance(c.cell_contents, np.ndarray)
+                    and name not in lasting)
+        return out, back
+
+    monkeypatch.setattr(CELLS[kind], "step", staticmethod(watched))
+    res = run_batch(params, ActConfig(max_steps=9), inputs, lengths, grad=grad)
+    assert len(outs) > 2 * inputs.shape[1] and (res.tape is None) != grad
+    if grad:
+        assert len(alive(held)) == len(held) and len(alive(outs)) == len(outs)
+    else:
+        assert not alive(held) and not alive(outs)

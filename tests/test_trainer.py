@@ -5,20 +5,23 @@ import re
 import struct
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from actlab import trainer
 from actlab.act import ActConfig
-from actlab.autodiff import NumericError
+from actlab.autodiff import ContractError, DimensionError, NumericError
 from actlab.cells import init_params
 from actlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from actlab.config import config_text, parse_config_text
 from actlab.engine import run_batch
+from actlab.losses import bits_per_character, ponder_by_difficulty
 from actlab.optim import OptimizerState, adam_update
-from actlab.tasks import derive_seeds, gen_parity, task_spec
-from actlab.trainer import (batch_objective, sweep, tau_grid, train,
+from actlab.tasks import (derive_seeds, gen_logic, gen_parity, gen_text,
+                          synth_corpus, task_spec)
+from actlab.trainer import (batch_objective, evaluate, sweep, tau_grid, train,
                             write_sweep_csv)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -458,3 +461,104 @@ train.lr = 1e308
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# schema: sweep-summary-1"
         assert lines[1].startswith("tau,n_runs,n_failed,error_mean")
+
+
+class TestEvaluate:
+    EXACT = ("steps", "difficulties", "step_errors", "example_errors",
+             "example_difficulty")
+    CLOSE = ("ponders", "example_ponders", "nats")
+
+    @staticmethod
+    def logic_case():
+        spec = task_spec("logic")
+        params = init_params("lstm", spec.input_size, 10, spec.output_size,
+                             seed=3, halt_bias=-1.0)
+        batches = [gen_logic(seed, batch=5 + seed, min_len=1, max_len=max_len)
+                   for seed, max_len in enumerate((3, 10, 3, 10, 10))]
+        return spec, params, ActConfig(max_steps=12), batches
+
+    @staticmethod
+    def text_case():
+        spec = task_spec("text")
+        params = init_params("lstm", spec.input_size, 8, spec.output_size,
+                             seed=4, halt_bias=-1.0)
+        corpus = synth_corpus(5, size=3000)
+        batches = [gen_text(corpus, seed, seq_len=seq_len, batch=3)
+                   for seed, seq_len in enumerate((9, 4, 9))]
+        return spec, params, ActConfig(max_steps=6), batches
+
+    @pytest.mark.parametrize("case", ["logic", "text"])
+    def test_blocks_match_one_batch_evaluations(self, case, monkeypatch):
+        spec, params, cfg, batches = getattr(self, case + "_case")()
+        assert len({b.inputs.shape[1] for b in batches}) > 1
+        runs = []
+        original = trainer.run_batch
+
+        def counted(*args, **kwargs):
+            runs.append(args[2].shape[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "run_batch", counted)
+        metrics, details = evaluate(spec, params, cfg, batches)
+        assert runs == [sum(b.batch_size for b in batches)]
+        alone = [evaluate(spec, params, cfg, [b]) for b in batches]
+        want = {name: np.concatenate([getattr(d, name) for _, d in alone])
+                for name in self.EXACT + self.CLOSE}
+        for name in self.EXACT:
+            np.testing.assert_array_equal(getattr(details, name), want[name])
+        for name in self.CLOSE:
+            np.testing.assert_allclose(getattr(details, name), want[name],
+                                       rtol=1e-12, atol=0)
+        assert metrics.sequence_error_rate == want["example_errors"].mean()
+        assert metrics.mean_steps == want["steps"].mean()
+        means = [metrics.mean_ponder, metrics.std_ponder, metrics.capped_fraction]
+        expect = [want["ponders"].mean(), want["ponders"].std(), np.average(
+            [m.capped_fraction for m, _ in alone],
+            weights=[d.steps.size for _, d in alone])]
+        if spec.name == "text":
+            means.append(metrics.bits_per_character)
+            expect.append(bits_per_character(want["nats"]))
+        np.testing.assert_allclose(means, expect, rtol=1e-12)
+        rows = ponder_by_difficulty(want["ponders"], want["difficulties"],
+                                    want["steps"], want["step_errors"])
+        assert [(r.difficulty, r.count, r.mean_steps, r.mean_error)
+                for r in metrics.difficulty_rows] == [
+            (r.difficulty, r.count, r.mean_steps, r.mean_error) for r in rows]
+        np.testing.assert_allclose([r.mean_ponder for r in metrics.difficulty_rows],
+                                   [r.mean_ponder for r in rows], rtol=1e-12)
+
+    def test_blocks_never_split_a_batch(self, monkeypatch):
+        def blocks(shapes, position_values):
+            batches = [SimpleNamespace(inputs=np.empty((n, t, 0)))
+                       for n, t in shapes]
+            out = trainer._eval_blocks(batches, position_values)
+            assert [b for block in out for b in block] == batches
+            return [[b.inputs.shape[:2] for b in block] for block in out]
+
+        monkeypatch.setattr(trainer, "EVAL_BLOCK_VALUES", 100)
+        # Blocks are padded to their longest T: 10 rows of T = 10 fill one.
+        assert blocks([(4, 3), (4, 10), (2, 3), (8, 10), (3, 2)], 1) == [
+            [(4, 3), (4, 10), (2, 3)], [(8, 10)], [(3, 2)]]
+        assert blocks([(2, 3), (2, 5), (4, 5)], 2) == [
+            [(2, 3), (2, 5), (4, 5)]]
+        assert blocks([(2, 3), (2, 5), (4, 5)], 3) == [
+            [(2, 3), (2, 5)], [(4, 5)]]
+        # A batch over the budget runs alone; the batches after it merge.
+        assert blocks([(2, 3), (20, 10), (2, 3), (2, 3)], 1) == [
+            [(2, 3)], [(20, 10)], [(2, 3), (2, 3)]]
+
+    def test_no_batches_is_a_contract_error(self):
+        spec, params, cfg, _ = self.logic_case()
+        with pytest.raises(ContractError, match="empty list"):
+            evaluate(spec, params, cfg, [])
+
+    def test_mixed_input_widths_fail_before_any_forward(self, monkeypatch):
+        spec, params, cfg, batches = self.logic_case()
+        narrow = gen_parity(1, n_bits=8, batch=4)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(trainer, "run_batch", no_forward)
+        with pytest.raises(DimensionError, match="input widths"):
+            evaluate(spec, params, cfg, batches + [narrow])
