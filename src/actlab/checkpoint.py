@@ -17,12 +17,23 @@ Parameters are stored under "param/", Adam moments under "adam.m/" and
 reproduces the file byte for byte. Writes go to a temporary file in the
 same directory, which is then renamed over the path, so a run killed
 mid-write leaves the previous file intact, never a truncated one.
+
+A load reads the file once, front to back: each record's payload goes
+straight into a new array of its shape and is folded into the CRC as it
+lands, so the file is never held beside its arrays. Nothing is returned
+before the CRC of the whole body matches the trailer. Errors are reported
+in this order: a bad magic; a failed checksum, whatever else is wrong
+(this is how a cut file or bytes after the trailer show); an unsupported
+version; a config text that does not match its digest; a malformed record
+list (truncated, not utf-8, or bytes after the last record); a missing or
+mis-shaped record.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import struct
 import zlib
@@ -85,53 +96,109 @@ def save_checkpoint(path: str, params: CellParams, opt_state: OptimizerState,
         raise
 
 
+_CHUNK = 1 << 20     # bytes read, then hashed while still in cache
+
+
 class _Reader:
-    """Sequential reads from a memoryview: each `take` is a view, not a copy."""
+    """Sequential reads of a checkpoint body straight from its open file.
 
-    def __init__(self, blob: memoryview):
-        self.blob = blob
+    Every byte read is folded into a running CRC32. The body ends where the
+    4-byte trailer starts (`end`); a read past it is a truncated file, and
+    fails before anything is allocated for it.
+    """
+
+    def __init__(self, fh, end: int):
+        self.fh = fh
+        self.end = end
         self.pos = 0
+        self.crc = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
+    def _check(self, n: int) -> None:
+        if n > self.end - self.pos:
             raise CheckpointError("truncated checkpoint file")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
+
+    def _fill(self, buf: memoryview) -> None:
+        for start in range(0, len(buf), _CHUNK):
+            chunk = buf[start:start + _CHUNK]
+            n = self.fh.readinto(chunk)
+            self.crc = zlib.crc32(chunk[:n], self.crc)
+            self.pos += n
+            if n != len(chunk):               # the file shrank while being read
+                raise CheckpointError("truncated checkpoint file")
+
+    def take(self, n: int) -> bytearray:
+        self._check(n)
+        out = bytearray(n)
+        self._fill(memoryview(out))
         return out
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A new float64 array of `shape`, read from the file in place."""
+        self._check(8 * math.prod(shape))
+        try:
+            out = np.empty(shape, dtype="<f8")
+        except ValueError:                   # more dimensions than numpy allows
+            raise CheckpointError(f"a record has {len(shape)} dimensions") from None
+        self._fill(memoryview(out).cast("B"))
+        return out
 
-def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]:
-    with open(path, "rb") as fh:
-        blob = memoryview(fh.read())
-    if len(blob) < len(MAGIC) + 8 or blob[:len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path!r} is not a checkpoint (bad magic)")
-    payload, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
-    if zlib.crc32(payload) != crc:
-        raise CheckpointError(f"{path!r} failed its checksum")
+    def skip_rest(self) -> None:
+        """Hash the unread rest of the body, a chunk at a time."""
+        chunk = memoryview(bytearray(min(self.end - self.pos, _CHUNK)))
+        while self.pos < self.end:
+            self._fill(chunk[:self.end - self.pos])
 
-    reader = _Reader(payload)
-    reader.take(len(MAGIC))
+
+def _utf8(data: bytearray, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{what} is not valid utf-8") from None
+
+
+def _parse_body(reader: _Reader) -> tuple[str, dict[str, np.ndarray]]:
+    """The config text and the records of a body, in file order."""
     version = reader.u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    digest = str(reader.take(reader.u32()), "ascii")
+    digest = reader.take(reader.u32())
     text = reader.take(reader.u32())
-    if hashlib.sha256(text).hexdigest() != digest:
+    if hashlib.sha256(text).hexdigest().encode("ascii") != digest:
         raise CheckpointError("config text does not match its stored digest")
-
     arrays: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
-        name = str(reader.take(struct.unpack("<H", reader.take(2))[0]), "utf-8")
-        ndim = struct.unpack("<B", reader.take(1))[0]
+        name = reader.take(struct.unpack("<H", reader.take(2))[0])
+        ndim = reader.take(1)[0]
         shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(reader.take(8 * count), dtype="<f8").reshape(shape)
-        arrays[name] = np.array(data)          # the one owned, writable copy
+        arrays[_utf8(name, "a record name")] = reader.array(shape)
+    if reader.pos != reader.end:
+        raise CheckpointError(
+            f"{reader.end - reader.pos} bytes follow the last checkpoint record")
+    return _utf8(text, "the config text"), arrays
 
-    config = parse_config_text(str(text, "utf-8"), origin=f"{path}:config")
+
+def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]:
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, os.fstat(fh.fileno()).st_size - 4)
+        if reader.end < len(MAGIC) + 4 or reader.take(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path!r} is not a checkpoint (bad magic)")
+        # A parse failure is held until the whole body is hashed: a file
+        # that fails its checksum is reported as that, whatever else is wrong.
+        failure = None
+        try:
+            text, arrays = _parse_body(reader)
+        except CheckpointError as exc:
+            failure = exc
+        reader.skip_rest()
+        if fh.read(4) != struct.pack("<I", reader.crc):
+            raise CheckpointError(f"{path!r} failed its checksum")
+    if failure is not None:
+        raise failure
+
+    config = parse_config_text(text, origin=f"{path}:config")
     spec = resolved_spec(config)
 
     def record(name: str, shape=None) -> np.ndarray:

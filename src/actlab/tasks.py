@@ -34,15 +34,14 @@ TRUTH_TABLES: dict[str, tuple[int, int, int, int]] = {
 }
 
 GATE_NAMES = list(TRUTH_TABLES)
-_GATE_ARRAY = np.array([TRUTH_TABLES[name] for name in GATE_NAMES], dtype=np.int64)
+_GATE_ROWS = tuple(TRUTH_TABLES.values())    # by gate id - 1; row 3 - 2P - Q
 
 
 def apply_gate(gate_id: int, p: int, q: int) -> int:
     """Evaluate gate `gate_id` (1-based) on (P, Q)."""
     if not 1 <= gate_id <= 10:
         raise ContractError(f"gate id must be in 1..10, got {gate_id}")
-    row = (1 - int(p)) * 2 + (1 - int(q))
-    return int(_GATE_ARRAY[gate_id - 1, row])
+    return _GATE_ROWS[gate_id - 1][3 - 2 * int(p) - int(q)]
 
 
 def derive_seeds(root_seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -117,6 +116,8 @@ class TaskSpec:
 
 
 LOGIC_MAX_GATES = 10         # gates per logic vector, drawn from 1..this
+# Gate i (0-based) with id g is one-hot at input index 2 + 10*i + (g - 1).
+_GATE_SLOTS = np.arange(1, 1 + 10 * LOGIC_MAX_GATES, 10)
 # Ranges the generators accept; `TrainConfig.resolve` rejects the rest.
 ADDITION_MAX_DIGITS = 5      # digits per addition input vector
 SORT_MIN_LEN, SORT_MAX_LEN = 2, 15   # values per sort sequence
@@ -199,11 +200,10 @@ def gen_logic(seed, batch: int = 16, min_len: int = 1,
             if t == 0:
                 vec[0] = b0          # hidden on later steps: carried, not shown
             vec[1] = b1
-            for i, g in enumerate(gates):
-                vec[2 + 10 * i + (int(g) - 1)] = 1.0
+            vec[_GATE_SLOTS[:n_gates] + gates] = 1.0
             prev2, prev1 = b0, b1
-            for g in gates:
-                prev2, prev1 = prev1, apply_gate(int(g), prev1, prev2)
+            for g in gates.tolist():
+                prev2, prev1 = prev1, _GATE_ROWS[g - 1][3 - 2 * prev1 - prev2]
             targets[e, t, 0] = prev1
             difficulty[e, t] = n_gates
             mask[e, t] = True

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -213,6 +214,139 @@ class TestCheckpoint:
         save_checkpoint(path, params, state, config)
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
+
+
+def _layout(blob: bytes) -> tuple[list[range], list[int]]:
+    """Header byte ranges of a checkpoint (magic to record count, then each
+    record's name, ndim and shape) and the offsets where records start and
+    the CRC trailer starts, walked from the documented layout."""
+    pos = 8 + 4
+    for _ in range(2):                          # digest, then config text
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+    count = struct.unpack_from("<I", blob, pos)[0]
+    headers, starts = [range(0, pos + 4)], []
+    pos += 4
+    for _ in range(count):
+        starts.append(pos)
+        head = pos + 2 + struct.unpack_from("<H", blob, pos)[0]
+        ndim = blob[head]
+        shape = struct.unpack_from(f"<{ndim}I", blob, head + 1)
+        headers.append(range(pos, head + 1 + 4 * ndim))
+        pos = head + 1 + 4 * ndim + 8 * int(np.prod(shape))
+    assert pos == len(blob) - 4
+    return headers, starts + [pos]
+
+
+class TestCheckpointDamage:
+    """Damaged files fail with CheckpointError and nothing else, whatever
+    byte is hit and wherever the file is cut."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = TestCheckpoint().roundtrip_setup(tmp_path)[3]
+        return path, open(path, "rb").read()
+
+    def test_any_flipped_header_byte_is_checkpoint_error(self, saved):
+        path, blob = saved
+        headers, _ = _layout(blob)
+        assert len(headers) == 1 + 22          # 7 params, 14 moments, the step
+        for offset in (i for span in headers for i in span):
+            damaged = bytearray(blob)
+            damaged[offset] ^= 0xFF
+            open(path, "wb").write(bytes(damaged))
+            with pytest.raises(CheckpointError,
+                               match="magic" if offset < 8 else "checksum"):
+                load_checkpoint(path)
+
+    def test_flipped_header_byte_under_a_valid_crc_is_checkpoint_error(self, saved):
+        # The CRC is recomputed, so the parse itself meets the damage: a
+        # bad version, digest, utf-8 name, length or shape.
+        path, blob = saved
+        headers, _ = _layout(blob)
+        for offset in (i for span in headers for i in span if i >= 8):
+            body = bytearray(blob[:-4])
+            body[offset] ^= 0xFF
+            open(path, "wb").write(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_cut_at_or_next_to_any_record_boundary_is_checkpoint_error(self, saved):
+        path, blob = saved
+        _, boundaries = _layout(blob)
+        cuts = sorted({c for b in boundaries + [len(blob)] for c in (b - 1, b, b + 1)
+                       if c < len(blob)})
+        for cut in cuts:
+            open(path, "wb").write(blob[:cut])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_huge_shape_fails_its_checksum_without_allocating(self, saved):
+        path, blob = saved
+        first = _layout(blob)[1][0]
+        damaged = bytearray(blob)
+        head = first + 2 + struct.unpack_from("<H", blob, first)[0]
+        assert damaged[head] == 2                   # param/w_in is a matrix
+        damaged[head + 1:head + 9] = struct.pack("<2I", 2**32 - 1, 2**32 - 1)
+        open(path, "wb").write(bytes(damaged))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="checksum"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("extra", [1, 3, 4, 5, 64])
+    def test_bytes_after_the_crc_are_rejected(self, saved, extra):
+        path, blob = saved
+        open(path, "wb").write(blob + bytes(extra))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_record_with_too_many_dimensions_is_checkpoint_error(self, saved):
+        # adam/step, the last record, is a scalar: give it 65 unit dims.
+        path, blob = saved
+        ndim_at = _layout(blob)[1][-1] - 8 - 1     # the trailer, less 8 bytes and ndim
+        assert blob[ndim_at] == 0
+        body = blob[:ndim_at] + bytes([65]) + struct.pack("<65I", *[1] * 65) \
+            + blob[ndim_at + 1:-4]
+        open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="65 dimensions"):
+            load_checkpoint(path)
+
+    def test_bytes_between_the_records_and_a_valid_crc_are_rejected(self, saved):
+        path, blob = saved
+        body = blob[:-4] + bytes(8)
+        open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="8 bytes follow the last"):
+            load_checkpoint(path)
+
+
+class TestCheckpointLoadMemory:
+    def test_load_holds_the_checkpoint_once(self, tmp_path):
+        # The payloads are read straight into their arrays: no copy of the
+        # file body is held beside them.
+        config = parse_config_text("", ["task.name=logic", "cell.kind=lstm",
+                                        "cell.hidden=128"])
+        spec = trainer.resolved_spec(config)
+        params = init_params("lstm", spec.input_size, 128, spec.output_size, seed=1)
+        state = OptimizerState.for_params(params)
+        path = str(tmp_path / "lstm128.ckpt")
+        save_checkpoint(path, params, state, config)
+        payload = 3 * sum(arr.nbytes for _, arr in params.items()) + 8
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * payload + 64 * 1024, (peak, payload)
+        _, params, state = loaded
+        for arr in [a for _, a in params.items()] + [*state.m.values(), *state.v.values()]:
+            assert arr.dtype == np.float64
+            assert arr.flags.c_contiguous and arr.flags.aligned
+            assert arr.flags.writeable and arr.flags.owndata
 
 
 class TestTrainLoop:
