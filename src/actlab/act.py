@@ -8,6 +8,7 @@ to lives in `tests/oracles.py`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .autodiff import ContractError
@@ -26,7 +27,8 @@ class ActConfig:
             raise ContractError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
         if self.max_steps < 1:
             raise ContractError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.time_penalty < 0.0:
-            raise ContractError(f"time_penalty must be >= 0, got {self.time_penalty}")
+        if not 0.0 <= self.time_penalty < math.inf:
+            raise ContractError(
+                f"time_penalty must be finite and >= 0, got {self.time_penalty}")
         return self
 

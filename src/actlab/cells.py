@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, DimensionError, Tape, Var
+from .autodiff import ContractError, DimensionError
 
 
 @dataclass
@@ -79,27 +79,6 @@ class CellParams:
             if arr.shape != expect[name]:
                 raise DimensionError(
                     f"{name} has shape {arr.shape}, expected {expect[name]}")
-
-
-@dataclass
-class ParamVars:
-    """CellParams recorded as leaves on one tape."""
-
-    w_in: Var
-    w_rec: Var
-    b_rec: Var
-    w_out: Var
-    b_out: Var
-    w_halt: Var
-    b_halt: Var
-
-    @classmethod
-    def record(cls, tape: Tape, params: CellParams) -> "ParamVars":
-        return cls(**{name: tape.leaf(arr) for name, arr in params.items()})
-
-    def items(self) -> Iterator[tuple[str, Var]]:
-        for name in CellParams._FIELDS:
-            yield name, getattr(self, name)
 
 
 class RnnCell:

@@ -22,7 +22,7 @@ from .config import ConfigError, TrainConfig, parse_config, parse_config_text
 from .engine import run_batch
 from .gradcheck import halting_gradient_check
 from .losses import PROB_CLAMP, per_position_nats
-from .tasks import schema_csv, synth_corpus, write_batch_csv
+from .tasks import render_input, schema_csv, synth_corpus, write_batch_csv
 from .trainer import (evaluate, load_corpus, make_batch, resolved_spec, sweep,
                       tau_grid, train, write_sweep_csv)
 
@@ -105,7 +105,13 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     if args.taus:
-        taus = [float(v) for v in args.taus.split(",") if v]
+        try:
+            taus = [float(v) for v in args.taus.split(",") if v]
+        except ValueError:
+            taus = []
+        if not taus:
+            raise ConfigError(f"--taus must be comma-separated numbers, "
+                              f"got {args.taus!r}")
     else:
         taus = tau_grid()
     rows = sweep(config, taus, args.replicas, out_dir=args.out_dir,
@@ -165,26 +171,6 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _render_input(task: str, vec: np.ndarray) -> str:
-    if task == "parity":
-        return "".join("+" if v == 1 else "-" if v == -1 else "." for v in vec)
-    if task == "logic":
-        gates = [int(np.argmax(vec[2 + 10 * c: 12 + 10 * c])) + 1
-                 for c in range(10) if vec[2 + 10 * c: 12 + 10 * c].sum() > 0]
-        return f"b0={int(vec[0])} b1={int(vec[1])} gates={gates}"
-    if task == "addition":
-        digits = [int(np.argmax(vec[10 * i: 10 * i + 10]))
-                  for i in range(5) if vec[10 * i: 10 * i + 10].sum() > 0]
-        if not digits:
-            return "(empty)"
-        return "".join(str(d) for d in reversed(digits))
-    if task == "sort":
-        return f"{vec[0]:+.4f}{'#' if vec[1] == 1 else ''}"
-    byte = int(np.argmax(vec)) if vec.sum() > 0 else 0
-    ch = chr(byte)
-    return ch if ch.isprintable() else f"\\x{byte:02x}"
-
-
 def _entropy_bits(dist: np.ndarray) -> float:
     p = np.clip(dist, PROB_CLAMP, 1.0)
     return float(-(dist * np.log2(p)).sum())
@@ -214,7 +200,7 @@ def _cmd_trace(args) -> int:
         for t in range(int(batch.lengths[e])):
             n_steps, remainder = int(res.steps[e, t]), float(res.remainders[e, t])
             probs = res.halts[e, t, :n_steps - 1].tolist() + [remainder]
-            rows.append([e, t, _render_input(config.task, batch.inputs[e, t]),
+            rows.append([e, t, render_input(config.task, batch.inputs[e, t]),
                          n_steps, repr(n_steps + remainder), repr(remainder),
                          repr(float(nats[e, t])) if batch.target_mask[e, t] else "",
                          repr(_entropy_bits(dists[e, t].ravel())),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -30,7 +31,6 @@ class TrainConfig:
     task: str = "parity"
     batch: Optional[int] = None
     n_bits: int = 64
-    parity_nonzero: bool = False
     min_len: Optional[int] = None
     max_len: Optional[int] = None
     min_digits: Optional[int] = None
@@ -91,8 +91,18 @@ class TrainConfig:
                            ("train.eval_batches", out.eval_batches)):
             if value < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
-        if out.iterations < 0:
-            raise ConfigError(f"train.iterations must be >= 0, got {out.iterations}")
+        inf = math.inf
+        for key, ok, want in (
+                ("train.iterations", out.iterations >= 0, ">= 0"),
+                ("train.checkpoint_every", out.checkpoint_every >= 0, ">= 0"),
+                ("train.lr", 0.0 < out.lr < inf, "finite and > 0"),
+                ("train.beta1", 0.0 <= out.beta1 < 1.0, "in [0, 1)"),
+                ("train.beta2", 0.0 <= out.beta2 < 1.0, "in [0, 1)"),
+                ("train.adam_eps", 0.0 < out.adam_eps < inf, "finite and > 0"),
+                ("train.clip_norm", 0.0 <= out.clip_norm < inf, "finite and >= 0")):
+            if not ok:
+                value = getattr(out, KEYMAP[key])
+                raise ConfigError(f"{key} must be {want}, got {value}")
         if out.min_len > out.max_len:
             raise ConfigError("task.min_len exceeds task.max_len")
         if out.min_digits > out.max_digits:
@@ -115,7 +125,6 @@ KEYMAP = {
     "task.name": "task",
     "task.batch": "batch",
     "task.bits": "n_bits",
-    "task.parity_nonzero": "parity_nonzero",
     "task.min_len": "min_len",
     "task.max_len": "max_len",
     "task.min_digits": "min_digits",
@@ -150,24 +159,25 @@ def _convert(key: str, field: str, raw: str):
             return int(raw)
         if ftype == "float":
             return float(raw)
-        if ftype == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {ftype}") from None
 
 
+# Retired keys, still accepted at their one former value so older run
+# directories and checkpoints (whose config text carries them) keep loading.
+RETIRED_KEYS = {
+    "train.workers": ("1", "the lock-free shared-parameter training mode "
+                           "was removed"),
+    "task.parity_nonzero": ("false", "parity counts only the +1 entries"),
+}
+
+
 def _assign(config: TrainConfig, key: str, raw: str) -> None:
-    if key == "train.workers":
-        # Retired key, still accepted at 1 so older run directories and
-        # checkpoints (whose config text carries it) keep loading.
-        if raw.strip() != "1":
-            raise ConfigError("train.workers: the lock-free shared-parameter "
-                              "training mode was removed; only 1 is accepted")
+    if key in RETIRED_KEYS:
+        value, reason = RETIRED_KEYS[key]
+        if raw.strip() != value:
+            raise ConfigError(f"{key}: {reason}; only {value} is accepted")
         return
     if key not in KEYMAP:
         hint = difflib.get_close_matches(key, KEYMAP, n=1)
@@ -214,10 +224,7 @@ def config_text(config: TrainConfig) -> str:
     """Canonical flat rendering of a resolved config (echoed into run dirs)."""
     lines = []
     for key in sorted(KEYMAP):
-        value = getattr(config, KEYMAP[key])
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {getattr(config, KEYMAP[key])}")
     return "\n".join(lines) + "\n"
 
 

@@ -82,7 +82,7 @@ import numpy as np
 from . import autodiff as ad
 from .act import ActConfig
 from .autodiff import ContractError, DimensionError, NumericError, Tape, Var
-from .cells import CELLS, CellParams, ParamVars, halting_activation, readout
+from .cells import CELLS, CellParams, halting_activation, readout
 
 # Rows a weight's stack may hold before it is multiplied out into the
 # weight's adjoint. The replay writes each update's rows into buffers the
@@ -101,7 +101,7 @@ class BatchRunResult:
 
     # The tape fields; None after a forward-only pass.
     tape: Optional[Tape]
-    param_vars: Optional[ParamVars]
+    param_vars: Optional[dict[str, Var]]   # leaves in CellParams.items() order
     node: Optional[Var]           # (batch, T, output + 1): readout, then R
     ponder_var: Optional[Var]     # sum of N + R over active positions (scalar)
     outputs: np.ndarray           # (batch, T, output): the node's readouts
@@ -332,7 +332,7 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
 
     if grad:
         tape = Tape()
-        pv = ParamVars.record(tape, params)
+        pv = {name: tape.leaf(arr) for name, arr in params.items()}
         arrays = {name: v.data for name, v in pv.items()}
     else:
         tape = pv = None
@@ -399,7 +399,7 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         (d_in,), (d_rec, d_b), (d_halt, d_b_halt) = (s.flush() for s in stacks)
         return d_in, d_rec, d_b, d_w_out, d_b_out, d_halt, d_b_halt
 
-    node = ad.record(value, tuple(v for _, v in pv.items()), backward)
+    node = ad.record(value, tuple(pv.values()), backward)
 
     def ponder_backward(g):
         d = np.zeros(value.shape)

@@ -116,28 +116,33 @@ class TaskSpec:
 
 
 LOGIC_MAX_GATES = 10         # gates per logic vector, drawn from 1..this
-# Gate i (0-based) with id g is one-hot at input index 2 + 10*i + (g - 1).
-_GATE_SLOTS = np.arange(1, 1 + 10 * LOGIC_MAX_GATES, 10)
+# A logic vector holds the operand bits b0, b1, then one block of
+# len(GATE_NAMES) one-hot gate ids per gate: gate i (0-based) with id g is
+# at index 2 + len(GATE_NAMES)*i + (g - 1).
+_GATE_SLOTS = 1 + len(GATE_NAMES) * np.arange(LOGIC_MAX_GATES)
 # Ranges the generators accept; `TrainConfig.resolve` rejects the rest.
 ADDITION_MAX_DIGITS = 5      # digits per addition input vector
 SORT_MIN_LEN, SORT_MAX_LEN = 2, 15   # values per sort sequence
 SORT_MIN_SEPARATION = 1e-6   # closer sort values are redrawn
+# An addition input vector is one block of the ten digit values per digit;
+# its target is one class per sum digit: digits 0-9, then the blank.
+ADDITION_SUM_DIGITS = 6
+ADDITION_BLANK = 10          # the "beyond the end of the number" class
 
 TASKS: dict[str, TaskSpec] = {
     "parity":   TaskSpec("parity", 64, 1, "bce", 1, 2, 128, "rnn", 128, 100,
                          (1, 1), (0, 0)),
-    "logic":    TaskSpec("logic", 102, 1, "bce", 1, 2, 16, "lstm", 128, 100,
-                         (1, 10), (0, 0)),
-    "addition": TaskSpec("addition", 50, 66, "softmax", 6, 11, 32, "lstm", 512, 20,
-                         (1, 5), (1, ADDITION_MAX_DIGITS)),
-    "sort":     TaskSpec("sort", 2, 15, "softmax", 1, 15, 16, "lstm", 512, 100,
-                         (SORT_MIN_LEN, SORT_MAX_LEN), (0, 0)),
+    "logic":    TaskSpec("logic", 2 + LOGIC_MAX_GATES * len(GATE_NAMES), 1, "bce",
+                         1, 2, 16, "lstm", 128, 100, (1, 10), (0, 0)),
+    "addition": TaskSpec("addition", ADDITION_MAX_DIGITS * ADDITION_BLANK,
+                         ADDITION_SUM_DIGITS * (ADDITION_BLANK + 1), "softmax",
+                         ADDITION_SUM_DIGITS, ADDITION_BLANK + 1, 32, "lstm", 512,
+                         20, (1, 5), (1, ADDITION_MAX_DIGITS)),
+    "sort":     TaskSpec("sort", 2, SORT_MAX_LEN, "softmax", 1, SORT_MAX_LEN, 16,
+                         "lstm", 512, 100, (SORT_MIN_LEN, SORT_MAX_LEN), (0, 0)),
     "text":     TaskSpec("text", 256, 256, "softmax", 1, 256, 8, "lstm", 1500, 100,
                          (1, 1), (0, 0)),
 }
-
-ADDITION_SUM_DIGITS = 6
-ADDITION_BLANK = 10          # the "beyond the end of the number" class
 
 
 def task_spec(name: str, **overrides) -> TaskSpec:
@@ -150,12 +155,10 @@ def task_spec(name: str, **overrides) -> TaskSpec:
     return spec
 
 
-def gen_parity(seed, n_bits: int = 64, batch: int = 128,
-               count_all_nonzero: bool = False) -> TaskBatch:
+def gen_parity(seed, n_bits: int, batch: int) -> TaskBatch:
     """Static parity vectors: k of n_bits entries set to +/-1, rest zero.
 
-    The target is the parity of the number of +1 entries; with
-    `count_all_nonzero` it counts every nonzero entry instead.
+    The target is the parity of the number of +1 entries.
     """
     if n_bits < 1:
         raise ContractError(f"n_bits must be >= 1, got {n_bits}")
@@ -168,17 +171,14 @@ def gen_parity(seed, n_bits: int = 64, batch: int = 128,
         positions = rng.choice(n_bits, size=k, replace=False)
         signs = rng.integers(0, 2, size=k) * 2 - 1
         inputs[e, 0, positions] = signs
-        ones = int(np.count_nonzero(signs != 0)) if count_all_nonzero \
-            else int(np.count_nonzero(signs == 1))
-        targets[e, 0, 0] = ones % 2
+        targets[e, 0, 0] = int(np.count_nonzero(signs == 1)) % 2
         difficulty[e, 0] = k
     return TaskBatch("parity", inputs, targets,
                      np.ones((batch, 1), dtype=bool), difficulty,
                      np.ones(batch, dtype=np.int64)).validate()
 
 
-def gen_logic(seed, batch: int = 16, min_len: int = 1,
-              max_len: int = 10) -> TaskBatch:
+def gen_logic(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
     """Chained binary logic: each vector holds two operand bits and up to
     ten one-hot gate ids; the target is the result of applying the gates
     recursively, carrying the previous vector's target as the hidden
@@ -186,7 +186,7 @@ def gen_logic(seed, batch: int = 16, min_len: int = 1,
     rng = np.random.default_rng(seed)
     lengths = rng.integers(min_len, max_len + 1, size=batch)
     t_max = int(lengths.max())
-    inputs = np.zeros((batch, t_max, 102))
+    inputs = np.zeros((batch, t_max, TASKS["logic"].input_size))
     targets = np.zeros((batch, t_max, 1), dtype=np.int64)
     mask = np.zeros((batch, t_max), dtype=bool)
     difficulty = np.zeros((batch, t_max), dtype=np.int64)
@@ -212,8 +212,8 @@ def gen_logic(seed, batch: int = 16, min_len: int = 1,
                      lengths.astype(np.int64)).validate()
 
 
-def gen_addition(seed, batch: int = 32, min_len: int = 1, max_len: int = 5,
-                 min_digits: int = 1, max_digits: int = 5) -> TaskBatch:
+def gen_addition(seed, batch: int, min_len: int, max_len: int,
+                 min_digits: int, max_digits: int) -> TaskBatch:
     """Cumulative decimal addition.
 
     Each vector one-hot encodes a D-digit number, least-significant digit
@@ -226,7 +226,7 @@ def gen_addition(seed, batch: int = 32, min_len: int = 1, max_len: int = 5,
     rng = np.random.default_rng(seed)
     lengths = rng.integers(min_len, max_len + 1, size=batch)
     t_max = int(lengths.max())
-    inputs = np.zeros((batch, t_max, 50))
+    inputs = np.zeros((batch, t_max, TASKS["addition"].input_size))
     targets = np.zeros((batch, t_max, ADDITION_SUM_DIGITS), dtype=np.int64)
     mask = np.zeros((batch, t_max), dtype=bool)
     difficulty = np.zeros((batch, t_max), dtype=np.int64)
@@ -237,7 +237,7 @@ def gen_addition(seed, batch: int = 32, min_len: int = 1, max_len: int = 5,
             digits = rng.integers(0, 10, size=n_digits)    # LSD first
             value = int(sum(int(d) * 10 ** i for i, d in enumerate(digits)))
             for i, d in enumerate(digits):
-                inputs[e, t, 10 * i + int(d)] = 1.0
+                inputs[e, t, ADDITION_BLANK * i + int(d)] = 1.0
             total += value
             difficulty[e, t] = n_digits
             if t >= 1:
@@ -250,8 +250,7 @@ def gen_addition(seed, batch: int = 32, min_len: int = 1, max_len: int = 5,
                      lengths.astype(np.int64)).validate()
 
 
-def gen_sort(seed, batch: int = 16, min_len: int = SORT_MIN_LEN,
-             max_len: int = SORT_MAX_LEN) -> TaskBatch:
+def gen_sort(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
     """Sort standard-normal draws: values arrive one per step with an
     end-of-sequence flag, then the network emits the ascending order as
     index classifications during an equally long output phase.
@@ -286,7 +285,7 @@ def gen_sort(seed, batch: int = 16, min_len: int = SORT_MIN_LEN,
                      (2 * sort_lens).astype(np.int64)).validate()
 
 
-def gen_text(corpus: bytes, seed, seq_len: int = 500, batch: int = 8) -> TaskBatch:
+def gen_text(corpus: bytes, seed, seq_len: int, batch: int) -> TaskBatch:
     """Next-byte prediction over random windows of a byte corpus."""
     if len(corpus) < seq_len + 1:
         raise ContractError(
@@ -305,6 +304,27 @@ def gen_text(corpus: bytes, seed, seq_len: int = 500, batch: int = 8) -> TaskBat
                      np.ones((batch, seq_len), dtype=bool),
                      np.zeros((batch, seq_len), dtype=np.int64),
                      np.full(batch, seq_len, dtype=np.int64)).validate()
+
+
+def render_input(task: str, vec: np.ndarray) -> str:
+    """One input vector of `task` as short text, for trace rows."""
+    if task == "parity":
+        return "".join("+" if v == 1 else "-" if v == -1 else "." for v in vec)
+    if task == "logic":
+        blocks = vec[2:].reshape(LOGIC_MAX_GATES, len(GATE_NAMES))
+        gates = [int(np.argmax(b)) + 1 for b in blocks if b.sum() > 0]
+        return f"b0={int(vec[0])} b1={int(vec[1])} gates={gates}"
+    if task == "addition":
+        blocks = vec.reshape(ADDITION_MAX_DIGITS, ADDITION_BLANK)
+        digits = [int(np.argmax(b)) for b in blocks if b.sum() > 0]
+        if not digits:
+            return "(empty)"
+        return "".join(str(d) for d in reversed(digits))
+    if task == "sort":
+        return f"{vec[0]:+.4f}{'#' if vec[1] == 1 else ''}"
+    byte = int(np.argmax(vec)) if vec.sum() > 0 else 0
+    ch = chr(byte)
+    return ch if ch.isprintable() else f"\\x{byte:02x}"
 
 
 _CONSONANTS = "bcdfghjklmnpqrstvwz"

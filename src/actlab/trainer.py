@@ -70,8 +70,7 @@ def make_batch(config: TrainConfig, rng, corpus: Optional[bytes] = None,
                batch_size: Optional[int] = None) -> TaskBatch:
     n = config.batch if batch_size is None else batch_size
     if config.task == "parity":
-        return gen_parity(rng, n_bits=config.n_bits, batch=n,
-                          count_all_nonzero=config.parity_nonzero)
+        return gen_parity(rng, n_bits=config.n_bits, batch=n)
     if config.task == "logic":
         return gen_logic(rng, batch=n, min_len=config.min_len,
                          max_len=config.max_len)
@@ -353,19 +352,23 @@ def _sweep_one(args) -> Optional[tuple[float, float]]:
 
 def sweep(config: TrainConfig, taus: list[float], replicas: int,
           out_dir: Optional[str] = None, workers: int = 1) -> list[SweepRow]:
-    """Train `replicas` fresh seeds per time penalty and summarize finals."""
+    """Train `replicas` fresh seeds per time penalty and summarize finals.
+
+    Every run's config is resolved before the first run starts, so a bad
+    time penalty fails the whole sweep with `ConfigError`.
+    """
     load_corpus(config)            # an unreadable corpus fails the sweep up front
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     run_seeds = derive_seeds(config.seed, len(taus) * replicas)
     jobs = []
     for i, tau in enumerate(taus):
         for r in range(replicas):
             seed = int(run_seeds[i * replicas + r].generate_state(1)[0])
-            run_config = replace(config, tau=tau, seed=seed)
+            run_config = replace(config, tau=tau, seed=seed).resolve()
             run_dir = (os.path.join(out_dir, f"tau{tau:g}_rep{r}")
                        if out_dir is not None else None)
             jobs.append((run_config, run_dir))
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
 
     # The pool starts all its workers at the first submit: never more than jobs.
     workers = min(workers, len(jobs))

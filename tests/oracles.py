@@ -30,7 +30,7 @@ import numpy as np
 from actlab import autodiff as ad
 from actlab.act import ActConfig
 from actlab.autodiff import ContractError, NumericError, Tape, Var
-from actlab.cells import CELLS, CellParams, ParamVars
+from actlab.cells import CELLS, CellParams
 from actlab.losses import PROB_CLAMP, example_errors
 
 
@@ -99,8 +99,8 @@ class CellState:
 def _preactivation_composed(pv, state, x):
     """z = x W_in + h W_rec + b on the tape, with x recorded as a data leaf."""
     x_var = state.hidden.tape.leaf(x)
-    return ad.add(ad.add(ad.matmul(x_var, pv.w_in),
-                         ad.matmul(state.hidden, pv.w_rec)), pv.b_rec)
+    return ad.add(ad.add(ad.matmul(x_var, pv["w_in"]),
+                         ad.matmul(state.hidden, pv["w_rec"])), pv["b_rec"])
 
 
 def rnn_step_composed(pv, state, x):
@@ -247,13 +247,18 @@ def augment_input(x, n: int) -> np.ndarray:
     return np.concatenate([arr, flag], axis=-1)
 
 
+def record_params(tape: Tape, params: CellParams) -> dict[str, Var]:
+    """The parameters as leaves on `tape`, in `CellParams.items()` order."""
+    return {name: tape.leaf(arr) for name, arr in params.items()}
+
+
 def zero_state(cell, tape: Tape, hidden_size: int, batch: int = 1) -> CellState:
     """All-zero state leaves: h, plus c for the LSTM."""
     return CellState(*(tape.leaf(np.zeros((batch, hidden_size)))
                        for _ in range(cell.state_multiple)))
 
 
-def cell_step(cell, pv: ParamVars, state: CellState, xd) -> CellState:
+def cell_step(cell, pv: dict[str, Var], state: CellState, xd) -> CellState:
     """One update of the package's cell as one tape node.
 
     Its parents are the state parts, W_in, W_rec and b; x is a constant
@@ -265,28 +270,29 @@ def cell_step(cell, pv: ParamVars, state: CellState, xd) -> CellState:
     s = np.concatenate([p.data for p in state.parts()], axis=1)
     n = s.shape[1] // cell.state_multiple
     hd = s[:, :n]
-    out, back = cell.step(xd @ pv.w_in.data + pv.b_rec.data, s, pv.w_rec.data)
+    out, back = cell.step(xd @ pv["w_in"].data + pv["b_rec"].data, s, pv["w_rec"].data)
 
     def node_back(g):
-        dz = np.empty((g.shape[0], pv.w_rec.data.shape[1]))
+        dz = np.empty((g.shape[0], pv["w_rec"].data.shape[1]))
         ds = back(g, dz)
         return (*np.split(ds, cell.state_multiple, axis=1), xd.T @ dz, hd.T @ dz,
                 dz.sum(axis=0, keepdims=True))
 
-    node = ad.record(out, (*state.parts(), pv.w_in, pv.w_rec, pv.b_rec), node_back)
+    node = ad.record(out, (*state.parts(), pv["w_in"], pv["w_rec"], pv["b_rec"]),
+                     node_back)
     if cell.state_multiple == 1:
         return CellState(node)
     return CellState(ad.narrow(node, 1, 0, n), ad.narrow(node, 1, n, n))
 
 
-def readout(pv: ParamVars, state: CellState) -> Var:
+def readout(pv: dict[str, Var], state: CellState) -> Var:
     """y = s_visible W_out + b_out from tape ops."""
-    return ad.add(ad.matmul(state.hidden, pv.w_out), pv.b_out)
+    return ad.add(ad.matmul(state.hidden, pv["w_out"]), pv["b_out"])
 
 
-def halting_node(pv: ParamVars, state: CellState) -> Var:
+def halting_node(pv: dict[str, Var], state: CellState) -> Var:
     """h = sigmoid(s_visible W_halt + b_halt) from tape ops, one unit per row."""
-    return ad.sigmoid(ad.add(ad.matmul(state.hidden, pv.w_halt), pv.b_halt))
+    return ad.sigmoid(ad.add(ad.matmul(state.hidden, pv["w_halt"]), pv["b_halt"]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +361,7 @@ class ActSequenceResult:
     """One sequence run end to end, with the tape it was recorded on."""
 
     tape: Tape
-    param_vars: ParamVars
+    param_vars: dict[str, Var]
     final_states: list[CellState]      # s_1 .. s_T (mean-field states)
     outputs: list[Var]                 # y_1 .. y_T
     traces: list[ActStepTrace]
@@ -368,7 +374,7 @@ class ActSequenceResult:
         return base + self.ponder_const
 
 
-def act_step(cell, prev_state: CellState, x_t, pv: ParamVars, cfg: ActConfig,
+def act_step(cell, prev_state: CellState, x_t, pv: dict[str, Var], cfg: ActConfig,
              tape: Tape, input_step: int = 0) -> tuple[ActStepTrace, CellState, Var]:
     """Ponder one input: run intermediate updates until the halting law stops.
 
@@ -445,7 +451,7 @@ def run_sequence(cell, params: CellParams, cfg: ActConfig, inputs,
     if isinstance(cell, str):
         cell = CELLS[cell]
     tape = tape if tape is not None else Tape()
-    pv = ParamVars.record(tape, params)
+    pv = record_params(tape, params)
     state = zero_state(cell, tape, params.hidden_size)
 
     final_states, outputs, traces = [], [], []

@@ -185,7 +185,7 @@ def test_criterion_5_task_oracles():
     # Logic targets vs the formula-based recursive evaluator.
     logic_checked = 0
     for seed in range(20):
-        batch = gen_logic(seed=5000 + seed, batch=500)
+        batch = gen_logic(seed=5000 + seed, batch=500, min_len=1, max_len=10)
         for e in range(500):
             want = eval_logic_sequence_oracle(batch.inputs[e],
                                               int(batch.lengths[e]))
@@ -194,7 +194,7 @@ def test_criterion_5_task_oracles():
     # Parity targets vs brute-force counting.
     parity_checked = 0
     for seed in range(10):
-        batch = gen_parity(seed=6000 + seed, batch=1000)
+        batch = gen_parity(seed=6000 + seed, n_bits=64, batch=1000)
         for e in range(1000):
             vec = batch.inputs[e, 0]
             assert batch.targets[e, 0, 0] == int(np.count_nonzero(vec == 1.0)) % 2
@@ -202,7 +202,8 @@ def test_criterion_5_task_oracles():
     # Addition targets vs integer running sums.
     addition_checked = 0
     for seed in range(20):
-        batch = gen_addition(seed=7000 + seed, batch=500)
+        batch = gen_addition(seed=7000 + seed, batch=500, min_len=1, max_len=5,
+                             min_digits=1, max_digits=5)
         for e in range(500):
             total = 0
             for t in range(int(batch.lengths[e])):

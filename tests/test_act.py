@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from actlab import autodiff as ad
 from actlab.act import ActConfig
 from actlab.autodiff import ContractError, NumericError, Tape
-from actlab.cells import CELLS, ParamVars, init_params
+from actlab.cells import CELLS, init_params
 
 from oracles import (act_step, augment_input, cell_step, halting_distribution,
-                     plain_rnn_outputs, run_sequence, run_sequence_plain,
-                     zero_state)
+                     plain_rnn_outputs, record_params, run_sequence,
+                     run_sequence_plain, zero_state)
 
 
 class TestAugmentInput:
@@ -93,7 +93,7 @@ class TestActStep:
         p = forced_single_step_params()
         cfg = ActConfig(time_penalty=0.0)
         tape = Tape()
-        pv = ParamVars.record(tape, p)
+        pv = record_params(tape, p)
         cell = CELLS["rnn"]
         state = zero_state(cell, tape, p.hidden_size)
         x = np.array([0.5, -1.0, 0.25])
@@ -113,7 +113,7 @@ class TestActStep:
         p.b_halt[0, 0] = np.log(0.25 / 0.75)
         cfg = ActConfig(max_steps=2)
         tape = Tape()
-        pv = ParamVars.record(tape, p)
+        pv = record_params(tape, p)
         cell = CELLS["rnn"]
         trace, s_t, y_t = act_step(cell, zero_state(cell, tape, 4),
                                    np.array([0.1, 0.2, 0.3]), pv, cfg, tape)
@@ -144,7 +144,7 @@ class TestActStep:
         p = init_params("rnn", 3, 4, 2, seed=0)
         p.w_in[0, 0] = np.nan
         tape = Tape()
-        pv = ParamVars.record(tape, p)
+        pv = record_params(tape, p)
         cell = CELLS["rnn"]
         with pytest.raises(NumericError, match="update 1"):
             act_step(cell, zero_state(cell, tape, 4), np.ones(3), pv,

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from actlab import autodiff as ad
 from actlab.autodiff import Tape
-from actlab.cells import CELLS, ParamVars, init_params, readout
+from actlab.cells import CELLS, init_params, readout
 
 from oracles import (COMPOSED_STEPS, CellState, cell_step, lstm_step_plain, rnn_step_plain,
-                     zero_state)
+                     record_params, zero_state)
 
 
 def make_params(kind, input_size, hidden, output, *, fill=None, seed=0):
@@ -22,7 +22,7 @@ def make_params(kind, input_size, hidden, output, *, fill=None, seed=0):
 def step_once(params, x, state_arrays=None):
     """Run one recorded cell step and return plain state arrays."""
     tape = Tape()
-    pv = ParamVars.record(tape, params)
+    pv = record_params(tape, params)
     cell = CELLS[params.kind]
     if state_arrays is None:
         state = zero_state(cell, tape, params.hidden_size)
@@ -111,7 +111,7 @@ def step_with_adjoints(step, params, x, state_arrays, upstream, run_mask=None):
     step: the state parts, W_in, W_rec and b_rec.
     """
     tape = Tape()
-    pv = ParamVars.record(tape, params)
+    pv = record_params(tape, params)
     state = CellState(*(tape.leaf(a) for a in state_arrays))
     new = step(pv, state, x)
     if run_mask is not None:
@@ -121,7 +121,7 @@ def step_with_adjoints(step, params, x, state_arrays, upstream, run_mask=None):
         term = ad.reduce_sum(ad.mul(part, tape.leaf(g)))
         loss = term if loss is None else ad.add(loss, term)
     tape.backward(loss)
-    parents = (*state.parts(), pv.w_in, pv.w_rec, pv.b_rec)
+    parents = (*state.parts(), pv["w_in"], pv["w_rec"], pv["b_rec"])
     return [p.data for p in new.parts()], [tape.grad(v) for v in parents]
 
 
@@ -189,7 +189,7 @@ class TestFusedStep:
         # slices that hand h' and c' to the state.
         p = make_params(kind, 3, 4, 2, seed=1)
         tape = Tape()
-        pv = ParamVars.record(tape, p)
+        pv = record_params(tape, p)
         cell = CELLS[kind]
         state = zero_state(cell, tape, p.hidden_size, batch=2)
         before = len(tape)

@@ -59,10 +59,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"act\.taux.*act\.tau"):
             parse_config_text("act.taux = 1e-3")
 
-    def test_retired_workers_key(self):
-        assert parse_config_text("train.workers = 1") == parse_config_text("")
-        with pytest.raises(ConfigError, match="removed"):
-            parse_config_text("train.workers = 2")
+    @pytest.mark.parametrize("key,former,other", [
+        ("train.workers", "1", "2"),
+        ("task.parity_nonzero", "false", "true"),
+    ], ids=["train.workers", "task.parity_nonzero"])
+    def test_retired_key(self, key, former, other):
+        # Accepted at its one former value, so old config texts still load.
+        assert parse_config_text(f"{key} = {former}") == parse_config_text("")
+        with pytest.raises(ConfigError, match=f"{key}: .*only {former} is accepted"):
+            parse_config_text(f"{key} = {other}")
 
     def test_type_mismatch(self):
         with pytest.raises(ConfigError, match="cannot parse"):
@@ -96,6 +101,22 @@ class TestConfigParsing:
         # Each of these used to pass resolve and crash training later.
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_config_text("", overrides)
+
+    @pytest.mark.parametrize("override", [
+        "act.tau=nan", "act.tau=inf",
+        "train.lr=nan", "train.lr=inf", "train.lr=0", "train.lr=-1",
+        "train.beta1=1.0", "train.beta1=-0.1", "train.beta1=nan",
+        "train.beta2=1.5", "train.beta2=nan",
+        "train.adam_eps=-1", "train.adam_eps=0", "train.adam_eps=nan",
+        "train.clip_norm=-1", "train.clip_norm=inf", "train.clip_norm=nan",
+        "train.checkpoint_every=-5",
+    ])
+    def test_run_values_that_break_training_are_rejected(self, override):
+        # Each of these used to pass resolve, then either trained silently
+        # or died at the first iteration with a numeric failure.
+        key = override.split("=")[0].split(".")[1]
+        with pytest.raises(ConfigError, match=key.replace("tau", "time_penalty")):
+            parse_config_text("", [override])
 
     def test_comments_and_blanks_ignored(self):
         config = parse_config_text("# a comment\n\ntask.name = sort  # trailing\n")
@@ -304,6 +325,14 @@ class TestGenCommand:
                            "--replicas", "1", "--out-dir", str(tmp_path / "d")])
         assert code == 2
         assert "/nonexistent/corpus.bin" in caplog.text
+
+    @pytest.mark.parametrize("taus", ["abc", "0.01,x", ",", "-1", "nan"])
+    def test_sweep_bad_taus_are_config_errors(self, taus, tmp_path):
+        # Rejected before any run starts: no run directory is made.
+        code, _ = run_cli(["sweep", "--set", "train.iterations=1", f"--taus={taus}",
+                           "--out-dir", str(tmp_path / "d")])
+        assert code == 2
+        assert not (tmp_path / "d").exists()
 
     def test_corpus_generation(self, tmp_path):
         out = tmp_path / "corpus.bin"

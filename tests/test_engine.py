@@ -366,7 +366,7 @@ def test_input_step_with_no_active_row():
     assert not res.halts[:, 2].any()
     assert res.ponder_var.data == trimmed.ponder_var.data
     res.tape.backward(position_sum(res, 2, 0, params.output_size))
-    assert res.tape.grad(res.param_vars.w_rec).any()
+    assert res.tape.grad(res.param_vars["w_rec"]).any()
 
 
 def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
@@ -416,7 +416,7 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
                        "w_in": (np.count_nonzero(res.halts[..., 0], axis=0)
                                 + 1).tolist()}
         for name, rows in packet_rows.items():
-            var = getattr(res.param_vars, name)
+            var = res.param_vars[name]
             got = [n for shape, n in formed if shape == var.data.shape]
             assert got == chunks(rows, flush_rows)
         assert len(formed) == sum(len(chunks(rows, flush_rows))

@@ -243,7 +243,7 @@ class TestSequenceErrorRate:
 
     def test_random_guessing_on_parity_is_half(self):
         rng = np.random.default_rng(4)
-        batch = gen_parity(seed=5, batch=10_000)
+        batch = gen_parity(seed=5, n_bits=64, batch=10_000)
         predictions = rng.integers(0, 2, size=batch.targets.shape)
         rate = sequence_error_rate(predictions, batch.targets, batch.target_mask)
         assert abs(rate - 0.5) < 0.02
@@ -341,9 +341,12 @@ def objective_case(task, seed=0):
     if task == "text":
         corpus = synth_corpus(seed, size=4000)
         batch = gen_text(corpus, seed, seq_len=7, batch=3)
+    elif task == "addition":
+        batch = gen_addition(seed, batch=3, min_len=1, max_len=4,
+                             min_digits=1, max_digits=5)
     else:
-        batch = {"logic": gen_logic, "addition": gen_addition,
-                 "sort": gen_sort}[task](seed, batch=3, max_len=4)
+        batch = {"logic": gen_logic, "sort": gen_sort}[task](
+            seed, batch=3, min_len=2 if task == "sort" else 1, max_len=4)
     params = init_params("lstm", spec.input_size, 6, spec.output_size, seed=seed)
     return spec, params, ActConfig(max_steps=5, time_penalty=1e-2), batch
 

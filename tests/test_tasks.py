@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from actlab.autodiff import ContractError
+from actlab.config import parse_config_text
 from actlab.tasks import (GATE_NAMES, apply_gate, derive_seeds,
                           gen_addition, gen_logic, gen_parity, gen_sort,
                           gen_text, synth_corpus, task_spec, write_batch_csv)
+from actlab.trainer import make_batch
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -117,7 +119,7 @@ class TestTruthTables:
 
 class TestParity:
     def test_shapes_and_defaults(self):
-        b = gen_parity(seed=0)
+        b = gen_parity(seed=0, n_bits=64, batch=128)
         assert b.inputs.shape == (128, 1, 64)
         assert b.targets.shape == (128, 1, 1)
         assert b.target_mask.all()
@@ -146,21 +148,15 @@ class TestParity:
     def test_fuzz_against_brute_force(self):
         total = 0
         for seed in range(10):
-            b = gen_parity(seed=seed, batch=1000)
+            b = gen_parity(seed=seed, n_bits=64, batch=1000)
             for e in range(1000):
                 vec = b.inputs[e, 0]
                 assert b.targets[e, 0, 0] == int(np.count_nonzero(vec == 1.0)) % 2
             total += 1000
         assert total == 10_000
 
-    def test_nonzero_counting_switch(self):
-        b = gen_parity(seed=9, batch=500, count_all_nonzero=True)
-        for e in range(500):
-            vec = b.inputs[e, 0]
-            assert b.targets[e, 0, 0] == int(np.count_nonzero(vec)) % 2
-
     def test_difficulty_counts_nonzero_bits(self):
-        b = gen_parity(seed=7, batch=200)
+        b = gen_parity(seed=7, n_bits=64, batch=200)
         for e in range(200):
             assert b.difficulty[e, 0] == np.count_nonzero(b.inputs[e, 0])
         assert b.difficulty.min() >= 1
@@ -173,7 +169,7 @@ class TestParity:
 
 class TestLogic:
     def test_vector_layout(self):
-        b = gen_logic(seed=0, batch=8)
+        b = gen_logic(seed=0, batch=8, min_len=1, max_len=10)
         assert b.inputs.shape[2] == 102
         # Gate chunks hold at most one hot entry each.
         for e in range(8):
@@ -182,19 +178,19 @@ class TestLogic:
                     assert b.inputs[e, t, 2 + 10 * chunk: 12 + 10 * chunk].sum() <= 1
 
     def test_first_two_elements_are_bits(self):
-        b = gen_logic(seed=1, batch=32)
+        b = gen_logic(seed=1, batch=32, min_len=1, max_len=10)
         assert set(np.unique(b.inputs[:, :, :2])) <= {0.0, 1.0}
 
     def test_carried_operand_hidden_in_input(self):
         # From the second vector on, element 0 must read zero.
-        b = gen_logic(seed=2, batch=64, min_len=2)
+        b = gen_logic(seed=2, batch=64, min_len=2, max_len=10)
         for e in range(64):
             assert np.all(b.inputs[e, 1:int(b.lengths[e]), 0] == 0.0)
 
     def test_fuzz_against_recursive_oracle(self):
         checked = 0
         for seed in range(20):
-            b = gen_logic(seed=seed, batch=500)
+            b = gen_logic(seed=seed, batch=500, min_len=1, max_len=10)
             for e in range(500):
                 want = eval_logic_sequence_oracle(b.inputs[e], int(b.lengths[e]))
                 got = list(b.targets[e, :int(b.lengths[e]), 0])
@@ -203,7 +199,7 @@ class TestLogic:
         assert checked == 10_000
 
     def test_difficulty_is_gates_per_vector(self):
-        b = gen_logic(seed=3, batch=32)
+        b = gen_logic(seed=3, batch=32, min_len=1, max_len=10)
         for e in range(32):
             for t in range(int(b.lengths[e])):
                 n_gates = sum(
@@ -218,11 +214,13 @@ class TestLogic:
 
 class TestAddition:
     def test_first_step_unmasked(self):
-        b = gen_addition(seed=0, batch=64)
+        b = gen_addition(seed=0, batch=64, min_len=1, max_len=5, min_digits=1,
+                         max_digits=5)
         assert not b.target_mask[:, 0].any()
 
     def test_single_step_sequences_have_no_targets(self):
-        b = gen_addition(seed=1, batch=64, min_len=1, max_len=1)
+        b = gen_addition(seed=1, batch=64, min_len=1, max_len=1, min_digits=1,
+                         max_digits=5)
         assert not b.target_mask.any()
 
     def test_known_sum_digits(self):
@@ -243,7 +241,8 @@ class TestAddition:
     def test_fuzz_against_integer_oracle(self):
         checked = 0
         for seed in range(20):
-            b = gen_addition(seed=seed, batch=500)
+            b = gen_addition(seed=seed, batch=500, min_len=1, max_len=5,
+                             min_digits=1, max_digits=5)
             for e in range(500):
                 total = 0
                 for t in range(int(b.lengths[e])):
@@ -255,7 +254,8 @@ class TestAddition:
         assert checked == 10_000
 
     def test_difficulty_is_digit_count(self):
-        b = gen_addition(seed=5, batch=64)
+        b = gen_addition(seed=5, batch=64, min_len=1, max_len=5, min_digits=1,
+                         max_digits=5)
         for e in range(64):
             for t in range(int(b.lengths[e])):
                 width = sum(b.inputs[e, t, 10 * i: 10 * i + 10].sum() > 0
@@ -269,7 +269,7 @@ class TestAddition:
 
 class TestSort:
     def test_input_layout(self):
-        b = gen_sort(seed=0, batch=16)
+        b = gen_sort(seed=0, batch=16, min_len=2, max_len=15)
         for e in range(16):
             n = int(b.lengths[e]) // 2
             assert b.inputs[e, n - 1, 1] == 1.0          # end-of-sequence flag
@@ -281,7 +281,7 @@ class TestSort:
     def test_targets_match_reference_argsort(self):
         checked = 0
         for seed in range(25):
-            b = gen_sort(seed=seed, batch=400)
+            b = gen_sort(seed=seed, batch=400, min_len=2, max_len=15)
             for e in range(400):
                 n = int(b.lengths[e]) // 2
                 values = b.inputs[e, :n, 0]
@@ -291,14 +291,14 @@ class TestSort:
         assert checked == 10_000
 
     def test_minimum_separation_enforced(self):
-        b = gen_sort(seed=1, batch=400)
+        b = gen_sort(seed=1, batch=400, min_len=2, max_len=15)
         for e in range(400):
             n = int(b.lengths[e]) // 2
             gaps = np.diff(np.sort(b.inputs[e, :n, 0]))
             assert np.all(gaps >= 1e-6)
 
     def test_difficulty_is_sort_length(self):
-        b = gen_sort(seed=2, batch=32)
+        b = gen_sort(seed=2, batch=32, min_len=2, max_len=15)
         for e in range(32):
             n = int(b.lengths[e]) // 2
             assert 2 <= n <= 15
@@ -365,14 +365,15 @@ class TestSynthCorpus:
 # ---------------------------------------------------------------------------
 
 def _first_batches():
+    """The golden batches, drawn through `trainer.make_batch` as `actlab gen`
+    draws them: each task's default config at seed 1234, 16 examples
+    (text: 8 windows of 20 bytes)."""
     corpus = synth_corpus(seed=0, size=4096)
-    return [
-        gen_parity(seed=1234, batch=16),
-        gen_logic(seed=1234, batch=16),
-        gen_addition(seed=1234, batch=16),
-        gen_sort(seed=1234, batch=16),
-        gen_text(corpus, seed=1234, seq_len=20, batch=8),
-    ]
+    batches = [make_batch(parse_config_text("", [f"task.name={task}"]), 1234,
+                          batch_size=16)
+               for task in ("parity", "logic", "addition", "sort")]
+    text = parse_config_text("", ["task.name=text", "task.seq_len=20"])
+    return batches + [make_batch(text, 1234, corpus, batch_size=8)]
 
 
 class TestGeneratorHygiene:
@@ -393,31 +394,30 @@ class TestGeneratorHygiene:
     def test_derive_seeds_are_independent(self):
         seqs = derive_seeds(7, 4)
         assert len(seqs) == 4
-        batches = [gen_parity(seed=s, batch=8) for s in seqs]
+        batches = [gen_parity(seed=s, n_bits=64, batch=8) for s in seqs]
         blobs = {b.inputs.tobytes() for b in batches}
         assert len(blobs) == 4
 
-    def test_generator_defaults_match_task_spec(self):
-        # The generators' keyword defaults are a second copy of the
-        # TaskSpec defaults; this keeps the two from drifting apart.
+    def test_generators_have_no_defaults(self):
+        # Per-task numbers live in TaskSpec and reach the generators only
+        # through the resolved config, so no generator keeps a copy.
         import inspect
-        generators = {"parity": gen_parity, "logic": gen_logic,
-                      "addition": gen_addition, "sort": gen_sort,
-                      "text": gen_text}
-        for name, gen in generators.items():
-            spec = task_spec(name)
-            params = inspect.signature(gen).parameters
-            want = {"batch": spec.default_batch,
-                    "min_len": spec.default_lens[0],
-                    "max_len": spec.default_lens[1],
-                    "min_digits": spec.default_digits[0],
-                    "max_digits": spec.default_digits[1]}
-            for key, value in want.items():
-                if key in params:
-                    assert params[key].default == value, (name, key)
-            assert "batch" in params
+        for gen in (gen_parity, gen_logic, gen_addition, gen_sort, gen_text):
+            for param in inspect.signature(gen).parameters.values():
+                assert param.default is inspect.Parameter.empty, \
+                    (gen.__name__, param.name)
 
     def test_golden_fixture_pins_first_batches(self, tmp_path):
+        """Each golden file is the CSV `actlab gen` writes for it:
+
+            actlab gen --task parity --seed 1234 --count 16 --out parity_seed1234.csv
+            actlab gen --task logic --seed 1234 --count 16 --out logic_seed1234.csv
+            actlab gen --task addition --seed 1234 --count 16 --out addition_seed1234.csv
+            actlab gen --task sort --seed 1234 --count 16 --out sort_seed1234.csv
+            actlab gen --task corpus --seed 0 --size 4096 --out corpus.bin
+            actlab gen --task text --seed 1234 --count 8 --seq-len 20 \\
+                --corpus corpus.bin --out text_seed1234.csv
+        """
         import pathlib
         fixture_dir = pathlib.Path(__file__).parent / "fixtures" / "golden"
         for batch in _first_batches():
