@@ -19,9 +19,9 @@ once. It returns the new state and `back(ds, dz)`, which writes the
 adjoint of z into the buffer dz and returns the adjoint of the old state,
 dz W_recᵀ included. s=None stands for the zero state: the cell skips
 s W_rec, and `back` returns None instead of forming the old state's
-adjoint. The weight adjoints Xᵀ dz and Hᵀ dz and the bias sums
+adjoint. The weight and bias adjoints, [X | 1]ᵀ dz and [H | flag]ᵀ dz,
 are left to the caller, which stacks the rows of many updates into one
-GEMM per weight. `readout` and `halting_activation` are array code too.
+GEMM per affine map. `readout` and `halting_activation` are array code too.
 """
 
 from __future__ import annotations

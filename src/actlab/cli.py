@@ -161,9 +161,10 @@ def _cmd_gen(args) -> int:
             fh.write(blob)
         log.info("wrote %d corpus bytes to %s", len(blob), args.out)
         return EXIT_OK
-    config = parse_config_text("", [f"task.name={args.task}",
-                                    f"task.seq_len={args.seq_len}",
-                                    f"task.corpus={args.corpus or ''}"])
+    overrides = [f"task.name={args.task}", f"task.corpus={args.corpus or ''}"]
+    if args.seq_len is not None:
+        overrides.append(f"task.seq_len={args.seq_len}")
+    config = parse_config_text("", overrides)
     batch = make_batch(config, args.seed, load_corpus(config),
                        batch_size=args.count)
     write_batch_csv(batch, args.out)
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=positive_int, default=16, help="examples per batch")
     p.add_argument("--out", required=True)
     p.add_argument("--corpus", help="byte file for --task text")
-    p.add_argument("--seq-len", type=int, default=100)
+    p.add_argument("--seq-len", type=int, help="text window; default task.seq_len")
     p.add_argument("--size", type=positive_int, default=1 << 20,
                    help="bytes for --task corpus")
     p.set_defaults(fn=_cmd_gen)

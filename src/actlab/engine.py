@@ -46,16 +46,18 @@ product each, then replays the input steps in reverse, and each step's
 updates in reverse. With g_S and g_R the adjoints of a row's mean state
 and R, and N its update count: d s^n gets w_n g_S, d R = g_R + <g_S, s^N>,
 d h^n = <g_S, s^n> - d R for n < N, and h^N gets exactly 0, as it enters
-only the halting decision. The halting and cell backward follow. Each
-other weight's adjoint is a stack of rows multiplied out as one GEMM:
-W_rec, b_rec, w_halt and b_halt stack each update's rows, and W_in stacks
-each active row once per input step, with its dz summed over its updates,
-plus one row for the flag. W_rec and b_rec share one stack of dz rows,
-and w_halt and b_halt one of halting adjoint rows. The replay writes each
-step's rows in place into buffers its stacks own, sized from the records
-to the largest chunk before the replay starts, and a stack is multiplied
-out whenever it reaches OUTER_FLUSH_ROWS rows, which bounds the rows it
-keeps alive.
+only the halting decision. The halting and cell backward follow. Every
+other weight's adjoint comes from one of three affine maps, as in the
+forward, each a stack of rows multiplied out as one GEMM. The input stack
+holds [x | 1] once per active row per input step, times the row's dz
+summed over its updates: W_in but its flag row, then b_rec. The recurrent
+stack holds [h_in | flag] per update, times its dz, with flag 1 on an
+input step's first update: W_rec, then W_in's flag row. The halting stack
+holds [h_out | 1] per update, times its halting adjoint: w_halt, then
+b_halt. The replay writes each step's rows in place into the two buffers
+each stack owns, sized to bound its largest chunk, and a stack is
+multiplied out whenever it reaches OUTER_FLUSH_ROWS rows, which bounds
+the rows it keeps alive.
 
 The halting record is dense, like every other per-position result: h^n of
 position (e, t) sits at `BatchRunResult.halts[e, t, n - 1]` and its
@@ -84,9 +86,9 @@ from .act import ActConfig
 from .autodiff import ContractError, DimensionError, NumericError, Tape, Var
 from .cells import CELLS, CellParams, halting_activation, readout
 
-# Rows a weight's stack may hold before it is multiplied out into the
-# weight's adjoint. The replay writes each update's rows into buffers the
-# stack owns, sized to its largest chunk, and a flush multiplies views of
+# Rows a stack may hold before it is multiplied out into its affine map's
+# adjoint. The replay writes each update's rows into buffers the stack
+# owns, sized to bound its largest chunk, and a flush multiplies views of
 # them, with no stacked copy: at lstm-1500 a dz row is 48 KB, so a full
 # W_rec stack is about 48 MB. Measured on one text forward and backward
 # (lstm-1500, batch 8, 500-byte window, 8,000 rows, one BLAS thread):
@@ -121,50 +123,41 @@ class BatchRunResult:
 
 
 class _RowStack:
-    """The adjoints of weights whose row blocks share a right factor b: per
-    left factor a, the sum of a.T @ b over the rows written, formed as one
-    GEMM per weight per chunk of at least OUTER_FLUSH_ROWS rows.
+    """The adjoint of one affine map: the sum of a.T @ b over the rows
+    written, formed as one GEMM per chunk of at least OUTER_FLUSH_ROWS rows.
 
-    A backward writes each input step's rows in place into buffers the
-    stack owns, one for b and one per written left factor, sized to the
-    largest chunk; a constant ones column (a bias) is allocated once. A
-    flush multiplies views of the rows written since the last one.
+    A backward writes each input step's rows in place into the stack's
+    two buffers, sized to bound the largest chunk. The last column of a
+    is allocated as ones, the constant input of a bias; a stack whose
+    last column is a flag writes it with each row. A flush multiplies
+    views of the rows written since the last one.
     """
 
-    def __init__(self, step_rows: list[int], widths: tuple[int, ...],
-                 ones: bool = False):
-        """`step_rows`: the rows each step will write, in the order they
-        come; `widths`: the columns of b, then of each written a."""
-        largest = rows = 0
-        for n in step_rows:
-            rows += n
-            largest = max(largest, rows)
-            if rows >= OUTER_FLUSH_ROWS:
-                rows = 0
-        self.buffers = [np.empty((largest, w)) for w in widths]
-        self.written = len(widths)
-        if ones:
-            self.buffers.append(np.ones((largest, 1)))
-        self.rows, self.totals = 0, (None,) * (len(self.buffers) - 1)
+    def __init__(self, step_rows: list[int], b_width: int, a_width: int):
+        """`step_rows`: the rows each step will write. A take flushes a
+        chunk of OUTER_FLUSH_ROWS rows or more first, so no chunk holds
+        more than OUTER_FLUSH_ROWS - 1 rows and then one step's."""
+        largest = max(step_rows, default=0)
+        rows = min(sum(step_rows), OUTER_FLUSH_ROWS - 1 + largest)
+        self.b, self.a = np.empty((rows, b_width)), np.ones((rows, a_width))
+        self.rows, self.total = 0, None
 
-    def take(self, n: int) -> tuple[np.ndarray, ...]:
-        """The next n rows of b and of each written a, to be filled in."""
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next n rows of b and of a, to be filled in."""
         if self.rows >= OUTER_FLUSH_ROWS:
             self.flush()
         start = self.rows
         self.rows += n
-        return tuple(buf[start:self.rows] for buf in self.buffers[:self.written])
+        return self.b[start:self.rows], self.a[start:self.rows]
 
-    def flush(self) -> tuple[Optional[np.ndarray], ...]:
-        """Multiply out the rows written; returns the adjoints so far."""
-        if self.rows:
-            b, *lefts = (buf[:self.rows] for buf in self.buffers)
-            products = tuple(a.T @ b for a in lefts)
-            for product, total in zip(products, self.totals):
-                if total is not None:
-                    product += total
-            self.rows, self.totals = 0, products
-        return self.totals
+    def flush(self) -> np.ndarray:
+        """Multiply out the rows written; returns the adjoint so far."""
+        if self.rows or self.total is None:
+            product = self.a[:self.rows].T @ self.b[:self.rows]
+            if self.total is not None:
+                product += self.total
+            self.rows, self.total = 0, product
+        return self.total
 
 
 def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
@@ -236,11 +229,11 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
 
     `g_act` and `d_r` are the adjoints of the mean state and R of the
     step's active rows, whose inputs are `x`; `d_r` is updated in place.
-    Writes the step's weight rows into `stacks`, the stacks of W_in, of
-    W_rec and b_rec, and of w_halt and b_halt. Returns the adjoint of the
-    state the step started from on those rows (None at input step 0,
-    which starts from the zero state), and their halting adjoints,
-    (rows, updates), 0 past each row's halt.
+    Writes the step's rows into `stacks`, the input, recurrent and
+    halting stacks. Returns the adjoint of the state the step started
+    from on those rows (None at input step 0, which starts from the zero
+    state), and their halting adjoints, (rows, updates), 0 past each
+    row's halt.
     """
     _, w_rec, _, w_halt, _ = weights
     n_hidden = w_rec.shape[0]
@@ -249,11 +242,11 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
     in_stack, rec_stack, halt_stack = stacks
     dz_all, h_in = rec_stack.take(offsets[-1])
     dpre_all, h_out = halt_stack.take(offsets[-1])
-    # W_in's rows: each active row's x with its dz summed over its
-    # updates, then the flag row with the first update's dz summed.
-    dz_rows, x_rows = in_stack.take(n_active + 1)
-    dz_sum = dz_rows[:-1]
+    # The input stack's rows: each active row's [x | 1], with its dz
+    # summed over its updates.
+    dz_sum, x_rows = in_stack.take(n_active)
     dz_sum[...] = 0.0
+    x_rows[:, :-1] = x
     dh_all = np.zeros((n_active, len(updates)))
     # Adjoint of the block's state.
     carry = g_pos = None
@@ -277,8 +270,9 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
         dz = dz_all[rows]
         carry = back(ds, dz)
         dpre_all[rows, 0] = dpre
-        h_in[rows] = s[:, :n_hidden]
-        h_out[rows] = s_new[:, :n_hidden]
+        h_in[rows, :-1] = s[:, :n_hidden]
+        h_in[rows, -1] = k == 0             # the first-update flag
+        h_out[rows, :-1] = s_new[:, :n_hidden]
         # Each row sums its dz from its last update back; the first term
         # is copied rather than added to 0, so a -0.0 stays -0.0.
         if k == len(updates) - 1:
@@ -290,21 +284,10 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
         before = updates[k - 1][6] if k else None
         if before is not None:
             # Rows that halted at the update before stop here: exact zeros.
-            carry = _expand(carry, ~before)
-
-    x_rows[:-1, :-1] = x
-    x_rows[:-1, -1] = 0.0
-    x_rows[-1] = 0.0
-    x_rows[-1, -1] = 1.0
-    dz_rows[-1] = dz_all[:offsets[1]].sum(axis=0)
+            full = np.zeros((before.size, carry.shape[1]))
+            full[~before] = carry
+            carry = full
     return carry, dh_all
-
-
-def _expand(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Rows of `a` placed at the true rows of `keep`; exact zeros elsewhere."""
-    full = np.zeros((keep.size,) + a.shape[1:])
-    full[keep] = a
-    return full
 
 
 def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
@@ -330,14 +313,10 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         lengths = np.full(n_batch, n_steps_total, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
 
-    if grad:
-        tape = Tape()
-        pv = {name: tape.leaf(arr) for name, arr in params.items()}
-        arrays = {name: v.data for name, v in pv.items()}
-    else:
-        tape = pv = None
-        arrays = {name: np.ascontiguousarray(a, dtype=np.float64)
-                  for name, a in params.items()}
+    arrays = {name: np.ascontiguousarray(a, dtype=np.float64)
+              for name, a in params.items()}
+    tape = Tape() if grad else None
+    pv = {name: tape.leaf(a) for name, a in arrays.items()} if grad else None
     weights = tuple(arrays[name] for name in ("w_in", "w_rec", "b_rec",
                                               "w_halt", "b_halt"))
     w_out, b_out = arrays["w_out"], arrays["b_out"]
@@ -383,10 +362,10 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         replayed = [(idx, u) for idx, _, u in reversed(records) if u]
         update_rows = [sum(v[0].size for v in u) for _, u in replayed]
         w_in, w_rec = weights[:2]
-        stacks = (_RowStack([idx.size + 1 for idx, _ in replayed],
-                            (w_rec.shape[1], w_in.shape[0])),
-                  _RowStack(update_rows, (w_rec.shape[1], n_hidden), ones=True),
-                  _RowStack(update_rows, (1, n_hidden), ones=True))
+        stacks = (_RowStack([idx.size for idx, _ in replayed], w_rec.shape[1],
+                            w_in.shape[0]),
+                  _RowStack(update_rows, w_rec.shape[1], n_hidden + 1),
+                  _RowStack(update_rows, 1, n_hidden + 1))
         g_state = np.zeros_like(state)
         for t in range(n_steps_total - 1, -1, -1):
             g_state[:, :n_hidden] += g_hidden[:, t]
@@ -396,8 +375,11 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
                     updates, x, g_state[idx], g_r[idx, t], weights, stacks)
                 if t:    # the zero initial state has no adjoint
                     g_state[idx] = carry
-        (d_in,), (d_rec, d_b), (d_halt, d_b_halt) = (s.flush() for s in stacks)
-        return d_in, d_rec, d_b, d_w_out, d_b_out, d_halt, d_b_halt
+        # [x | 1] gives W_in but its flag row, then b_rec; [h_in | flag]
+        # gives W_rec, then the flag row; [h_out | 1] w_halt, then b_halt.
+        p_in, p_rec, p_halt = (s.flush() for s in stacks)
+        return (np.vstack([p_in[:-1], p_rec[-1:]]), p_rec[:-1], p_in[-1:],
+                d_w_out, d_b_out, p_halt[:-1], p_halt[-1:])
 
     node = ad.record(value, tuple(pv.values()), backward)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import ContractError, logistic
 
-# Gate ids 1..10, row order (P,Q) = (T,T), (T,F), (F,T), (F,F).
+# Gate ids 1..len(TRUTH_TABLES), row order (P,Q) = (T,T), (T,F), (F,T), (F,F).
 TRUTH_TABLES: dict[str, tuple[int, int, int, int]] = {
     "NOR":     (0, 0, 0, 1),
     "Xq":      (0, 0, 1, 0),
@@ -35,13 +35,6 @@ TRUTH_TABLES: dict[str, tuple[int, int, int, int]] = {
 
 GATE_NAMES = list(TRUTH_TABLES)
 _GATE_ROWS = tuple(TRUTH_TABLES.values())    # by gate id - 1; row 3 - 2P - Q
-
-
-def apply_gate(gate_id: int, p: int, q: int) -> int:
-    """Evaluate gate `gate_id` (1-based) on (P, Q)."""
-    if not 1 <= gate_id <= 10:
-        raise ContractError(f"gate id must be in 1..10, got {gate_id}")
-    return _GATE_ROWS[gate_id - 1][3 - 2 * int(p) - int(q)]
 
 
 def derive_seeds(root_seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -195,7 +188,7 @@ def gen_logic(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
         for t in range(int(lengths[e])):
             b1 = int(rng.integers(0, 2))
             n_gates = int(rng.integers(1, LOGIC_MAX_GATES + 1))
-            gates = rng.integers(1, 11, size=n_gates)
+            gates = rng.integers(1, len(GATE_NAMES) + 1, size=n_gates)
             vec = inputs[e, t]
             if t == 0:
                 vec[0] = b0          # hidden on later steps: carried, not shown
@@ -329,9 +322,10 @@ def render_input(task: str, vec: np.ndarray) -> str:
 
 _CONSONANTS = "bcdfghjklmnpqrstvwz"
 _VOWELS = "aeiou"
+_VOCAB_SIZE = 600
 
 
-def synth_corpus(seed, size: int = 1 << 20, vocab_size: int = 600) -> bytes:
+def synth_corpus(seed, size: int = 1 << 20) -> bytes:
     """Deterministic pseudo-English corpus for the text task.
 
     Words come from a fixed seeded vocabulary drawn with a 1/rank bias,
@@ -342,7 +336,7 @@ def synth_corpus(seed, size: int = 1 << 20, vocab_size: int = 600) -> bytes:
     """
     rng = np.random.default_rng(seed)
     words = []
-    for _ in range(vocab_size):
+    for _ in range(_VOCAB_SIZE):
         n_syll = int(rng.integers(1, 4))
         word = "".join(
             _CONSONANTS[rng.integers(0, len(_CONSONANTS))]
@@ -351,7 +345,7 @@ def synth_corpus(seed, size: int = 1 << 20, vocab_size: int = 600) -> bytes:
                if rng.random() < 0.3 else "")
             for _ in range(n_syll))
         words.append(word)
-    ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
+    ranks = np.arange(1, _VOCAB_SIZE + 1, dtype=np.float64)
     probs = (1.0 / ranks) / (1.0 / ranks).sum()
 
     chunks: list[str] = []
@@ -359,7 +353,7 @@ def synth_corpus(seed, size: int = 1 << 20, vocab_size: int = 600) -> bytes:
     sentences_in_paragraph = 0
     while total < size:
         n_words = int(rng.integers(4, 13))
-        picks = rng.choice(vocab_size, size=n_words, p=probs)
+        picks = rng.choice(_VOCAB_SIZE, size=n_words, p=probs)
         tokens = [words[i] for i in picks]
         tokens[0] = tokens[0].capitalize()
         sentence = tokens[0]

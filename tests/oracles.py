@@ -32,6 +32,7 @@ from actlab.act import ActConfig
 from actlab.autodiff import ContractError, NumericError, Tape, Var
 from actlab.cells import CELLS, CellParams
 from actlab.losses import PROB_CLAMP, example_errors
+from actlab.tasks import TRUTH_TABLES
 
 
 def rel_err(analytic, numeric) -> float:
@@ -165,6 +166,14 @@ def sequence_error_rate(predictions, targets, mask) -> float:
     """Fraction of examples with any mistake anywhere in the masked output."""
     errs = example_errors(predictions, targets, mask)
     return float(errs.mean()) if errs.size else 0.0
+
+
+def apply_gate(gate_id: int, p: int, q: int) -> int:
+    """Evaluate gate `gate_id` (1-based) of `TRUTH_TABLES` on (P, Q)."""
+    if not 1 <= gate_id <= len(TRUTH_TABLES):
+        raise ContractError(
+            f"gate id must be in 1..{len(TRUTH_TABLES)}, got {gate_id}")
+    return list(TRUTH_TABLES.values())[gate_id - 1][3 - 2 * int(p) - int(q)]
 
 
 def readout_plain(p, hidden):

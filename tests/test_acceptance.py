@@ -19,12 +19,12 @@ from actlab.cells import init_params
 from actlab.config import parse_config_text
 from actlab.engine import run_batch
 from actlab.gradcheck import halting_gradient_check
-from actlab.tasks import (GATE_NAMES, apply_gate, gen_addition, gen_logic,
-                          gen_parity, gen_sort, gen_text, synth_corpus,
-                          task_spec)
+from actlab.tasks import (GATE_NAMES, gen_addition, gen_logic, gen_parity,
+                          gen_sort, gen_text, synth_corpus, task_spec)
 from actlab.trainer import evaluate, resolved_spec, train
 
-from oracles import halting_distribution, plain_rnn_outputs, run_sequence
+from oracles import (apply_gate, halting_distribution, plain_rnn_outputs,
+                     run_sequence)
 from test_tasks import (_PUBLISHED_TABLE, decode_addition_inputs,
                         decode_addition_target, eval_logic_sequence_oracle)
 

@@ -306,6 +306,18 @@ class TestGenCommand:
         assert run_cli(["gen", "--task", "text", "--out", out, "--corpus",
                         str(tmp_path / "missing.bin")])[0] == 2
 
+    def test_text_window_defaults_to_task_seq_len(self, tmp_path):
+        corpus, out = tmp_path / "corpus.bin", tmp_path / "text.csv"
+        corpus.write_bytes(bytes(range(256)) * 4)
+        assert run_cli(["gen", "--task", "text", "--corpus", str(corpus),
+                        "--count", "1", "--out", str(out)])[0] == 0
+        with open(out) as fh:
+            fh.readline()                      # schema comment
+            rows = list(csv.DictReader(fh))
+        want = parse_config_text("", ["task.name=text"]).seq_len
+        assert len(rows) == want == 500
+        assert {row["length"] for row in rows} == {str(want)}
+
     def test_corpus_shorter_than_a_window_is_config_error(self, tmp_path,
                                                           caplog):
         corpus = tmp_path / "short.bin"

@@ -225,15 +225,15 @@ def test_one_readout_per_batch(monkeypatch):
 def test_padding_cannot_poison_values_or_gradients(kind, pad):
     """Whatever padded positions hold, the outputs at active positions and
     every parameter gradient equal those of the zero-padded batch, bit for
-    bit: padded inputs are never stepped, so they reach no packet."""
+    bit: padded inputs are never stepped, so they reach no packet. A row
+    of length 0, and a batch with no active position at all, backpropagate
+    finite adjoints that are 0 wherever no row ran."""
     rng = np.random.default_rng(6)
     params = init_params(kind, 3, 6, 4, seed=7, halt_bias=-1.0)
-    lengths = np.array([4, 2, 3])
-    padded = np.arange(4)[None, :] >= lengths[:, None]
-    zero = np.where(padded[..., None], 0.0, rng.normal(size=(3, 4, 3)))
+    values = rng.normal(size=(3, 4, 3))
     cfg = ActConfig(max_steps=7)
 
-    def run(inputs):
+    def run(inputs, lengths):
         res = run_batch(params, cfg, inputs, lengths)
         keep = np.zeros(res.node.shape)
         keep[..., :-1] = res.active[..., None]      # active readouts, no R
@@ -244,17 +244,26 @@ def test_padding_cannot_poison_values_or_gradients(kind, pad):
         return res, loss, outputs, {name: res.tape.grad(var)
                                     for name, var in res.param_vars.items()}
 
-    base, base_loss, base_outputs, base_grads = run(zero)
-    assert len(np.unique(base.steps[base.active])) > 1
-    with np.errstate(all="ignore"):
-        res, loss, outputs, grads = run(np.where(padded[..., None], pad, zero))
-    np.testing.assert_array_equal(res.steps, base.steps)
-    np.testing.assert_array_equal(res.remainders, base.remainders)
-    assert loss.data == base_loss.data
-    np.testing.assert_array_equal(outputs, base_outputs)
-    for name, g in base_grads.items():
-        assert np.all(np.isfinite(g))
-        np.testing.assert_array_equal(grads[name], g)
+    for lengths in ([4, 2, 3], [4, 0, 3], [0, 0, 0]):
+        lengths = np.array(lengths)
+        padded = np.arange(4)[None, :] >= lengths[:, None]
+        zero = np.where(padded[..., None], 0.0, values)
+        base, base_loss, base_outputs, base_grads = run(zero, lengths)
+        assert (len(np.unique(base.steps[base.active])) > 1) == lengths.any()
+        assert not base.halt_grads[padded].any()
+        if not lengths.any():
+            assert not any(g.any() for g in base_grads.values())
+        with np.errstate(all="ignore"):
+            res, loss, outputs, grads = run(np.where(padded[..., None], pad,
+                                                     zero), lengths)
+        np.testing.assert_array_equal(res.steps, base.steps)
+        np.testing.assert_array_equal(res.remainders, base.remainders)
+        assert loss.data == base_loss.data
+        np.testing.assert_array_equal(outputs, base_outputs)
+        for name, g in base_grads.items():
+            assert np.all(np.isfinite(g))
+            np.testing.assert_array_equal(grads[name], g)
+        np.testing.assert_array_equal(res.halt_grads, base.halt_grads)
 
 
 @pytest.mark.parametrize("kind", ["rnn", "lstm"])
@@ -370,25 +379,28 @@ def test_input_step_with_no_active_row():
 
 
 def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
-    # Each input step pushes one block of its rows onto each stack: W_rec
-    # and b_rec share one stack of each update's rows, w_halt and b_halt
-    # another, and W_in stacks each active row once plus the flag row. The
-    # backward must stack exactly those rows and form each adjoint once per
-    # chunk, flushing as soon as a stack reaches OUTER_FLUSH_ROWS rows,
-    # never once per update.
+    # Each input step pushes one block of its rows onto each of the three
+    # affine maps' stacks: [x | 1] once per active row, [h_in | flag] and
+    # [h_out | 1] once per update. The backward must stack exactly those
+    # rows and form each stack's product once per chunk, flushing as soon
+    # as a stack reaches OUTER_FLUSH_ROWS rows, never once per update, in
+    # buffers no longer than the largest chunk can be.
     spec = task_spec("logic")
     batch = gen_logic(3, batch=8, min_len=3, max_len=4)
-    params = init_params("lstm", spec.input_size, 16, spec.output_size, seed=2,
-                         halt_bias=-2.0)
+    n_hidden = 16
+    params = init_params("lstm", spec.input_size, n_hidden, spec.output_size,
+                         seed=2, halt_bias=-2.0)
+    proj = params.w_rec.shape[1]
     cfg = ActConfig(max_steps=10)
-    formed = []
+    formed, buffers = [], {}
     original = engine._RowStack.flush
 
     def counted(stack):
         rows, pending = stack.rows, stack.rows > 0
         out = original(stack)
         if pending:
-            formed.extend((total.shape, rows) for total in out)
+            formed.append((out.shape, rows))
+        buffers[out.shape] = (len(stack.b), len(stack.a))
         return out
 
     def chunks(packet_rows, flush_rows):
@@ -408,24 +420,24 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
         res.tape.backward(loss)
         updates = int(res.steps.max(axis=0).sum())
         assert updates > 2 * batch.inputs.shape[1]
-        # Rows stepped per input step, and rows at its first update.
+        # Rows stepped per input step, and its active rows.
         live = np.count_nonzero(res.halts, axis=(0, 2)).tolist()
         assert sum(live) == res.steps[res.active].sum() < updates * 8
-        packet_rows = {"w_rec": live, "b_rec": live, "w_halt": live,
-                       "b_halt": live,
-                       "w_in": (np.count_nonzero(res.halts[..., 0], axis=0)
-                                + 1).tolist()}
-        for name, rows in packet_rows.items():
-            var = res.param_vars[name]
-            got = [n for shape, n in formed if shape == var.data.shape]
+        active = res.active.sum(axis=0).tolist()
+        packet_rows = {(spec.input_size + 1, proj): active,
+                       (n_hidden + 1, proj): live, (n_hidden + 1, 1): live}
+        for shape, rows in packet_rows.items():
+            got = [n for formed_shape, n in formed if formed_shape == shape]
             assert got == chunks(rows, flush_rows)
+            bound = min(sum(rows), flush_rows - 1 + max(rows))
+            assert max(buffers[shape]) <= bound
         assert len(formed) == sum(len(chunks(rows, flush_rows))
                                   for rows in packet_rows.values())
         return {name: res.tape.grad(var) for name, var in res.param_vars.items()}
 
     monkeypatch.setattr(engine._RowStack, "flush", counted)
     whole = weight_grads(engine.OUTER_FLUSH_ROWS)
-    assert len(formed) == 5
+    assert len(formed) == 3
     chunked = weight_grads(3 * 8)
     for name, g in whole.items():
         np.testing.assert_allclose(chunked[name], g, rtol=0,

@@ -5,10 +5,12 @@ import pytest
 
 from actlab.autodiff import ContractError
 from actlab.config import parse_config_text
-from actlab.tasks import (GATE_NAMES, apply_gate, derive_seeds,
-                          gen_addition, gen_logic, gen_parity, gen_sort,
-                          gen_text, synth_corpus, task_spec, write_batch_csv)
+from actlab.tasks import (GATE_NAMES, derive_seeds, gen_addition, gen_logic,
+                          gen_parity, gen_sort, gen_text, synth_corpus,
+                          task_spec, write_batch_csv)
 from actlab.trainer import make_batch
+
+from oracles import apply_gate
 
 # ---------------------------------------------------------------------------
 # Independent oracles
