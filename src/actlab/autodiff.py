@@ -101,6 +101,8 @@ class Tape:
 
     def grad(self, var: Var) -> np.ndarray:
         """Adjoint of `var` from the last backward; zeros if no path reached it."""
+        if var.tape is not self:
+            raise ContractError("var was recorded on a different tape")
         g = self.gradients[var.idx] if var.idx < len(self.gradients) else None
         if g is None:
             return np.zeros_like(self._values[var.idx])

@@ -37,12 +37,22 @@ TRACE_COMMAND_SCHEMA = "model-trace-1"
 log = logging.getLogger("actlab")
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1 (argparse exits 2 otherwise)."""
+def _int_at_least(least: int, text: str) -> int:
+    """An integer >= least; argparse exits 2 on the ArgumentTypeError."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    return _int_at_least(1, text)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for seeds: an integer >= 0."""
+    return _int_at_least(0, text)
 
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
@@ -233,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="evaluate a checkpoint on fresh batches")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--batches", type=positive_int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", help="write the metrics record here")
     p.add_argument("--difficulty-csv", help="write the per-difficulty table here")
     p.add_argument("--stdout", action="store_true")
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("gen", help="dump golden task batches or a corpus")
     p.add_argument("--task", required=True,
                    help="parity|logic|addition|sort|text|corpus")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--count", type=positive_int, default=16, help="examples per batch")
     p.add_argument("--out", required=True)
     p.add_argument("--corpus", help="byte file for --task text")
@@ -273,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("trace",
                         help="per-step ponder/loss/entropy rows for a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--count", type=positive_int, default=1, help="sequences to trace")
     p.add_argument("--corpus", help="byte file override for text checkpoints")
     p.add_argument("--out")

@@ -3,9 +3,9 @@
 The format is one `section.key = value` per line, `#` comments, nothing
 nested. Unknown keys are rejected with the nearest valid key named, since
 a silently ignored typo in the time penalty or halting slack changes the
-experiment. Unset task-dependent fields (minibatch size, cell kind and
-width, step cap, sequence ranges) resolve to the reference defaults for
-the chosen task.
+experiment. Each key is declared once, by its `TrainConfig` field: dotted
+key, default and required range in one `_key(...)`. Unset task-dependent
+fields (None) resolve to the chosen task's `TaskSpec.defaults`.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import difflib
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .act import ActConfig
 from .autodiff import ContractError
+from .cells import CELLS
 from .tasks import (ADDITION_MAX_DIGITS, SORT_MAX_LEN, SORT_MIN_LEN, TASKS,
                     TaskSpec, task_spec)
 
@@ -26,32 +27,50 @@ class ConfigError(ValueError):
     """Bad configuration file, override, or value."""
 
 
+# Range phrase -> predicate. `resolve` rejects a value outside its field's
+# range with "<key> must be <phrase>, got <value>"; NaN fails every float one.
+_RANGES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "finite and > 0": lambda v: 0.0 < v < math.inf,
+    "finite and >= 0": lambda v: 0.0 <= v < math.inf,
+    "in [0, 1)": lambda v: 0.0 <= v < 1.0,
+}
+
+
+def _key(key: str, default, require: Optional[str] = None):
+    """A field's dotted config key, its default and the range it must lie in."""
+    return field(default=default, metadata={"key": key, "require": require})
+
+
+# Lengths >= 1 keep every batch at T >= 1 input steps. The act.* ranges
+# are `ActConfig.validate`'s.
 @dataclass
 class TrainConfig:
-    task: str = "parity"
-    batch: Optional[int] = None
-    n_bits: int = 64
-    min_len: Optional[int] = None
-    max_len: Optional[int] = None
-    min_digits: Optional[int] = None
-    max_digits: Optional[int] = None
-    seq_len: int = 500
-    corpus: str = ""
-    cell: Optional[str] = None
-    hidden: Optional[int] = None
-    epsilon: float = 0.01
-    max_steps: Optional[int] = None
-    tau: float = 1e-3
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    iterations: int = 10_000
-    eval_every: int = 500
-    eval_batches: int = 4
-    checkpoint_every: int = 0
-    clip_norm: float = 0.0
-    seed: int = 0
+    task: str = _key("task.name", "parity")
+    batch: Optional[int] = _key("task.batch", None, ">= 1")
+    n_bits: int = _key("task.bits", TASKS["parity"].input_size, ">= 1")
+    min_len: Optional[int] = _key("task.min_len", None, ">= 1")
+    max_len: Optional[int] = _key("task.max_len", None, ">= 1")
+    min_digits: Optional[int] = _key("task.min_digits", None)
+    max_digits: Optional[int] = _key("task.max_digits", None)
+    seq_len: int = _key("task.seq_len", 500, ">= 1")
+    corpus: str = _key("task.corpus", "")
+    cell: Optional[str] = _key("cell.kind", None)
+    hidden: Optional[int] = _key("cell.hidden", None, ">= 1")
+    epsilon: float = _key("act.epsilon", 0.01)
+    max_steps: Optional[int] = _key("act.max_steps", None)
+    tau: float = _key("act.tau", 1e-3)
+    lr: float = _key("train.lr", 1e-4, "finite and > 0")
+    beta1: float = _key("train.beta1", 0.9, "in [0, 1)")
+    beta2: float = _key("train.beta2", 0.999, "in [0, 1)")
+    adam_eps: float = _key("train.adam_eps", 1e-8, "finite and > 0")
+    iterations: int = _key("train.iterations", 10_000, ">= 0")
+    eval_every: int = _key("train.eval_every", 500, ">= 1")
+    eval_batches: int = _key("train.eval_batches", 4, ">= 1")
+    checkpoint_every: int = _key("train.checkpoint_every", 0, ">= 0")
+    clip_norm: float = _key("train.clip_norm", 0.0, "finite and >= 0")
+    seed: int = _key("train.seed", 0, ">= 0")
 
     def act_config(self) -> ActConfig:
         """The validated pondering knobs: act.epsilon, act.max_steps, act.tau."""
@@ -62,47 +81,21 @@ class TrainConfig:
         if self.task not in TASKS:
             raise ConfigError(
                 f"unknown task {self.task!r}; expected one of {sorted(TASKS)}")
-        spec = TASKS[self.task]
-        lo, hi = spec.default_lens
-        dlo, dhi = spec.default_digits
-        out = TrainConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
-        out.batch = spec.default_batch if self.batch is None else self.batch
-        out.cell = spec.default_cell if self.cell is None else self.cell
-        out.hidden = spec.default_hidden if self.hidden is None else self.hidden
-        out.max_steps = (spec.default_max_steps if self.max_steps is None
-                         else self.max_steps)
-        out.min_len = lo if self.min_len is None else self.min_len
-        out.max_len = hi if self.max_len is None else self.max_len
-        out.min_digits = dlo if self.min_digits is None else self.min_digits
-        out.max_digits = dhi if self.max_digits is None else self.max_digits
-
+        out = replace(self, **{name: value for name, value
+                               in TASKS[self.task].defaults.items()
+                               if getattr(self, name) is None})
         try:
             out.act_config()
         except ContractError as exc:
             raise ConfigError(
                 f"invalid act.epsilon, act.max_steps or act.tau: {exc}") from None
-        if out.cell not in ("rnn", "lstm"):
-            raise ConfigError(f"cell.kind must be rnn or lstm, got {out.cell!r}")
-        # Lengths >= 1 keep every batch at T >= 1 input steps.
-        for key, value in (("task.batch", out.batch), ("cell.hidden", out.hidden),
-                           ("task.bits", out.n_bits), ("task.seq_len", out.seq_len),
-                           ("task.min_len", out.min_len), ("task.max_len", out.max_len),
-                           ("train.eval_every", out.eval_every),
-                           ("train.eval_batches", out.eval_batches)):
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
-        inf = math.inf
-        for key, ok, want in (
-                ("train.iterations", out.iterations >= 0, ">= 0"),
-                ("train.checkpoint_every", out.checkpoint_every >= 0, ">= 0"),
-                ("train.lr", 0.0 < out.lr < inf, "finite and > 0"),
-                ("train.beta1", 0.0 <= out.beta1 < 1.0, "in [0, 1)"),
-                ("train.beta2", 0.0 <= out.beta2 < 1.0, "in [0, 1)"),
-                ("train.adam_eps", 0.0 < out.adam_eps < inf, "finite and > 0"),
-                ("train.clip_norm", 0.0 <= out.clip_norm < inf, "finite and >= 0")):
-            if not ok:
-                value = getattr(out, KEYMAP[key])
-                raise ConfigError(f"{key} must be {want}, got {value}")
+        if out.cell not in CELLS:
+            raise ConfigError(f"cell.kind must be {' or '.join(CELLS)}, "
+                              f"got {out.cell!r}")
+        for f in fields(out):
+            require, value = f.metadata["require"], getattr(out, f.name)
+            if require is not None and not _RANGES[require](value):
+                raise ConfigError(f"{f.metadata['key']} must be {require}, got {value}")
         if out.min_len > out.max_len:
             raise ConfigError("task.min_len exceeds task.max_len")
         if out.min_digits > out.max_digits:
@@ -121,39 +114,13 @@ class TrainConfig:
 
 
 # Dotted config key -> dataclass field.
-KEYMAP = {
-    "task.name": "task",
-    "task.batch": "batch",
-    "task.bits": "n_bits",
-    "task.min_len": "min_len",
-    "task.max_len": "max_len",
-    "task.min_digits": "min_digits",
-    "task.max_digits": "max_digits",
-    "task.seq_len": "seq_len",
-    "task.corpus": "corpus",
-    "cell.kind": "cell",
-    "cell.hidden": "hidden",
-    "act.epsilon": "epsilon",
-    "act.max_steps": "max_steps",
-    "act.tau": "tau",
-    "train.lr": "lr",
-    "train.beta1": "beta1",
-    "train.beta2": "beta2",
-    "train.adam_eps": "adam_eps",
-    "train.iterations": "iterations",
-    "train.eval_every": "eval_every",
-    "train.eval_batches": "eval_batches",
-    "train.checkpoint_every": "checkpoint_every",
-    "train.clip_norm": "clip_norm",
-    "train.seed": "seed",
-}
-
+KEYMAP = {f.metadata["key"]: f.name for f in fields(TrainConfig)}
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
 
-def _convert(key: str, field: str, raw: str):
+def _convert(key: str, name: str, raw: str):
     raw = raw.strip()
-    ftype = _FIELD_TYPES[field]
+    ftype = _FIELD_TYPES[name]
     try:
         if ftype in ("int", "Optional[int]"):
             return int(raw)
@@ -183,8 +150,8 @@ def _assign(config: TrainConfig, key: str, raw: str) -> None:
         hint = difflib.get_close_matches(key, KEYMAP, n=1)
         suffix = f"; closest valid key is {hint[0]!r}" if hint else ""
         raise ConfigError(f"unknown config key {key!r}{suffix}")
-    field = KEYMAP[key]
-    setattr(config, field, _convert(key, field, raw))
+    name = KEYMAP[key]
+    setattr(config, name, _convert(key, name, raw))
 
 
 def parse_config_text(text: str, overrides: Optional[list[str]] = None,
@@ -222,10 +189,8 @@ def parse_config(path: Optional[str] = None,
 
 def config_text(config: TrainConfig) -> str:
     """Canonical flat rendering of a resolved config (echoed into run dirs)."""
-    lines = []
-    for key in sorted(KEYMAP):
-        lines.append(f"{key} = {getattr(config, KEYMAP[key])}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {getattr(config, KEYMAP[key])}\n"
+                   for key in sorted(KEYMAP))
 
 
 def resolved_spec(config: TrainConfig) -> TaskSpec:

@@ -312,6 +312,8 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
     if lengths is None:
         lengths = np.full(n_batch, n_steps_total, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (n_batch,):
+        raise ContractError(f"lengths must be ({n_batch},), got {lengths.shape}")
 
     arrays = {name: np.ascontiguousarray(a, dtype=np.float64)
               for name, a in params.items()}

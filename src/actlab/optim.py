@@ -2,8 +2,8 @@
 
 Updates are applied in the fixed parameter order of CellParams so a run is
 a deterministic function of its gradient stream. Every gradient is checked
-before anything changes, so a step that raises leaves the parameters, the
-moments and the step count as they were.
+(shape, finiteness) before anything changes, so a step that raises leaves
+the parameters, the moments and the step count as they were.
 
 Each parameter, m and v is updated in place, in flat blocks of
 ADAM_BLOCK elements through two scratch blocks, so no full-size
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ContractError, NumericError
+from .autodiff import ContractError, DimensionError, NumericError
 from .cells import CellParams
 
 # Elements per block: 256 KB of float64, so a block of g, m, v, the
@@ -62,6 +62,9 @@ def adam_update(params: CellParams, grads: dict[str, np.ndarray],
     """One Adam step, in place: m and v track the gradient moments, the
     bias-corrected estimates drive the parameter delta."""
     for name, arr in params.items():
+        if grads[name].shape != arr.shape:
+            raise DimensionError(f"gradient for {name!r} is {grads[name].shape}, "
+                                 f"the parameter {arr.shape}")
         if not np.all(np.isfinite(grads[name])):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         if not all(a.flags.c_contiguous for a in (arr, state.m[name], state.v[name])):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -78,12 +79,9 @@ class TaskSpec:
     head: str                 # "bce" | "softmax"
     groups: int               # simultaneous classifications per step
     classes: int              # classes per group (2 for bce)
-    default_batch: int
-    default_cell: str
-    default_hidden: int
-    default_max_steps: int
-    default_lens: tuple[int, int]     # (min_len, max_len)
-    default_digits: tuple[int, int]   # (min_digits, max_digits); addition only
+    # TrainConfig field -> reference value; left out of the hash (a mapping
+    # has none), so a spec stays hashable.
+    defaults: Mapping[str, object] = field(hash=False)
 
     def decode(self, outputs: np.ndarray) -> np.ndarray:
         """Argmax / threshold decoding of raw readouts to class ids."""
@@ -122,30 +120,38 @@ SORT_MIN_SEPARATION = 1e-6   # closer sort values are redrawn
 ADDITION_SUM_DIGITS = 6
 ADDITION_BLANK = 10          # the "beyond the end of the number" class
 
+
+def _reference(batch: int, cell: str, hidden: int, max_steps: int,
+               lens: tuple[int, int], digits: tuple[int, int] = (0, 0)):
+    """A task's reference setup, read-only and keyed by TrainConfig field."""
+    return MappingProxyType({
+        "batch": batch, "cell": cell, "hidden": hidden, "max_steps": max_steps,
+        "min_len": lens[0], "max_len": lens[1],
+        "min_digits": digits[0], "max_digits": digits[1]})
+
+
 TASKS: dict[str, TaskSpec] = {
-    "parity":   TaskSpec("parity", 64, 1, "bce", 1, 2, 128, "rnn", 128, 100,
-                         (1, 1), (0, 0)),
+    "parity":   TaskSpec("parity", 64, 1, "bce", 1, 2,
+                         _reference(128, "rnn", 128, 100, (1, 1))),
     "logic":    TaskSpec("logic", 2 + LOGIC_MAX_GATES * len(GATE_NAMES), 1, "bce",
-                         1, 2, 16, "lstm", 128, 100, (1, 10), (0, 0)),
+                         1, 2, _reference(16, "lstm", 128, 100, (1, 10))),
     "addition": TaskSpec("addition", ADDITION_MAX_DIGITS * ADDITION_BLANK,
                          ADDITION_SUM_DIGITS * (ADDITION_BLANK + 1), "softmax",
-                         ADDITION_SUM_DIGITS, ADDITION_BLANK + 1, 32, "lstm", 512,
-                         20, (1, 5), (1, ADDITION_MAX_DIGITS)),
-    "sort":     TaskSpec("sort", 2, SORT_MAX_LEN, "softmax", 1, SORT_MAX_LEN, 16,
-                         "lstm", 512, 100, (SORT_MIN_LEN, SORT_MAX_LEN), (0, 0)),
-    "text":     TaskSpec("text", 256, 256, "softmax", 1, 256, 8, "lstm", 1500, 100,
-                         (1, 1), (0, 0)),
+                         ADDITION_SUM_DIGITS, ADDITION_BLANK + 1,
+                         _reference(32, "lstm", 512, 20, (1, 5),
+                                    (1, ADDITION_MAX_DIGITS))),
+    "sort":     TaskSpec("sort", 2, SORT_MAX_LEN, "softmax", 1, SORT_MAX_LEN,
+                         _reference(16, "lstm", 512, 100,
+                                    (SORT_MIN_LEN, SORT_MAX_LEN))),
+    "text":     TaskSpec("text", 256, 256, "softmax", 1, 256,
+                         _reference(8, "lstm", 1500, 100, (1, 1))),
 }
 
 
 def task_spec(name: str, **overrides) -> TaskSpec:
     if name not in TASKS:
         raise ContractError(f"unknown task {name!r}; expected one of {sorted(TASKS)}")
-    spec = TASKS[name]
-    if overrides:
-        from dataclasses import replace
-        spec = replace(spec, **overrides)
-    return spec
+    return replace(TASKS[name], **overrides)
 
 
 def gen_parity(seed, n_bits: int, batch: int) -> TaskBatch:

@@ -214,6 +214,15 @@ class TestBackward:
         with pytest.raises(ContractError, match="tape"):
             ad.add(leaf(t1, [1.0]), leaf(t2, [1.0]))
 
+    def test_grad_of_another_tapes_var_rejected(self):
+        # The foreign var's index names a node of this tape that it is not.
+        t1, t2 = Tape(), Tape()
+        x = leaf(t1, [1.0, 2.0, 3.0])
+        t1.backward(ad.reduce_sum(ad.scale(x, 5.0)))
+        stray = leaf(t2, [0.0, 0.0, 0.0])
+        with pytest.raises(ContractError, match="tape"):
+            t1.grad(stray)
+
 
 def _unary_cases(rng):
     x = rng.normal(size=(3, 4))

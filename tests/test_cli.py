@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +15,19 @@ from actlab.act import ActConfig
 from actlab.cells import init_params
 from actlab.checkpoint import save_checkpoint
 from actlab.cli import _entropy_bits, main
-from actlab.config import (ConfigError, config_text, parse_config, parse_config_text,
+from actlab.config import (KEYMAP, ConfigError, TrainConfig, config_digest,
+                           config_text, parse_config, parse_config_text,
                            resolved_spec)
 from actlab.optim import OptimizerState
+from actlab.tasks import TASKS
 from actlab.trainer import evaluate, make_batch
 
 from oracles import run_sequence
 from test_tasks import decode_addition_inputs, decode_addition_target
+
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE_CKPT = str(ROOT / "tests" / "fixtures" / "ckpt_parity_rnn6_v1.bin")
 
 
 def run_cli(argv, cwd=None):
@@ -127,6 +136,32 @@ class TestConfigParsing:
         again = parse_config_text(config_text(config))
         assert again == config
 
+    @pytest.mark.parametrize("task,digest", [
+        ("parity", "2e185ae127b0fc1d6a538be20eeeee3154f90725b52fa207ff419e95438d258b"),
+        ("logic", "e1ff36f2bf22b9427e57b3cf80d45d4016514143a63c81691167421a3852fe81"),
+        ("addition", "583c30d13f1e3f706c453941c884eeb8aacd81ab81a86ecf178a4d6f8fe0aee9"),
+        ("sort", "53c815cbf65431bd077cfcf15d011f7769aa11fd39a212c2d2088f343b255a40"),
+        ("text", "fa416f65d20a942680868423b9949e2111689fbda219c3d426a48f0a95b7b287"),
+    ])
+    def test_default_config_digests_are_pinned(self, task, digest):
+        # Every manifest and checkpoint records this digest, so a change to
+        # any default, key name or rendering shows here first.
+        assert config_digest(parse_config_text(f"task.name = {task}")) == digest
+
+    def test_task_defaults_fill_every_unset_field(self):
+        unset = {f.name for f in fields(TrainConfig) if f.default is None}
+        for spec in TASKS.values():
+            assert set(spec.defaults) == unset, spec.name
+
+    def test_readme_table_names_every_key(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        named = set()
+        for row in section.splitlines():
+            if row.startswith("| `"):     # a key row: not the header or rule
+                named.update(re.findall(r"`(\w+\.\w+)`", row.split("|")[1]))
+        assert named == set(KEYMAP)
+
 
 @pytest.fixture(scope="module")
 def parity_run(tmp_path_factory):
@@ -227,6 +262,30 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"],
+        ["train", "--set", "train.seed=-1"],
+        ["sweep", "--seed", "-1", "--taus", "0.01"],
+        ["gradcheck", "--seed", "-1"],
+        ["gen", "--task", "parity", "--seed", "-1"],
+        ["eval", "--checkpoint", FIXTURE_CKPT, "--seed", "-1"],
+        ["trace", "--checkpoint", FIXTURE_CKPT, "--seed", "-2", "--stdout"],
+    ], ids=["train", "train-set", "sweep", "gradcheck", "gen", "eval", "trace"])
+    def test_negative_seed_exits_two(self, argv, tmp_path, capsys, caplog):
+        if argv[0] in ("train", "sweep"):
+            argv = argv + ["--out-dir", str(tmp_path / "out")]
+        elif argv[0] == "gen":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        # argparse writes its usage error to stderr; main logs ConfigError.
+        message = capsys.readouterr().err + caplog.text
+        assert re.search(r"must be >= 0, got -[12]", message)
         assert not (tmp_path / "out").exists()
 
     def test_checkpoint_missing_a_record_is_io_error(self, parity_run, tmp_path):

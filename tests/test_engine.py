@@ -450,6 +450,10 @@ def test_inputs_shape_contract():
         run_batch(params, ActConfig(), np.zeros((3, 3)))
     with pytest.raises(ad.DimensionError, match="4 features"):
         run_batch(params, ActConfig(), np.zeros((2, 3, 4)))
+    # One length per row, or some rows would run unmasked or never step.
+    for lengths in ([2], [2, 3], [[2, 3, 1]], [2, 3, 1, 1]):
+        with pytest.raises(ad.ContractError, match=r"lengths must be \(3,\)"):
+            run_batch(params, ActConfig(), np.zeros((3, 4, 3)), lengths)
 
 
 def forward_only_cases(kind):

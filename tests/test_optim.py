@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actlab.autodiff import NumericError
+from actlab.autodiff import DimensionError, NumericError
 from actlab.cells import init_params
 from actlab.optim import ADAM_BLOCK, OptimizerState, adam_update, clip_global_norm
 
@@ -87,6 +87,22 @@ class TestAdam:
         with pytest.raises(NumericError, match="b_halt"):
             adam_update(params, grads, state, lr=1e-3)
         assert snapshot() == before
+
+    def test_misshaped_gradient_leaves_no_partial_update(self):
+        # b_halt is updated last; its wrong shape must stop the step before
+        # w_in, any moment or the step count changes.
+        rng = np.random.default_rng(2)
+        params = tiny_params()
+        state = OptimizerState.for_params(params)
+        grads = {n: rng.normal(size=a.shape) for n, a in params.items()}
+        grads["b_halt"] = rng.normal(size=(2, 2))
+        before = [{n: a.tobytes() for n, a in d.items()}
+                  for d in (params, state.m, state.v)]
+        with pytest.raises(DimensionError, match="b_halt"):
+            adam_update(params, grads, state, lr=1e-3)
+        assert [{n: a.tobytes() for n, a in d.items()}
+                for d in (params, state.m, state.v)] == before
+        assert state.step == 0
 
     def test_blocked_update_is_the_textbook_form_in_place(self):
         # W_rec spans two blocks and part of a third. The result must be
