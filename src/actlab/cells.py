@@ -12,23 +12,21 @@ updated).
 A cell update is array code with a hand-written backward, not a tape
 node: the pondering loop records the whole batch as one node (`engine`),
 and the per-sequence test reference wraps single updates in nodes of its
-own. `step(xb, s, W_rec)` takes xb = x W_in + b, the part of the
-pre-activation z = x W_in + s W_rec + b that does not depend on the
-state, so a caller that feeds one input to several updates forms it
-once. It returns the new state and `back(ds, dz)`, which writes the
-adjoint of z into the buffer dz and returns the adjoint of the old state,
-dz W_recᵀ included. s=None stands for the zero state: the cell skips
-s W_rec, and `back` returns None instead of forming the old state's
-adjoint. The weight and bias adjoints, [X | 1]ᵀ dz and [H | flag]ᵀ dz,
-are left to the caller, which stacks the rows of many updates into one
-GEMM per affine map. `readout` and `halting_activation` are array code too.
+own. A cell is its nonlinearity alone: `step(z, s)` takes the full
+pre-activation z = x W_in + s W_rec + b, a fresh array it may overwrite,
+and the old state s, which only the LSTM reads. It returns the new state
+and `back(ds, dz, ds_prev)`, which writes the adjoint of z into dz and
+the part of the old state's adjoint that bypasses W_rec into
+ds_prev[:, H:]. The caller forms s W_rec, dz W_recᵀ and every weight
+adjoint, and owns the zero initial state. `readout` and
+`halting_activation` are array code too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -82,24 +80,18 @@ class CellParams:
 
 
 class RnnCell:
-    """s' = tanh(x W_in + s W_rec + b); the state is h alone."""
+    """s' = tanh(z); the state is h alone."""
 
     kind = "rnn"
     proj_multiple = 1
     state_multiple = 1
 
     @staticmethod
-    def step(xb: np.ndarray, s: Optional[np.ndarray], w_rec: np.ndarray):
-        if s is None:
-            out = np.tanh(xb)
-        else:
-            out = s @ w_rec
-            out += xb
-            np.tanh(out, out=out)
+    def step(z: np.ndarray, s: np.ndarray):
+        out = np.tanh(z, out=z)
 
-        def back(ds, dz):
+        def back(ds, dz, ds_prev):
             np.multiply(ds, 1.0 - out * out, out=dz)
-            return None if s is None else dz @ w_rec.T
 
         return out, back
 
@@ -119,7 +111,7 @@ class LstmCell:
     sigmoid(z) = (1 + tanh(z/2)) / 2, which cannot overflow and saturates
     to exactly 0 or 1, so no masks are needed. The backward assembles dz
     for all four gates in one array, using sigmoid' = (1 - tanh(z/2)^2)/4
-    and tanh' = 1 - tanh(z)^2.
+    and tanh' = 1 - tanh(z)^2. The old c bypasses W_rec: its adjoint is dc f.
     """
 
     kind = "lstm"
@@ -127,53 +119,36 @@ class LstmCell:
     state_multiple = 2
 
     @staticmethod
-    def step(xb: np.ndarray, s: Optional[np.ndarray], w_rec: np.ndarray):
-        n = w_rec.shape[0]
+    def step(z: np.ndarray, s: np.ndarray):
+        n = s.shape[1] // 2
         scale, shift, scale_sq = _gate_scales(n)
         # One tanh over all of z: tanh(z/2) on the i, f, o columns, tanh(z)
         # on g; then t/2 + 1/2 turns the former into sigmoids and leaves g.
-        if s is None:
-            t = xb * scale
-        else:
-            t = s[:, :n] @ w_rec
-            t += xb
-            t *= scale
-        np.tanh(t, out=t)
+        z *= scale
+        t = np.tanh(z, out=z)
         gates = t * scale
         gates += shift
         i, f, g, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
-        out = np.empty((xb.shape[0], 2 * n))
-        if s is None:
-            cd = None
-            np.multiply(i, g, out=out[:, n:])
-        else:
-            cd = s[:, n:]
-            np.add(f * cd, i * g, out=out[:, n:])
+        out = np.empty((z.shape[0], 2 * n))
+        cd = s[:, n:]
+        np.add(f * cd, i * g, out=out[:, n:])
         tc = np.tanh(out[:, n:])
         np.multiply(o, tc, out=out[:, :n])
 
-        def back(ds, dz):
+        def back(ds, dz, ds_prev):
             dh = ds[:, :n]
             dc = 1.0 - tc * tc
             dc *= o
             dc *= dh
             dc += ds[:, n:]
             np.multiply(dc, g, out=dz[:, :n])
-            if s is None:
-                dz[:, n:2 * n] = 0.0
-            else:
-                np.multiply(dc, cd, out=dz[:, n:2 * n])
+            np.multiply(dc, cd, out=dz[:, n:2 * n])
             np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
             np.multiply(dh, tc, out=dz[:, 3 * n:])
             deriv = 1.0 - t * t
             deriv *= scale_sq
             dz *= deriv
-            if s is None:
-                return None
-            ds_prev = np.empty_like(ds)
-            ds_prev[:, :n] = dz @ w_rec.T
             np.multiply(dc, f, out=ds_prev[:, n:])
-            return ds_prev
 
         return out, back
 

@@ -215,8 +215,11 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]
         params.validate()
     except DimensionError as exc:
         raise CheckpointError(f"{path!r}: {exc}") from None
+    step = float(record("adam/step", ()))
+    if not (step >= 0 and step.is_integer()):
+        raise CheckpointError(f"{path!r}: adam/step must be a count >= 0, got {step!r}")
     opt = OptimizerState(
         m={name: record("adam.m/" + name, arr.shape) for name, arr in params.items()},
         v={name: record("adam.v/" + name, arr.shape) for name, arr in params.items()},
-        step=int(record("adam/step", ())))
+        step=int(step))
     return config, params, opt

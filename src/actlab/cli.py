@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .autodiff import ContractError, DimensionError, NumericError
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, TrainConfig, parse_config, parse_config_text
+from .config import RANGES, ConfigError, TrainConfig, parse_config, parse_config_text
 from .engine import run_batch
 from .gradcheck import halting_gradient_check
 from .losses import PROB_CLAMP, per_position_nats
@@ -37,22 +37,28 @@ TRACE_COMMAND_SCHEMA = "model-trace-1"
 log = logging.getLogger("actlab")
 
 
-def _int_at_least(least: int, text: str) -> int:
-    """An integer >= least; argparse exits 2 on the ArgumentTypeError."""
-    value = int(text)
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+def _in_range(parse, require: str, text: str):
+    """`parse(text)` within the config range `require`; argparse exits 2 on
+    the ArgumentTypeError."""
+    value = parse(text)
+    if not RANGES[require](value):
+        raise argparse.ArgumentTypeError(f"must be {require}, got {value}")
     return value
 
 
 def positive_int(text: str) -> int:
     """argparse type for counts: an integer >= 1."""
-    return _int_at_least(1, text)
+    return _in_range(int, ">= 1", text)
 
 
 def non_negative_int(text: str) -> int:
     """argparse type for seeds: an integer >= 0."""
-    return _int_at_least(0, text)
+    return _in_range(int, ">= 0", text)
+
+
+def positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite number > 0."""
+    return _in_range(float, "finite and > 0", text)
 
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
@@ -128,7 +134,7 @@ def _cmd_sweep(args) -> int:
                  workers=args.workers)
     if args.stdout:
         write_sweep_csv(rows, sys.stdout)
-    log.info("sweep finished: %d tau values x %d replicas", len(taus),
+    log.info("sweep finished: %d tau values x %d replicas", len(rows),
              args.replicas)
     return EXIT_OK
 
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", type=positive_int, default=2)
     p.add_argument("--max-coords", type=positive_int, default=None,
                    help="subsample coordinates per parameter")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=positive_float, default=1e-4)
     p.add_argument("--stdout", action="store_true")
     p.set_defaults(fn=_cmd_gradcheck)
 

@@ -27,9 +27,9 @@ class ConfigError(ValueError):
     """Bad configuration file, override, or value."""
 
 
-# Range phrase -> predicate. `resolve` rejects a value outside its field's
-# range with "<key> must be <phrase>, got <value>"; NaN fails every float one.
-_RANGES = {
+# Range phrase -> predicate. `resolve` and the CLI's numeric flags reject a
+# value out of range with "must be <phrase>, got <value>"; NaN fails any float.
+RANGES = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "finite and > 0": lambda v: 0.0 < v < math.inf,
@@ -94,7 +94,7 @@ class TrainConfig:
                               f"got {out.cell!r}")
         for f in fields(out):
             require, value = f.metadata["require"], getattr(out, f.name)
-            if require is not None and not _RANGES[require](value):
+            if require is not None and not RANGES[require](value):
                 raise ConfigError(f"{f.metadata['key']} must be {require}, got {value}")
         if out.min_len > out.max_len:
             raise ConfigError("task.min_len exceeds task.max_len")

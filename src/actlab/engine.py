@@ -28,11 +28,12 @@ loses h^n on every update a row goes on past, the same sequential
 1 - h^1 - h^2 - ... that the reference's `halting_distribution` computes,
 so the two agree bit for bit. Each row's weighted sum accumulates in
 place in update order and is final when the row leaves the block. Every
-update of a step sees the same input, so its projection x W_in is formed
-once per step, with the bias, and the flag row of W_in is added on the
-first update. Every batch starts from the zero state, so the first update
-of input step 0 passes the cell s=None: it forms no s W_rec there, and
-the backward no adjoint of the initial state.
+update of a step sees the same input, so xb = x W_in + b is formed once
+per step. The loop forms each update's z = s W_rec + xb, plus the flag
+row of W_in on a first update, and in the backward dz W_recᵀ: the cell is
+its nonlinearity alone. Every batch starts from the zero state, so the
+first update of input step 0 forms no s W_rec, and the backward no
+adjoint of the initial state.
 
 The output is read out from the mean state, as one (batch T, H) @ (H, O)
 product over all positions. The readout is affine and the weights sum to
@@ -189,9 +190,13 @@ def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
     n = 0
     while True:
         n += 1
-        # The state before the first update of input step 0 is zero.
-        s_new, back = cell.step(xb + w_in[-1] if n == 1 else xb,
-                                None if n == 1 and t == 0 else s, w_rec)
+        # z = s W_rec + xb (+ the flag row); no product from the zero state.
+        if n == 1 and t == 0:
+            z = xb + w_in[-1]
+        else:
+            z = s[:, :n_hidden] @ w_rec
+            z += xb + w_in[-1] if n == 1 else xb
+        s_new, back = cell.step(z, s)
         if not grad:
             back = None
         h = halting_activation(s_new[:, :n_hidden], w_halt, b_halt)
@@ -223,9 +228,9 @@ def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
     return updates
 
 
-def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
-                   weights, stacks: tuple[_RowStack, ...]):
-    """Replay one input step's updates in reverse; see the module docstring.
+def _backward_step(updates, t: int, x: np.ndarray, g_act: np.ndarray,
+                   d_r: np.ndarray, weights, stacks: tuple[_RowStack, ...]):
+    """Replay input step t's updates in reverse; see the module docstring.
 
     `g_act` and `d_r` are the adjoints of the mean state and R of the
     step's active rows, whose inputs are `x`; `d_r` is updated in place.
@@ -268,7 +273,10 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
             ds += carry
         ds[:, :n_hidden] += np.multiply.outer(dpre, w_halt[:, 0])
         dz = dz_all[rows]
-        carry = back(ds, dz)
+        carry = np.empty_like(ds)
+        back(ds, dz, carry)
+        if k or t:              # the zero initial state has no adjoint
+            np.matmul(dz, w_rec.T, out=carry[:, :n_hidden])
         dpre_all[rows, 0] = dpre
         h_in[rows, :-1] = s[:, :n_hidden]
         h_in[rows, -1] = k == 0             # the first-update flag
@@ -287,7 +295,7 @@ def _backward_step(updates, x: np.ndarray, g_act: np.ndarray, d_r: np.ndarray,
             full = np.zeros((before.size, carry.shape[1]))
             full[~before] = carry
             carry = full
-    return carry, dh_all
+    return (carry if t else None), dh_all
 
 
 def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
@@ -314,6 +322,8 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (n_batch,):
         raise ContractError(f"lengths must be ({n_batch},), got {lengths.shape}")
+    if np.any((lengths < 0) | (lengths > n_steps_total)):
+        raise ContractError(f"lengths must be in [0, {n_steps_total}], got {lengths}")
 
     arrays = {name: np.ascontiguousarray(a, dtype=np.float64)
               for name, a in params.items()}
@@ -374,8 +384,8 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
             idx, x, updates = records[t]
             if updates:
                 carry, halt_grads[idx, t, :len(updates)] = _backward_step(
-                    updates, x, g_state[idx], g_r[idx, t], weights, stacks)
-                if t:    # the zero initial state has no adjoint
+                    updates, t, x, g_state[idx], g_r[idx, t], weights, stacks)
+                if t:
                     g_state[idx] = carry
         # [x | 1] gives W_in but its flag row, then b_rec; [h_in | flag]
         # gives W_rec, then the flag row; [h_out | 1] w_halt, then b_halt.

@@ -354,10 +354,12 @@ def sweep(config: TrainConfig, taus: list[float], replicas: int,
           out_dir: Optional[str] = None, workers: int = 1) -> list[SweepRow]:
     """Train `replicas` fresh seeds per time penalty and summarize finals.
 
+    Each distinct tau runs once, at its first position, in `tau{tau:g}_rep{r}`.
     Every run's config is resolved before the first run starts, so a bad
-    time penalty fails the whole sweep with `ConfigError`.
+    tau, or two that share a directory name, fails the sweep with `ConfigError`.
     """
     load_corpus(config)            # an unreadable corpus fails the sweep up front
+    taus = list(dict.fromkeys(taus))
     run_seeds = derive_seeds(config.seed, len(taus) * replicas)
     jobs = []
     for i, tau in enumerate(taus):
@@ -367,6 +369,12 @@ def sweep(config: TrainConfig, taus: list[float], replicas: int,
             run_dir = (os.path.join(out_dir, f"tau{tau:g}_rep{r}")
                        if out_dir is not None else None)
             jobs.append((run_config, run_dir))
+    names = {}
+    for tau in taus:
+        other = names.setdefault(f"{tau:g}", tau)
+        if other != tau:
+            raise ConfigError(f"time penalties {other!r} and {tau!r} share the "
+                              f"run directory name tau{tau:g}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 

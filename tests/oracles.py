@@ -273,17 +273,21 @@ def cell_step(cell, pv: dict[str, Var], state: CellState, xd) -> CellState:
     Its parents are the state parts, W_in, W_rec and b; x is a constant
     array. The node's value is the cell's [h' | c']; for the LSTM two
     `narrow` nodes hand h' and c' to the state. Its backward is the cell's
-    own, with dense weight adjoints.
+    own plus dz W_recᵀ, with dense weight adjoints.
     """
     xd = np.asarray(xd, dtype=np.float64)
     s = np.concatenate([p.data for p in state.parts()], axis=1)
     n = s.shape[1] // cell.state_multiple
     hd = s[:, :n]
-    out, back = cell.step(xd @ pv["w_in"].data + pv["b_rec"].data, s, pv["w_rec"].data)
+    w_rec = pv["w_rec"].data
+    z = hd @ w_rec
+    z += xd @ pv["w_in"].data + pv["b_rec"].data
+    out, back = cell.step(z, s)
 
     def node_back(g):
-        dz = np.empty((g.shape[0], pv["w_rec"].data.shape[1]))
-        ds = back(g, dz)
+        dz, ds = np.empty((g.shape[0], w_rec.shape[1])), np.empty_like(g)
+        back(g, dz, ds)
+        ds[:, :n] = dz @ w_rec.T
         return (*np.split(ds, cell.state_multiple, axis=1), xd.T @ dz, hd.T @ dz,
                 dz.sum(axis=0, keepdims=True))
 

@@ -201,26 +201,6 @@ class TestFusedStep:
             assert added <= 3
 
 
-    @pytest.mark.parametrize("kind", ["rnn", "lstm"])
-    def test_none_state_is_the_zero_state(self, kind):
-        # s=None stands for the zero state: the same new state and dz as an
-        # explicit zero state, and no adjoint of the old state.
-        rng = np.random.default_rng(3)
-        batch, hidden = 4, 5
-        p = make_params(kind, 3, hidden, 2, seed=2)
-        cell = CELLS[kind]
-        xb = rng.normal(size=(batch, p.b_rec.shape[1]))
-        ds = rng.normal(size=(batch, cell.state_multiple * hidden))
-        zero = np.zeros((batch, cell.state_multiple * hidden))
-        want, want_back = cell.step(xb, zero, p.w_rec)
-        got, got_back = cell.step(xb, None, p.w_rec)
-        np.testing.assert_array_equal(got, want)
-        dz_want, dz_got = np.empty_like(xb), np.empty_like(xb)
-        assert want_back(ds, dz_want) is not None
-        assert got_back(ds, dz_got) is None
-        np.testing.assert_array_equal(dz_got, dz_want)
-
-
 class TestReadout:
     def test_zero_weights_give_bias(self):
         p = make_params("rnn", 3, 5, 2, fill=0.0)

@@ -288,6 +288,14 @@ class TestExitCodes:
         assert re.search(r"must be >= 0, got -[12]", message)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+    def test_bad_gradcheck_tolerance_exits_two(self, tolerance, capsys):
+        # These ran the whole check, then failed it with exit 3.
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--tolerance", tolerance])
+        assert exc.value.code == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+
     def test_checkpoint_missing_a_record_is_io_error(self, parity_run, tmp_path):
         _, cfg, _ = parity_run
         config = parse_config(str(cfg))
@@ -313,9 +321,10 @@ class TestExitCodes:
 
     def test_gradcheck_failure_is_numeric(self, parity_run):
         root, cfg, _ = parity_run
-        # An impossible tolerance forces the failure path.
+        # The smallest positive tolerance forces the failure path; 0 is
+        # rejected as an argument (exit 2).
         code, _ = run_cli(["gradcheck", "--config", str(cfg),
-                           "--set", "cell.hidden=6", "--tolerance", "0"])
+                           "--set", "cell.hidden=6", "--tolerance", "5e-324"])
         assert code == 3
 
 
@@ -397,9 +406,11 @@ class TestGenCommand:
         assert code == 2
         assert "/nonexistent/corpus.bin" in caplog.text
 
-    @pytest.mark.parametrize("taus", ["abc", "0.01,x", ",", "-1", "nan"])
+    @pytest.mark.parametrize("taus", ["abc", "0.01,x", ",", "-1", "nan",
+                                      "1e-3,1.0000001e-3"])
     def test_sweep_bad_taus_are_config_errors(self, taus, tmp_path):
-        # Rejected before any run starts: no run directory is made.
+        # Rejected before any run starts: no run directory is made. The
+        # last two taus would share the directory name tau0.001.
         code, _ = run_cli(["sweep", "--set", "train.iterations=1", f"--taus={taus}",
                            "--out-dir", str(tmp_path / "d")])
         assert code == 2

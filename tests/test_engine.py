@@ -276,9 +276,9 @@ def test_only_running_rows_are_stepped(kind, monkeypatch):
     stepped = []
     original = CELLS[kind].step
 
-    def counted(xb, s, w_rec):
-        stepped.append(xb.shape[0])
-        return original(xb, s, w_rec)
+    def counted(z, s):
+        stepped.append(z.shape[0])
+        return original(z, s)
 
     def no_select(*args):
         raise AssertionError("run_batch recorded a where_mask node")
@@ -296,34 +296,45 @@ def test_only_running_rows_are_stepped(kind, monkeypatch):
 @pytest.mark.parametrize("t_max, max_steps", [(1, 7), (4, 1), (4, 7)])
 def test_zero_initial_state_skips_recurrent_products(kind, t_max, max_steps,
                                                      monkeypatch):
-    """Every batch starts from the zero state, so the cell gets s=None on
-    the first update of input step 0 and nowhere else: no s W_rec product
-    and no adjoint of the initial state. Values and gradients keep their
-    1e-12 pin to the reference, at T = 1 and with the cap at one update."""
+    """Every batch starts from the zero state, so the engine forms no
+    s W_rec on the first update of input step 0, and nowhere else skips
+    it; the backward returns no adjoint of the initial state, and only
+    there. Values and gradients keep their 1e-12 pin to the reference, at
+    T = 1 and with the cap at one update."""
     params, inputs, lengths, targets, mask = random_case(kind, 4, t_max=t_max)
     params.b_halt[:] = -1.0
     cfg = ActConfig(max_steps=max_steps, time_penalty=1e-2)
-    calls, backs = [], []
-    original = CELLS[kind].step
+    calls, carries = [], []
+    original, original_back = CELLS[kind].step, engine._backward_step
 
-    def recorded(xb, s, w_rec):
-        calls.append((s is None, xb.shape[0]))
-        out, back = original(xb, s, w_rec)
+    def recorded(z, s):
+        # Under a NaN W_rec, z is NaN-free only where no s W_rec was formed.
+        nan = np.isnan(z)
+        calls.append((not nan.any(), z.shape[0]))
+        z[nan] = 0.0
+        return original(z, s)
 
-        def recorded_back(ds, dz):
-            ds_prev = back(ds, dz)
-            backs.append(ds_prev is None)
-            return ds_prev
-
-        return out, recorded_back
+    def replayed(updates, t, *args):
+        carry, dh = original_back(updates, t, *args)
+        carries.append((t, carry is None))
+        return carry, dh
 
     monkeypatch.setattr(CELLS[kind], "step", staticmethod(recorded))
+    poisoned = params.copy()
+    poisoned.w_rec[...] = np.nan
+    for grad in (False, True):
+        calls.clear()
+        run_batch(poisoned, cfg, inputs, lengths, grad=grad)
+        assert len(calls) > 1 and calls[0] == (True, inputs.shape[0])
+        assert [free for free, _ in calls[1:]] == [False] * (len(calls) - 1)
+
+    monkeypatch.setattr(engine, "_backward_step", replayed)
+    calls.clear()
     got_total, got_grads, res = batched_objective(
         params, cfg, inputs, lengths, targets, mask, cfg.time_penalty)
-    assert calls[0] == (True, inputs.shape[0])
-    assert [none for none, _ in calls[1:]] == [False] * (len(calls) - 1)
-    assert backs.count(True) == 1 and backs[-1]
-    assert len(calls) == len(backs) == res.steps.max(axis=0).sum()
+    assert [t for t, _ in carries] == list(range(t_max - 1, -1, -1))
+    assert [t for t, none in carries if none] == [0]
+    assert len(calls) == res.steps.max(axis=0).sum()
     assert sum(rows for _, rows in calls) == res.steps[res.active].sum()
     if max_steps > 1:
         assert res.steps.max() > 1
@@ -454,6 +465,10 @@ def test_inputs_shape_contract():
     for lengths in ([2], [2, 3], [[2, 3, 1]], [2, 3, 1, 1]):
         with pytest.raises(ad.ContractError, match=r"lengths must be \(3,\)"):
             run_batch(params, ActConfig(), np.zeros((3, 4, 3)), lengths)
+    # A length past T ran the row as T long, a negative one as 0.
+    for lengths in ([5, 9], [-1, 2]):
+        with pytest.raises(ad.ContractError, match=r"lengths must be in \[0, 3\]"):
+            run_batch(params, ActConfig(), np.zeros((2, 3, 3)), lengths)
 
 
 def forward_only_cases(kind):
@@ -497,17 +512,17 @@ def test_forward_only_keeps_no_update_arrays(kind, grad, monkeypatch):
     params.b_halt[:] = -2.0
     original = CELLS[kind].step
     outs, held = [], []      # weakrefs per update: its state; its backward's
-    # The backward's arrays that live on: the update's inputs and state,
-    # and the cell's cached column constants.
-    lasting = {"out", "s", "w_rec", "scale_sq"}
+    # The backward's arrays that live on: the update's state and the
+    # cell's cached column constants.
+    lasting = {"out", "scale_sq"}
 
     def alive(refs):
         return [r for r in refs if r() is not None]
 
-    def watched(xb, s, w_rec):
+    def watched(z, s):
         if not grad:
             assert not alive(held) and not alive(outs[:-1])
-        out, back = original(xb, s, w_rec)
+        out, back = original(z, s)
         outs.append(weakref.ref(out))
         held.append(weakref.ref(back))
         held.extend(weakref.ref(c.cell_contents) for name, c

@@ -16,7 +16,7 @@ from actlab.act import ActConfig
 from actlab.autodiff import ContractError, DimensionError, NumericError
 from actlab.cells import init_params
 from actlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from actlab.config import config_text, parse_config_text
+from actlab.config import ConfigError, config_text, parse_config_text
 from actlab.engine import run_batch
 from actlab.losses import bits_per_character, ponder_by_difficulty
 from actlab.optim import OptimizerState, adam_update
@@ -315,6 +315,18 @@ class TestCheckpointDamage:
         with pytest.raises(CheckpointError, match="65 dimensions"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("step", [np.nan, np.inf, -3.0, 2.5])
+    def test_step_that_is_no_count_is_checkpoint_error(self, saved, step):
+        # adam/step, the last record, is the 8 bytes before the CRC. A NaN
+        # or inf step raised ValueError or OverflowError; -3 and 2.5 loaded.
+        from actlab.cli import main
+        path, blob = saved
+        body = blob[:-12] + struct.pack("<d", step)
+        open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="adam/step must be a count >= 0"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", path, "--batches", "1"]) == 4
+
     def test_bytes_between_the_records_and_a_valid_crc_are_rejected(self, saved):
         path, blob = saved
         body = blob[:-4] + bytes(8)
@@ -522,6 +534,26 @@ class TestSweep:
                               for d in out.iterdir() if d.is_dir()})
         assert len(run_seeds[0]) == len(run_seeds[1]) == 4
         assert not run_seeds[0] & run_seeds[1]
+
+    def test_repeated_tau_runs_once_in_its_own_directories(self, tmp_path):
+        # A repeated tau ran again into the same directories, each left
+        # with its later run's files; seeds are derived over the distinct list.
+        config = parity_config(iterations=1, eval_every=1, eval_batches=1)
+        out = tmp_path / "sweep"
+        rows = sweep(config, [1e-3, 1e-2, 1e-3], replicas=2, out_dir=str(out))
+        assert [r.tau for r in rows] == [1e-3, 1e-2]
+        names = [f"tau{tau:g}_rep{r}" for tau in (1e-3, 1e-2) for r in range(2)]
+        assert sorted(d.name for d in out.iterdir() if d.is_dir()) == sorted(names)
+        for name, seq in zip(names, derive_seeds(config.seed, 4)):
+            manifest = json.loads((out / name / "manifest.json").read_text())
+            assert manifest["seed"] == int(seq.generate_state(1)[0])
+
+    def test_taus_sharing_a_directory_name_are_rejected(self, tmp_path):
+        out = tmp_path / "sweep"
+        with pytest.raises(ConfigError, match="run directory name tau0.001"):
+            sweep(parity_config(), [1e-3, 1.0000001e-3], replicas=1,
+                  out_dir=str(out))
+        assert not out.exists()
 
     def test_partial_failures_recorded(self, tmp_path):
         # One of the taus is driven to divergence by an absurd learning
