@@ -11,18 +11,21 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import astuple, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .autodiff import ContractError, DimensionError, NumericError
+from .cells import init_params
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import RANGES, ConfigError, TrainConfig, parse_config, parse_config_text
 from .engine import run_batch
 from .gradcheck import halting_gradient_check
-from .losses import PROB_CLAMP, per_position_nats
-from .tasks import render_input, schema_csv, synth_corpus, write_batch_csv
+from .losses import PROB_CLAMP, DifficultyRow, per_position_nats
+from .tasks import (derive_seeds, render_input, synth_corpus, write_batch_csv,
+                    write_table)
 from .trainer import (evaluate, load_corpus, make_batch, resolved_spec, sweep,
                       tau_grid, train, write_sweep_csv)
 
@@ -77,16 +80,18 @@ def _load_config(args) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     config = _load_config(args)
-    on_row = None
-    if args.stdout:
-        on_row = lambda row: print(json.dumps(row), flush=True)
+
+    def on_row(row: dict) -> None:
+        log.info("iteration %(iteration)d: loss=%(total_loss).4g error="
+                 "%(sequence_error_rate).4f mean_ponder=%(mean_ponder).3f capped="
+                 "%(capped_fraction).3f grad_norm=%(grad_norm).3g", row)
+        if args.stdout:
+            print(json.dumps(row), flush=True)
+
     log.info("training task=%s cell=%s hidden=%d tau=%g iterations=%d seed=%d",
              config.task, config.cell, config.hidden, config.tau,
              config.iterations, config.seed)
-    result = train(config, out_dir=args.out_dir, on_row=on_row)
-    if result.metrics is not None:
-        log.info("final: error=%.4f mean_ponder=%.3f",
-                 result.metrics.sequence_error_rate, result.metrics.mean_ponder)
+    train(config, out_dir=args.out_dir, on_row=on_row)
     return EXIT_OK
 
 
@@ -108,12 +113,9 @@ def _cmd_eval(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(line + "\n")
     if args.difficulty_csv:
-        with schema_csv(args.difficulty_csv, "difficulty-table-1") as writer:
-            writer.writerow(["difficulty", "count", "mean_ponder", "mean_steps",
-                             "mean_error"])
-            for r in metrics.difficulty_rows:
-                writer.writerow([r.difficulty, r.count, repr(r.mean_ponder),
-                                 repr(r.mean_steps), repr(r.mean_error)])
+        write_table(args.difficulty_csv, "difficulty-table-1",
+                    [f.name for f in fields(DifficultyRow)],
+                    map(astuple, metrics.difficulty_rows))
     log.info("eval: %s", line)
     return EXIT_OK
 
@@ -144,14 +146,13 @@ def _cmd_gradcheck(args) -> int:
     spec = resolved_spec(config)
     corpus = load_corpus(config)
     act_cfg = config.act_config()
-    rng = np.random.default_rng(config.seed)
-    batch = make_batch(config, rng, corpus, batch_size=args.examples)
-    from .cells import init_params
+    batch_seed, init_seed, coord_seed = derive_seeds(config.seed, 3)
+    batch = make_batch(config, batch_seed, corpus, batch_size=args.examples)
     params = init_params(config.cell, spec.input_size, config.hidden,
-                         spec.output_size, seed=rng)
+                         spec.output_size, seed=init_seed)
     report = halting_gradient_check(params, act_cfg, batch, spec,
                                     max_coords_per_param=args.max_coords,
-                                    seed=config.seed)
+                                    seed=coord_seed)
     payload = {"max_rel_err": report.max_rel_err,
                "coords_checked": report.coords_checked,
                "coords_skipped": len(report.coords_skipped),
@@ -218,15 +219,14 @@ def _cmd_trace(args) -> int:
             n_steps, remainder = int(res.steps[e, t]), float(res.remainders[e, t])
             probs = res.halts[e, t, :n_steps - 1].tolist() + [remainder]
             rows.append([e, t, render_input(config.task, batch.inputs[e, t]),
-                         n_steps, repr(n_steps + remainder), repr(remainder),
-                         repr(float(nats[e, t])) if batch.target_mask[e, t] else "",
-                         repr(_entropy_bits(dists[e, t].ravel())),
+                         n_steps, n_steps + remainder, remainder,
+                         float(nats[e, t]) if batch.target_mask[e, t] else "",
+                         _entropy_bits(dists[e, t].ravel()),
                          ";".join(repr(p) for p in probs)])
 
-    with schema_csv(args.out or sys.stdout, TRACE_COMMAND_SCHEMA) as writer:
-        writer.writerow(["sequence", "t", "input", "steps", "ponder",
-                         "remainder", "loss_nats", "entropy_bits", "probs"])
-        writer.writerows(rows)
+    write_table(args.out or sys.stdout, TRACE_COMMAND_SCHEMA,
+                ["sequence", "t", "input", "steps", "ponder", "remainder",
+                 "loss_nats", "entropy_bits", "probs"], rows)
     log.info("traced %d sequences (%d rows)", batch.batch_size, len(rows))
     return EXIT_OK
 
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="actlab",
         description="Adaptive-computation-time recurrent network laboratory")
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("-v", "--verbose", action="store_true")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("train", help="train a model from a config")
@@ -300,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.DEBUG if args.verbose else logging.INFO,
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)

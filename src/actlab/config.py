@@ -141,6 +141,8 @@ RETIRED_KEYS = {
 
 
 def _assign(config: TrainConfig, key: str, raw: str) -> None:
+    if "#" in raw or "".join(raw.splitlines()) != raw:   # no config text holds it
+        raise ConfigError(f"{key}: value {raw!r} contains '#' or a line break")
     if key in RETIRED_KEYS:
         value, reason = RETIRED_KEYS[key]
         if raw.strip() != value:

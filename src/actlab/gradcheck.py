@@ -29,6 +29,8 @@ from .cells import CellParams
 from .tasks import TaskBatch, TaskSpec
 from .trainer import batch_objective
 
+FD_STEP = 1e-6      # the central-difference step before any shrinking
+
 
 @dataclass
 class GradCheckReport:
@@ -72,9 +74,8 @@ def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
 
 
 def halting_gradient_check(params: CellParams, cfg: ActConfig, batch: TaskBatch,
-                           spec: TaskSpec, step: float = 1e-6,
-                           max_coords_per_param: int | None = None,
-                           seed: int = 0) -> GradCheckReport:
+                           spec: TaskSpec, max_coords_per_param: int | None = None,
+                           seed=0) -> GradCheckReport:
     """Compare tape gradients of the full objective with central differences.
 
     Restricted to small networks; finite differences over every parameter
@@ -110,7 +111,7 @@ def halting_gradient_check(params: CellParams, cfg: ActConfig, batch: TaskBatch,
                                         replace=False))
         param_worst = 0.0
         for i in coords:
-            delta = step
+            delta = FD_STEP
             resolved = False
             for _ in range(4):
                 keep = flat[i]

@@ -11,10 +11,9 @@ offsetting the root seed.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -378,16 +377,18 @@ def synth_corpus(seed, size: int = 1 << 20) -> bytes:
 BATCH_CSV_SCHEMA = "task-batch-1"
 
 
-@contextmanager
-def schema_csv(out, schema: str) -> Iterator:
-    """Write the `# schema:` line to `out` and yield a csv.writer on it.
+def write_table(out, schema: str, header, rows) -> None:
+    """Write the `# schema:` line, then `header` and `rows` as CSV.
 
-    `out` is a path (opened here, closed on exit) or an open text stream.
+    `out` is a path (opened here and closed) or an open text stream. Every
+    CSV the package writes goes through here; a float is written as its repr.
     """
     fh = open(out, "w", newline="") if isinstance(out, (str, bytes)) else out
     try:
         fh.write(f"# schema: {schema}\n")
-        yield csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     finally:
         if fh is not out:
             fh.close()
@@ -399,16 +400,12 @@ def write_batch_csv(batch: TaskBatch, out) -> None:
     Columns: example, t, length, mask, difficulty, then `target_g*` for
     each classification group, then `in_*` for the flattened input vector.
     """
-    with schema_csv(out, f"{BATCH_CSV_SCHEMA} task: {batch.task}") as writer:
-        groups = batch.targets.shape[2]
-        width = batch.inputs.shape[2]
-        writer.writerow(["example", "t", "length", "mask", "difficulty"]
-                        + [f"target_g{g}" for g in range(groups)]
-                        + [f"in_{i}" for i in range(width)])
-        for e in range(batch.batch_size):
-            for t in range(batch.inputs.shape[1]):
-                writer.writerow(
-                    [e, t, int(batch.lengths[e]), int(batch.target_mask[e, t]),
-                     int(batch.difficulty[e, t])]
-                    + [int(v) for v in batch.targets[e, t]]
-                    + [repr(float(v)) for v in batch.inputs[e, t]])
+    b, t_max, width = batch.inputs.shape
+    write_table(out, f"{BATCH_CSV_SCHEMA} task: {batch.task}",
+                ["example", "t", "length", "mask", "difficulty"]
+                + [f"target_g{g}" for g in range(batch.targets.shape[2])]
+                + [f"in_{i}" for i in range(width)],
+                ([e, t, int(batch.lengths[e]), int(batch.target_mask[e, t]),
+                  int(batch.difficulty[e, t])]
+                 + batch.targets[e, t].tolist() + batch.inputs[e, t].tolist()
+                 for e in range(b) for t in range(t_max)))

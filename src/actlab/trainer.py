@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +30,7 @@ from .losses import (LossBreakdown, RunMetrics, binary_cross_entropy,
                      ponder_by_difficulty, total_loss)
 from .optim import OptimizerState, adam_update, clip_global_norm
 from .tasks import (TaskBatch, TaskSpec, derive_seeds, gen_addition, gen_logic,
-                    gen_parity, gen_sort, gen_text, schema_csv)
+                    gen_parity, gen_sort, gen_text, write_table)
 
 METRICS_SCHEMA = 2
 SWEEP_SCHEMA = "sweep-summary-1"
@@ -142,52 +142,50 @@ def _eval_blocks(batches: list[TaskBatch],
     return blocks
 
 
+def _pad_stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """(n, T, ...) arrays stacked by rows, zero-padded to the longest T."""
+    out = np.zeros((sum(map(len, arrays)), max(a.shape[1] for a in arrays))
+                   + arrays[0].shape[2:], arrays[0].dtype)
+    for start, a in zip(np.cumsum([0] + [len(a) for a in arrays]), arrays):
+        out[start:start + len(a), :a.shape[1]] = a
+    return out
+
+
 def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
              batches: list[TaskBatch]) -> tuple[RunMetrics, EvalDetails]:
     """Metrics and per-step details over `batches`.
 
-    Consecutive batches run as one forward-only block (`_eval_blocks`):
-    stacked along the batch axis and zero-padded to the block's longest T.
-    Each batch's rows and first T positions are then sliced back out, so
-    every number is computed per batch as if it had run alone.
+    Consecutive batches run and are scored as one forward-only block
+    (`_eval_blocks`): stacked along the batch axis and zero-padded to the
+    block's longest T. Padded positions are inactive and masked, and the
+    block's rows and positions flatten in batch order, so every number is
+    the one a per-batch pass gives, except that a padded row's
+    `example_ponders` sum adds trailing zeros, which can move its last bit.
     """
     if not batches:
         raise ContractError("evaluate needs at least one batch; got an empty list")
     widths = sorted({batch.inputs.shape[2] for batch in batches})
     if len(widths) > 1:
         raise DimensionError(f"eval batches have different input widths {widths}")
-    columns = []                    # per batch: EvalDetails' fields, then capped
+    columns = []                    # per block: EvalDetails' fields, then capped
     for block in _eval_blocks(batches, params.input_size + params.hidden_size
                               + params.output_size + 1):
-        inputs = np.zeros((sum(b.batch_size for b in block),
-                           max(b.inputs.shape[1] for b in block), widths[0]))
-        start = 0
-        for batch in block:
-            n, t = batch.inputs.shape[:2]
-            inputs[start:start + n, :t] = batch.inputs
-            start += n
+        inputs, targets, mask, difficulty = (
+            _pad_stack([getattr(b, name) for b in block])
+            for name in ("inputs", "targets", "target_mask", "difficulty"))
         res = run_batch(params, act_cfg, inputs,
                         np.concatenate([b.lengths for b in block]), grad=False)
-        start = 0
-        for batch in block:
-            n, t = batch.inputs.shape[:2]
-            outputs, steps, remainders, active, capped = (
-                np.ascontiguousarray(a[start:start + n, :t])
-                for a in (res.outputs, res.steps, res.remainders, res.active,
-                          res.halted_by_cap))
-            start += n
-            ponders = np.where(active, steps + remainders, 0.0)
-            predictions = spec.decode(outputs)
-            mask = batch.target_mask
-            wrong_step = np.any(predictions != batch.targets, axis=2) & mask
-            nats = per_position_nats(spec, outputs, batch.targets, mask)
-            columns.append((ponders[active], steps[active],
-                            batch.difficulty[active], wrong_step[active],
-                            example_errors(predictions, batch.targets, mask),
-                            ponders.sum(axis=1), batch.difficulty[:, 0],
-                            nats[mask], capped[active]))
-    *fields, capped = (np.concatenate(c) for c in zip(*columns))
-    details = EvalDetails(*fields)
+        active, ponders = res.active, res.ponders
+        predictions = spec.decode(res.outputs)
+        wrong_step = np.any(predictions != targets, axis=2) & mask
+        nats = per_position_nats(spec, res.outputs, targets, mask)
+        columns.append((ponders[active], res.steps[active], difficulty[active],
+                        wrong_step[active],
+                        example_errors(predictions, targets, mask),
+                        ponders.sum(axis=1), difficulty[:, 0], nats[mask],
+                        res.halted_by_cap[active]))
+    *arrays, capped = (np.concatenate(c) for c in zip(*columns))
+    details = EvalDetails(*arrays)
     metrics = RunMetrics(
         sequence_error_rate=float(details.example_errors.mean()),
         bits_per_character=(bits_per_character(details.nats)
@@ -400,10 +398,5 @@ def sweep(config: TrainConfig, taus: list[float], replicas: int,
 
 def write_sweep_csv(rows: list[SweepRow], out) -> None:
     """Summary table: one row per time penalty."""
-    with schema_csv(out, SWEEP_SCHEMA) as writer:
-        writer.writerow(["tau", "n_runs", "n_failed", "error_mean",
-                         "error_stderr", "ponder_mean", "ponder_stderr"])
-        for row in rows:
-            writer.writerow([repr(row.tau), row.n_runs, row.n_failed,
-                             repr(row.error_mean), repr(row.error_stderr),
-                             repr(row.ponder_mean), repr(row.ponder_stderr)])
+    write_table(out, SWEEP_SCHEMA, [f.name for f in fields(SweepRow)],
+                map(astuple, rows))

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actlab import cli
 from actlab.act import ActConfig
 from actlab.cells import init_params
 from actlab.checkpoint import save_checkpoint
@@ -19,7 +20,7 @@ from actlab.config import (KEYMAP, ConfigError, TrainConfig, config_digest,
                            config_text, parse_config, parse_config_text,
                            resolved_spec)
 from actlab.optim import OptimizerState
-from actlab.tasks import TASKS
+from actlab.tasks import TASKS, derive_seeds, synth_corpus
 from actlab.trainer import evaluate, make_batch
 
 from oracles import run_sequence
@@ -132,9 +133,32 @@ class TestConfigParsing:
         assert config.task == "sort"
 
     def test_config_text_roundtrips(self):
-        config = parse_config_text("task.name = logic", ["act.tau=0.003"])
-        again = parse_config_text(config_text(config))
-        assert again == config
+        configs = [parse_config_text("task.name = logic", ["act.tau=0.003"])]
+        configs += [parse_config_text(f"task.name = {task}") for task in TASKS]
+        every = {"task.name": "addition", "task.batch": 7, "task.bits": 9,
+                 "task.min_len": 2, "task.max_len": 4, "task.min_digits": 2,
+                 "task.max_digits": 3, "task.seq_len": 33,
+                 "task.corpus": "runs/a b=c.bin", "cell.kind": "rnn",
+                 "cell.hidden": 5, "act.epsilon": 0.05, "act.max_steps": 7,
+                 "act.tau": 0.0031, "train.lr": 0.00123, "train.beta1": 0.8,
+                 "train.beta2": 0.99, "train.adam_eps": 1e-7,
+                 "train.iterations": 12, "train.eval_every": 3,
+                 "train.eval_batches": 2, "train.checkpoint_every": 4,
+                 "train.clip_norm": 1.5, "train.seed": 6}
+        assert set(every) == set(KEYMAP)
+        configs.append(parse_config_text(
+            "", [f"{key}={value}" for key, value in every.items()]))
+        for config in configs:
+            assert parse_config_text(config_text(config)) == config
+        assert configs[-1].corpus == "runs/a b=c.bin"
+
+    @pytest.mark.parametrize("value", ["a#b", "a\nb", "a\rb", "a\n",
+                                       "a\u2028b"])
+    def test_values_config_text_cannot_hold_are_rejected(self, value):
+        # `#` starts a comment and a line break ends the line, so the
+        # config text written into a run would read back differently.
+        with pytest.raises(ConfigError, match="task.corpus"):
+            parse_config_text("", [f"task.corpus={value}"])
 
     @pytest.mark.parametrize("task,digest", [
         ("parity", "2e185ae127b0fc1d6a538be20eeeee3154f90725b52fa207ff419e95438d258b"),
@@ -288,6 +312,22 @@ class TestExitCodes:
         assert re.search(r"must be >= 0, got -[12]", message)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["hash#dir/corpus.bin", "line\nbreak.bin"])
+    def test_value_config_text_cannot_hold_exits_two(self, name, tmp_path):
+        # A readable corpus: the run would train, then write config text
+        # that reads back another path or does not parse.
+        corpus = tmp_path / name
+        corpus.parent.mkdir(exist_ok=True)
+        corpus.write_bytes(synth_corpus(1, size=200))
+        code, _ = run_cli(["train", "--set", "task.name=text",
+                           "--set", f"task.corpus={corpus}",
+                           "--set", "task.seq_len=5", "--set", "cell.hidden=4",
+                           "--set", "train.iterations=1",
+                           "--set", "train.eval_batches=1",
+                           "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
     def test_bad_gradcheck_tolerance_exits_two(self, tolerance, capsys):
         # These ran the whole check, then failed it with exit 3.
@@ -318,6 +358,28 @@ class TestExitCodes:
         bad.write_bytes(bytes(blob))
         code, _ = run_cli(["eval", "--checkpoint", str(bad)])
         assert code == 4
+
+    def test_gradcheck_seeds_are_children_of_the_run_seed(self, monkeypatch):
+        seen = {}
+
+        def record(name, fn, seed_index):
+            def wrapped(*args, **kwargs):
+                seen[name] = (args[seed_index] if seed_index is not None
+                              else kwargs["seed"])
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "make_batch", record("batch", cli.make_batch, 1))
+        monkeypatch.setattr(cli, "init_params",
+                            record("init", cli.init_params, None))
+        monkeypatch.setattr(cli, "halting_gradient_check",
+                            record("coords", cli.halting_gradient_check, None))
+        code, _ = run_cli(["gradcheck", "--seed", "5", "--set", "task.bits=4",
+                           "--set", "cell.hidden=3", "--max-coords", "1"])
+        assert code == 0
+        assert [(s.entropy, s.spawn_key) for s in (
+            seen["batch"], seen["init"], seen["coords"])] == [
+            (s.entropy, s.spawn_key) for s in derive_seeds(5, 3)]
 
     def test_gradcheck_failure_is_numeric(self, parity_run):
         root, cfg, _ = parity_run
@@ -549,3 +611,19 @@ class TestCliProcess:
         assert proc.returncode == 0
         assert proc.stdout == ""          # data only with --stdout
         assert "training" in proc.stderr
+
+    def test_train_logs_one_progress_line_per_metrics_row(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "actlab.cli", "train", "--set", "task.bits=6",
+             "--set", "task.batch=4", "--set", "cell.hidden=8",
+             "--set", "train.iterations=5", "--set", "train.eval_every=2",
+             "--set", "train.eval_batches=1", "--out-dir", str(tmp_path / "r")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == ""
+        rows = [json.loads(line) for line in
+                (tmp_path / "r" / "metrics.jsonl").read_text().splitlines()]
+        progress = re.findall(r"^INFO actlab: iteration (\d+): loss=\S+ "
+                              r"error=\S+ mean_ponder=\S+ capped=\S+ "
+                              r"grad_norm=\S+$", proc.stderr, re.MULTILINE)
+        assert [int(i) for i in progress] == [row["iteration"] for row in rows]
+        assert len(rows) == 3

@@ -20,8 +20,8 @@ from actlab.config import ConfigError, config_text, parse_config_text
 from actlab.engine import run_batch
 from actlab.losses import bits_per_character, ponder_by_difficulty
 from actlab.optim import OptimizerState, adam_update
-from actlab.tasks import (derive_seeds, gen_logic, gen_parity, gen_text,
-                          synth_corpus, task_spec)
+from actlab.tasks import (derive_seeds, gen_addition, gen_logic, gen_parity,
+                          gen_sort, gen_text, synth_corpus, task_spec)
 from actlab.trainer import (batch_objective, evaluate, sweep, tau_grid, train,
                             write_sweep_csv)
 
@@ -653,7 +653,28 @@ class TestEvaluate:
                    for seed, seq_len in enumerate((9, 4, 9))]
         return spec, params, ActConfig(max_steps=6), batches
 
-    @pytest.mark.parametrize("case", ["logic", "text"])
+    @staticmethod
+    def addition_case():
+        # Six softmax groups per step; the first step has no target.
+        spec = task_spec("addition")
+        params = init_params("lstm", spec.input_size, 9, spec.output_size,
+                             seed=6, halt_bias=-1.0)
+        batches = [gen_addition(seed, batch=4 + seed, min_len=1, max_len=max_len,
+                                min_digits=1, max_digits=5)
+                   for seed, max_len in enumerate((2, 5, 3, 5))]
+        return spec, params, ActConfig(max_steps=8), batches
+
+    @staticmethod
+    def sort_case():
+        # Targets only in each sequence's output half; T = 2 x length.
+        spec = task_spec("sort")
+        params = init_params("rnn", spec.input_size, 7, spec.output_size,
+                             seed=7, halt_bias=-1.0)
+        batches = [gen_sort(seed, batch=3 + seed, min_len=2, max_len=max_len)
+                   for seed, max_len in enumerate((3, 6, 2, 6))]
+        return spec, params, ActConfig(max_steps=8), batches
+
+    @pytest.mark.parametrize("case", ["logic", "text", "addition", "sort"])
     def test_blocks_match_one_batch_evaluations(self, case, monkeypatch):
         spec, params, cfg, batches = getattr(self, case + "_case")()
         assert len({b.inputs.shape[1] for b in batches}) > 1
