@@ -19,7 +19,9 @@ and `back(ds, dz, ds_prev)`, which writes the adjoint of z into dz and
 the part of the old state's adjoint that bypasses W_rec into
 ds_prev[:, H:]. The caller forms s W_rec, dz W_recᵀ and every weight
 adjoint, and owns the zero initial state. `readout` and
-`halting_activation` are array code too.
+`halting_activation` are array code too. `param_shapes` is the one table
+of parameter shapes: `CellParams.validate` checks against it and
+`init_params` builds from it.
 """
 
 from __future__ import annotations
@@ -63,16 +65,8 @@ class CellParams:
                           *(arr.copy() for _, arr in self.items()))
 
     def validate(self) -> None:
-        proj = self.hidden_size * CELLS[self.kind].proj_multiple
-        expect = {
-            "w_in": (self.input_size + 1, proj),
-            "w_rec": (self.hidden_size, proj),
-            "b_rec": (1, proj),
-            "w_out": (self.hidden_size, self.output_size),
-            "b_out": (1, self.output_size),
-            "w_halt": (self.hidden_size, 1),
-            "b_halt": (1, 1),
-        }
+        expect = param_shapes(self.kind, self.input_size, self.hidden_size,
+                              self.output_size)
         for name, arr in self.items():
             if arr.shape != expect[name]:
                 raise DimensionError(
@@ -156,6 +150,18 @@ class LstmCell:
 CELLS = {"rnn": RnnCell, "lstm": LstmCell}
 
 
+def param_shapes(kind: str, input_size: int, hidden_size: int,
+                 output_size: int) -> dict[str, tuple[int, int]]:
+    """Every parameter's shape, in `CellParams.items()` order."""
+    if kind not in CELLS:
+        raise ContractError(f"unknown cell kind {kind!r}; expected one of {sorted(CELLS)}")
+    proj = hidden_size * CELLS[kind].proj_multiple
+    return {"w_in": (input_size + 1, proj), "w_rec": (hidden_size, proj),
+            "b_rec": (1, proj), "w_out": (hidden_size, output_size),
+            "b_out": (1, output_size), "w_halt": (hidden_size, 1),
+            "b_halt": (1, 1)}
+
+
 def readout(hidden: np.ndarray, w_out: np.ndarray, b_out: np.ndarray) -> np.ndarray:
     """y = s_visible W_out + b_out, one row per row of `hidden`."""
     return hidden @ w_out + b_out
@@ -171,30 +177,21 @@ def init_params(kind: str, input_size: int, hidden_size: int, output_size: int,
                 seed, halt_bias: float = 1.0) -> CellParams:
     """Seeded initialization.
 
-    Weights are uniform(-r, r) with r = 1/sqrt(fan_in), drawn in a fixed
-    field order so the same seed always yields bit-identical parameters.
-    Biases start at zero except the halting bias (positive, to keep early
-    pondering short) and the LSTM forget-gate bias (+1).
+    Weights are uniform(-r, r) with r = 1/sqrt(fan_in), drawn in
+    `param_shapes` order so the same seed always yields bit-identical
+    parameters. Biases start at zero except the halting bias (positive, to
+    keep early pondering short) and the LSTM forget-gate bias (+1).
     """
-    if kind not in CELLS:
-        raise ContractError(f"unknown cell kind {kind!r}; expected one of {sorted(CELLS)}")
+    shapes = param_shapes(kind, input_size, hidden_size, output_size)
     rng = np.random.default_rng(seed)
-    proj = hidden_size * CELLS[kind].proj_multiple
 
-    def draw(rows: int, cols: int) -> np.ndarray:
-        r = 1.0 / np.sqrt(rows)
-        return rng.uniform(-r, r, size=(rows, cols))
+    def draw(shape: tuple[int, int]) -> np.ndarray:
+        r = 1.0 / np.sqrt(shape[0])
+        return rng.uniform(-r, r, size=shape)
 
-    w_in = draw(input_size + 1, proj)
-    w_rec = draw(hidden_size, proj)
-    w_out = draw(hidden_size, output_size)
-    w_halt = draw(hidden_size, 1)
-    b_rec = np.zeros((1, proj))
+    arrays = {name: draw(shape) if name.startswith("w_") else np.zeros(shape)
+              for name, shape in shapes.items()}
     if kind == "lstm":
-        b_rec[0, hidden_size:2 * hidden_size] = 1.0
-    params = CellParams(kind, input_size, hidden_size, output_size,
-                        w_in, w_rec, b_rec,
-                        w_out, np.zeros((1, output_size)),
-                        w_halt, np.full((1, 1), float(halt_bias)))
-    params.validate()
-    return params
+        arrays["b_rec"][0, hidden_size:2 * hidden_size] = 1.0
+    arrays["b_halt"][0, 0] = float(halt_bias)
+    return CellParams(kind, input_size, hidden_size, output_size, **arrays)

@@ -22,7 +22,7 @@ from .cells import init_params
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import RANGES, ConfigError, TrainConfig, parse_config, parse_config_text
 from .engine import run_batch
-from .gradcheck import halting_gradient_check
+from .gradcheck import MAX_HIDDEN, halting_gradient_check
 from .losses import PROB_CLAMP, DifficultyRow, per_position_nats
 from .tasks import (derive_seeds, render_input, synth_corpus, write_batch_csv,
                     write_table)
@@ -143,6 +143,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     config = _load_config(args)
+    if config.hidden > MAX_HIDDEN:
+        raise ConfigError(f"gradcheck needs cell.hidden <= {MAX_HIDDEN}, "
+                          f"got {config.hidden}")
     spec = resolved_spec(config)
     corpus = load_corpus(config)
     act_cfg = config.act_config()

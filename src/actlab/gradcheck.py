@@ -30,6 +30,9 @@ from .tasks import TaskBatch, TaskSpec
 from .trainer import batch_objective
 
 FD_STEP = 1e-6      # the central-difference step before any shrinking
+# Finite differences over every parameter of a bigger network would
+# dominate the suite for no extra assurance.
+MAX_HIDDEN = 32
 
 
 @dataclass
@@ -78,12 +81,11 @@ def halting_gradient_check(params: CellParams, cfg: ActConfig, batch: TaskBatch,
                            seed=0) -> GradCheckReport:
     """Compare tape gradients of the full objective with central differences.
 
-    Restricted to small networks; finite differences over every parameter
-    of a big one would dominate the suite for no extra assurance.
+    Restricted to networks of at most `MAX_HIDDEN` hidden units.
     """
-    if params.hidden_size > 32:
+    if params.hidden_size > MAX_HIDDEN:
         raise ContractError(
-            f"gradient check is specified for <= 32 hidden units, "
+            f"gradient check is specified for <= {MAX_HIDDEN} hidden units, "
             f"got {params.hidden_size}")
     cfg.validate()
 

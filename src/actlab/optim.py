@@ -42,6 +42,11 @@ class OptimizerState:
         return cls(m={name: np.zeros_like(arr) for name, arr in params.items()},
                    v={name: np.zeros_like(arr) for name, arr in params.items()})
 
+    def copy(self) -> "OptimizerState":
+        return OptimizerState({name: arr.copy() for name, arr in self.m.items()},
+                              {name: arr.copy() for name, arr in self.v.items()},
+                              self.step)
+
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their joint norm is at most max_norm.

@@ -5,7 +5,8 @@ a bit-identical batch. Batches carry per-step difficulty annotations
 matching what the difficulty figures plot (bits for parity, gates per
 vector for logic, digits per vector for addition, sequence length for
 sort). Worker seeds should be derived with `derive_seeds`, never by
-offsetting the root seed.
+offsetting the root seed. Each generator fills the zero arrays of
+`TaskBatch.blank`, the one place a batch's shapes and dtypes are set.
 """
 
 from __future__ import annotations
@@ -57,15 +58,21 @@ class TaskBatch:
     def batch_size(self) -> int:
         return self.inputs.shape[0]
 
-    def validate(self) -> "TaskBatch":
-        b, t, _ = self.inputs.shape
-        assert self.targets.shape[:2] == (b, t)
-        assert self.target_mask.shape == (b, t)
-        assert self.difficulty.shape == (b, t)
-        assert self.lengths.shape == (b,)
-        # A masked-in position must carry a valid class encoding.
-        assert np.all(self.targets[self.target_mask] >= 0)
-        return self
+    @classmethod
+    def blank(cls, task: str, batch: int, lengths,
+              width: int | None = None) -> "TaskBatch":
+        """The one allocation of a batch: zero arrays, the mask True inside
+        each sequence. `lengths` is one per row, or one shared by all rows
+        (so T holds for an empty batch); T is the longest. `width` defaults
+        to the task's input size; the group count is the task's."""
+        t_max = int(np.max(lengths))
+        lengths = np.broadcast_to(lengths, (batch,)).astype(np.int64)
+        spec = TASKS[task]
+        width = spec.input_size if width is None else width
+        return cls(task, np.zeros((batch, t_max, width)),
+                   np.zeros((batch, t_max, spec.groups), dtype=np.int64),
+                   np.arange(t_max) < lengths[:, None],
+                   np.zeros((batch, t_max), dtype=np.int64), lengths)
 
 
 @dataclass(frozen=True)
@@ -161,19 +168,15 @@ def gen_parity(seed, n_bits: int, batch: int) -> TaskBatch:
     if n_bits < 1:
         raise ContractError(f"n_bits must be >= 1, got {n_bits}")
     rng = np.random.default_rng(seed)
-    inputs = np.zeros((batch, 1, n_bits))
-    targets = np.zeros((batch, 1, 1), dtype=np.int64)
-    difficulty = np.zeros((batch, 1), dtype=np.int64)
+    out = TaskBatch.blank("parity", batch, 1, width=n_bits)
     for e in range(batch):
         k = int(rng.integers(1, n_bits + 1))
         positions = rng.choice(n_bits, size=k, replace=False)
         signs = rng.integers(0, 2, size=k) * 2 - 1
-        inputs[e, 0, positions] = signs
-        targets[e, 0, 0] = int(np.count_nonzero(signs == 1)) % 2
-        difficulty[e, 0] = k
-    return TaskBatch("parity", inputs, targets,
-                     np.ones((batch, 1), dtype=bool), difficulty,
-                     np.ones(batch, dtype=np.int64)).validate()
+        out.inputs[e, 0, positions] = signs
+        out.targets[e, 0, 0] = int(np.count_nonzero(signs == 1)) % 2
+        out.difficulty[e, 0] = k
+    return out
 
 
 def gen_logic(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
@@ -182,19 +185,15 @@ def gen_logic(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
     recursively, carrying the previous vector's target as the hidden
     first operand."""
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(min_len, max_len + 1, size=batch)
-    t_max = int(lengths.max())
-    inputs = np.zeros((batch, t_max, TASKS["logic"].input_size))
-    targets = np.zeros((batch, t_max, 1), dtype=np.int64)
-    mask = np.zeros((batch, t_max), dtype=bool)
-    difficulty = np.zeros((batch, t_max), dtype=np.int64)
+    out = TaskBatch.blank("logic", batch,
+                          rng.integers(min_len, max_len + 1, size=batch))
     for e in range(batch):
         b0 = int(rng.integers(0, 2))
-        for t in range(int(lengths[e])):
+        for t in range(int(out.lengths[e])):
             b1 = int(rng.integers(0, 2))
             n_gates = int(rng.integers(1, LOGIC_MAX_GATES + 1))
             gates = rng.integers(1, len(GATE_NAMES) + 1, size=n_gates)
-            vec = inputs[e, t]
+            vec = out.inputs[e, t]
             if t == 0:
                 vec[0] = b0          # hidden on later steps: carried, not shown
             vec[1] = b1
@@ -202,12 +201,10 @@ def gen_logic(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
             prev2, prev1 = b0, b1
             for g in gates.tolist():
                 prev2, prev1 = prev1, _GATE_ROWS[g - 1][3 - 2 * prev1 - prev2]
-            targets[e, t, 0] = prev1
-            difficulty[e, t] = n_gates
-            mask[e, t] = True
+            out.targets[e, t, 0] = prev1
+            out.difficulty[e, t] = n_gates
             b0 = prev1               # next vector's implicit first operand
-    return TaskBatch("logic", inputs, targets, mask, difficulty,
-                     lengths.astype(np.int64)).validate()
+    return out
 
 
 def gen_addition(seed, batch: int, min_len: int, max_len: int,
@@ -222,30 +219,22 @@ def gen_addition(seed, batch: int, min_len: int, max_len: int,
     if min_digits < 1 or max_digits > ADDITION_MAX_DIGITS:
         raise ContractError(f"input vectors hold 1 to {ADDITION_MAX_DIGITS} digits")
     rng = np.random.default_rng(seed)
-    lengths = rng.integers(min_len, max_len + 1, size=batch)
-    t_max = int(lengths.max())
-    inputs = np.zeros((batch, t_max, TASKS["addition"].input_size))
-    targets = np.zeros((batch, t_max, ADDITION_SUM_DIGITS), dtype=np.int64)
-    mask = np.zeros((batch, t_max), dtype=bool)
-    difficulty = np.zeros((batch, t_max), dtype=np.int64)
+    out = TaskBatch.blank("addition", batch,
+                          rng.integers(min_len, max_len + 1, size=batch))
+    out.target_mask[:, :1] = False
+    out.targets[out.target_mask] = ADDITION_BLANK
     for e in range(batch):
         total = 0
-        for t in range(int(lengths[e])):
+        for t in range(int(out.lengths[e])):
             n_digits = int(rng.integers(min_digits, max_digits + 1))
             digits = rng.integers(0, 10, size=n_digits)    # LSD first
-            value = int(sum(int(d) * 10 ** i for i, d in enumerate(digits)))
-            for i, d in enumerate(digits):
-                inputs[e, t, ADDITION_BLANK * i + int(d)] = 1.0
-            total += value
-            difficulty[e, t] = n_digits
+            out.inputs[e, t, ADDITION_BLANK * np.arange(n_digits) + digits] = 1.0
+            total += int(sum(int(d) * 10 ** i for i, d in enumerate(digits)))
+            out.difficulty[e, t] = n_digits
             if t >= 1:
                 sum_digits = [int(c) for c in reversed(str(total))]
-                row = targets[e, t]
-                row[:] = ADDITION_BLANK
-                row[:len(sum_digits)] = sum_digits
-                mask[e, t] = True
-    return TaskBatch("addition", inputs, targets, mask, difficulty,
-                     lengths.astype(np.int64)).validate()
+                out.targets[e, t, :len(sum_digits)] = sum_digits
+    return out
 
 
 def gen_sort(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
@@ -260,27 +249,20 @@ def gen_sort(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
         raise ContractError(f"sort lengths must satisfy {SORT_MIN_LEN} <= min "
                             f"<= max <= {SORT_MAX_LEN}")
     rng = np.random.default_rng(seed)
-    sort_lens = rng.integers(min_len, max_len + 1, size=batch)
-    t_max = 2 * int(sort_lens.max())
-    inputs = np.zeros((batch, t_max, 2))
-    targets = np.zeros((batch, t_max, 1), dtype=np.int64)
-    mask = np.zeros((batch, t_max), dtype=bool)
-    difficulty = np.zeros((batch, t_max), dtype=np.int64)
+    out = TaskBatch.blank("sort", batch,
+                          2 * rng.integers(min_len, max_len + 1, size=batch))
     for e in range(batch):
-        n = int(sort_lens[e])
+        n = int(out.lengths[e]) // 2
         while True:
             values = rng.standard_normal(n)
-            gaps = np.diff(np.sort(values))
-            if np.all(gaps >= SORT_MIN_SEPARATION):
+            if np.all(np.diff(np.sort(values)) >= SORT_MIN_SEPARATION):
                 break
-        inputs[e, :n, 0] = values
-        inputs[e, n - 1, 1] = 1.0
-        order = np.argsort(values, kind="stable")
-        targets[e, n:2 * n, 0] = order
-        mask[e, n:2 * n] = True
-        difficulty[e, :2 * n] = n
-    return TaskBatch("sort", inputs, targets, mask, difficulty,
-                     (2 * sort_lens).astype(np.int64)).validate()
+        out.inputs[e, :n, 0] = values
+        out.inputs[e, n - 1, 1] = 1.0
+        out.targets[e, n:2 * n, 0] = np.argsort(values, kind="stable")
+        out.target_mask[e, :n] = False
+        out.difficulty[e, :2 * n] = n
+    return out
 
 
 def gen_text(corpus: bytes, seed, seq_len: int, batch: int) -> TaskBatch:
@@ -291,17 +273,13 @@ def gen_text(corpus: bytes, seed, seq_len: int, batch: int) -> TaskBatch:
     rng = np.random.default_rng(seed)
     data = np.frombuffer(corpus, dtype=np.uint8)
     offsets = rng.integers(0, len(corpus) - seq_len - 1, size=batch, endpoint=True)
-    inputs = np.zeros((batch, seq_len, 256))
-    targets = np.zeros((batch, seq_len, 1), dtype=np.int64)
+    out = TaskBatch.blank("text", batch, seq_len)
     rows = np.arange(seq_len)
     for e, off in enumerate(offsets):
         window = data[off:off + seq_len + 1].astype(np.int64)
-        inputs[e, rows, window[:-1]] = 1.0
-        targets[e, :, 0] = window[1:]
-    return TaskBatch("text", inputs, targets,
-                     np.ones((batch, seq_len), dtype=bool),
-                     np.zeros((batch, seq_len), dtype=np.int64),
-                     np.full(batch, seq_len, dtype=np.int64)).validate()
+        out.inputs[e, rows, window[:-1]] = 1.0
+        out.targets[e, :, 0] = window[1:]
+    return out
 
 
 def render_input(task: str, vec: np.ndarray) -> str:

@@ -252,13 +252,8 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
             fh.write("\n")
         metrics_fh = open(os.path.join(out_dir, "metrics.jsonl"), "w")
 
-    def snapshot():
-        return (params.copy(),
-                OptimizerState({k: v.copy() for k, v in opt.m.items()},
-                               {k: v.copy() for k, v in opt.v.items()}, opt.step))
-
     result = TrainResult(config, params, opt, None, None, out_dir=out_dir)
-    last_good = snapshot()
+    last_good = params.copy(), opt.copy()
     try:
         for iteration in range(1, config.iterations + 1):
             batch = make_batch(config, data_rng, corpus)
@@ -298,7 +293,7 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
                     metrics_fh.flush()
                 if on_row is not None:
                     on_row(row)
-                last_good = snapshot()
+                last_good = params.copy(), opt.copy()
             if (out_dir is not None and config.checkpoint_every > 0
                     and iteration % config.checkpoint_every == 0):
                 save_checkpoint(os.path.join(out_dir, f"ckpt-{iteration:07d}.bin"),

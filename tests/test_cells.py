@@ -1,11 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actlab import autodiff as ad
-from actlab.autodiff import Tape
-from actlab.cells import CELLS, init_params, readout
+from actlab.autodiff import DimensionError, Tape
+from actlab.cells import CELLS, init_params, param_shapes, readout
 
 from oracles import (COMPOSED_STEPS, CellState, cell_step, lstm_step_plain, rnn_step_plain,
                      record_params, zero_state)
@@ -222,7 +224,55 @@ class TestReadout:
         np.testing.assert_allclose(got, h @ p.w_out + p.b_out, atol=1e-12, rtol=0)
 
 
+# sha256 of each parameter's bytes at seed 42, input 5, hidden 7, output 3,
+# in items() order. The values were taken before `init_params` was built
+# from `param_shapes`; they pin the draw order and every drawn bit.
+INIT_DIGESTS = {
+    ("rnn", 1.0): [
+        ("w_in", "1ecd046a1e62b367dc824ce15ac2ea46d1794960d5589add573f5b334ccc077d"),
+        ("w_rec", "bd6cc0e7aa071837b71552c03a71126a917808afd0bbf7e876090758219c92d2"),
+        ("b_rec", "d4817aa5497628e7c77e6b606107042bbba3130888c5f47a375e6179be789fbb"),
+        ("w_out", "83b396578c329af0ad1018e42a15d8341fd81b34e3a5e9a1511040c55dba4e0e"),
+        ("b_out", "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+        ("w_halt", "011cc59f0bff6786711157bfaaffd009a9b0cc2e5eade5c71394c3817a6aad0a"),
+        ("b_halt", "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ],
+    ("lstm", -2.5): [
+        ("w_in", "10cb41c9d72d29630e8d7867155401b7c79b686272ef763db5e5e6488d19c0a7"),
+        ("w_rec", "5bc28699a19d95fcdf84e00759f4de17d613c101ef25d7641ebfc6fc8301a67e"),
+        ("b_rec", "0fd2ea95d684ddf718d5cbea47854056640a8a0405bf44a44fe7a864bff851b1"),
+        ("w_out", "62bd6a8167ec3fab2820aed55c9bb82acd8057a654ecb2453ad33f694215ae12"),
+        ("b_out", "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+        ("w_halt", "c134f112b24e77bc283b933dcc85aa59340ef55b2ef5f8bc0f1e78efdf0afe1a"),
+        ("b_halt", "dde259eb6c7aa5546e9e5baa22259533b30803c98a29ad3a48682d44d8503549"),
+    ],
+}
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize("kind", sorted(CELLS))
+    def test_table_is_in_items_order_and_matches_init(self, kind):
+        p = init_params(kind, 5, 7, 3, seed=0)
+        shapes = param_shapes(kind, 5, 7, 3)
+        assert list(shapes) == [name for name, _ in p.items()]
+        assert {name: arr.shape for name, arr in p.items()} == shapes
+
+    def test_validate_names_the_misshaped_parameter(self):
+        p = init_params("lstm", 5, 7, 3, seed=0)
+        p.w_out = np.zeros((7, 4))
+        with pytest.raises(DimensionError, match="w_out"):
+            p.validate()
+
+
 class TestInitParams:
+    @pytest.mark.parametrize("kind, halt_bias", sorted(INIT_DIGESTS))
+    def test_pinned_bit_for_bit(self, kind, halt_bias):
+        p = init_params(kind, 5, 7, 3, seed=42, halt_bias=halt_bias)
+        assert all(arr.dtype == np.float64 for _, arr in p.items())
+        got = [(name, hashlib.sha256(arr.tobytes()).hexdigest())
+               for name, arr in p.items()]
+        assert got == INIT_DIGESTS[kind, halt_bias]
+
     def test_halting_bias_defaults_to_one(self):
         for kind in ("rnn", "lstm"):
             assert init_params(kind, 4, 8, 2, seed=0).b_halt[0, 0] == 1.0

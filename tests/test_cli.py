@@ -381,6 +381,18 @@ class TestExitCodes:
             seen["batch"], seen["init"], seen["coords"])] == [
             (s.entropy, s.spawn_key) for s in derive_seeds(5, 3)]
 
+    def test_gradcheck_on_too_large_a_network_is_config_error(self, monkeypatch,
+                                                             caplog):
+        # The default parity config has 128 hidden units; the check says so
+        # before it draws a batch or an initialization.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(cli, "make_batch", refuse)
+        monkeypatch.setattr(cli, "init_params", refuse)
+        assert run_cli(["gradcheck"])[0] == 2
+        assert "cell.hidden" in caplog.text
+
     def test_gradcheck_failure_is_numeric(self, parity_run):
         root, cfg, _ = parity_run
         # The smallest positive tolerance forces the failure path; 0 is

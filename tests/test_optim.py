@@ -14,6 +14,21 @@ def zero_grads(params):
     return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
+class TestOptimizerState:
+    def test_copy_shares_no_array(self):
+        params = tiny_params()
+        state = OptimizerState.for_params(params)
+        adam_update(params, {n: np.ones_like(a) for n, a in params.items()},
+                    state, lr=1e-3)
+        copy = state.copy()
+        assert copy.step == state.step == 1
+        for moments, copied in ((state.m, copy.m), (state.v, copy.v)):
+            assert list(copied) == list(moments)
+            for name, arr in moments.items():
+                np.testing.assert_array_equal(copied[name], arr)
+                assert not np.shares_memory(copied[name], arr)
+
+
 class TestAdam:
     def test_zero_gradient_changes_nothing(self):
         params = tiny_params()

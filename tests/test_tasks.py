@@ -378,6 +378,18 @@ def _first_batches():
     return batches + [make_batch(text, 1234, corpus, batch_size=8)]
 
 
+_LAYOUT_CORPUS = synth_corpus(seed=0, size=4096)
+_LAYOUT_CASES = {
+    "parity": lambda seed: gen_parity(seed, n_bits=64, batch=16),
+    "parity-5-bits": lambda seed: gen_parity(seed, n_bits=5, batch=16),
+    "logic": lambda seed: gen_logic(seed, batch=16, min_len=1, max_len=10),
+    "addition": lambda seed: gen_addition(seed, batch=16, min_len=1, max_len=5,
+                                          min_digits=1, max_digits=5),
+    "sort": lambda seed: gen_sort(seed, batch=16, min_len=2, max_len=15),
+    "text": lambda seed: gen_text(_LAYOUT_CORPUS, seed, seq_len=20, batch=8),
+}
+
+
 class TestGeneratorHygiene:
     def test_same_seed_bit_identical(self):
         for a, b in zip(_first_batches(), _first_batches()):
@@ -392,6 +404,30 @@ class TestGeneratorHygiene:
             masked = batch.targets[batch.target_mask]
             assert np.all(masked >= 0)
             assert np.all(masked < spec.classes)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+    def test_batch_layout(self, case, seed):
+        """The shapes and dtypes every consumer of a batch relies on."""
+        batch = _LAYOUT_CASES[case](seed)
+        spec = task_spec(batch.task)
+        width = 5 if case == "parity-5-bits" else spec.input_size
+        b, t = 8 if case == "text" else 16, int(batch.lengths.max())
+        layout = {"inputs": (np.float64, (b, t, width)),
+                  "targets": (np.int64, (b, t, spec.groups)),
+                  "target_mask": (np.bool_, (b, t)),
+                  "difficulty": (np.int64, (b, t)),
+                  "lengths": (np.int64, (b,))}
+        for name, (dtype, shape) in layout.items():
+            arr = getattr(batch, name)
+            assert (arr.dtype, arr.shape) == (dtype, shape), name
+        masked = batch.targets[batch.target_mask]
+        assert masked.size and np.all((masked >= 0) & (masked < spec.classes))
+
+    def test_empty_batches_keep_their_window(self):
+        assert gen_parity(0, n_bits=5, batch=0).inputs.shape == (0, 1, 5)
+        corpus = synth_corpus(seed=0, size=64)
+        assert gen_text(corpus, 0, seq_len=7, batch=0).inputs.shape == (0, 7, 256)
 
     def test_derive_seeds_are_independent(self):
         seqs = derive_seeds(7, 4)
