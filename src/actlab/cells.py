@@ -20,8 +20,8 @@ the part of the old state's adjoint that bypasses W_rec into
 ds_prev[:, H:]. The caller forms s W_rec, dz W_recᵀ and every weight
 adjoint, and owns the zero initial state. `readout` and
 `halting_activation` are array code too. `param_shapes` is the one table
-of parameter shapes: `CellParams.validate` checks against it and
-`init_params` builds from it.
+of parameter shapes: `init_params` builds from it, and a checkpoint load
+checks every stored record against it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ContractError, DimensionError
+from .autodiff import ContractError
 
 
 @dataclass
@@ -63,14 +63,6 @@ class CellParams:
         return CellParams(self.kind, self.input_size, self.hidden_size,
                           self.output_size,
                           *(arr.copy() for _, arr in self.items()))
-
-    def validate(self) -> None:
-        expect = param_shapes(self.kind, self.input_size, self.hidden_size,
-                              self.output_size)
-        for name, arr in self.items():
-            if arr.shape != expect[name]:
-                raise DimensionError(
-                    f"{name} has shape {arr.shape}, expected {expect[name]}")
 
 
 class RnnCell:

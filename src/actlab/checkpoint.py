@@ -13,20 +13,23 @@ Layout (all integers little-endian):
     u32       CRC32 of everything before it
 
 Parameters are stored under "param/", Adam moments under "adam.m/" and
-"adam.v/", the step counter under "adam/step". Round-tripping a checkpoint
-reproduces the file byte for byte. Writes go to a temporary file in the
-same directory, which is then renamed over the path, so a run killed
-mid-write leaves the previous file intact, never a truncated one.
+"adam.v/", each in `CellParams.items()` order, then the step counter under
+"adam/step". Round-tripping a checkpoint reproduces the file byte for
+byte. Writes go to a temporary file in the same directory, which is then
+renamed over the path, so a run killed mid-write leaves the previous file
+intact, never a truncated one.
 
-A load reads the file once, front to back: each record's payload goes
-straight into a new array of its shape and is folded into the CRC as it
-lands, so the file is never held beside its arrays. Nothing is returned
-before the CRC of the whole body matches the trailer. Errors are reported
-in this order: a bad magic; a failed checksum, whatever else is wrong
-(this is how a cut file or bytes after the trailer show); an unsupported
-version; a config text that does not match its digest; a malformed record
-list (truncated, not utf-8, or bytes after the last record); a missing or
-mis-shaped record.
+A load reads the file once, front to back. The stored config implies every
+record header, in the order above with the `cells.param_shapes` shapes;
+each must be the bytes a save writes, and each payload goes straight into
+a new array, folded into the CRC as it lands, so the file is never held
+beside its arrays. Nothing is returned before the CRC of the whole body
+matches the trailer. Errors are reported in this order: a bad magic; a
+failed checksum, whatever else is wrong (this is how a cut file or bytes
+after the trailer show); an unsupported version; a config text that does
+not match its digest; a config that does not parse (`ConfigError`); a
+record count other than the layout's; the first record that differs from
+it; bytes after the last record; an `adam/step` that is not a count.
 """
 
 from __future__ import annotations
@@ -40,34 +43,33 @@ import zlib
 
 import numpy as np
 
-from .autodiff import DimensionError
-from .cells import CellParams
-from .config import (TrainConfig, config_digest, config_text, parse_config_text,
-                     resolved_spec)
+from .cells import CellParams, param_shapes
+from .config import (ConfigError, TrainConfig, config_digest, config_text,
+                     parse_config_text, resolved_spec)
 from .optim import OptimizerState
 
 MAGIC = b"ACTLABC1"
 VERSION = 1
+_PREFIXES = ("param/", "adam.m/", "adam.v/")   # then the step, "adam/step"
 
 
 class CheckpointError(ValueError):
     """Unusable checkpoint file: wrong magic/version, truncated, corrupt, or
-    missing a record or holding one of the wrong shape."""
+    holding records other than the layout its config implies."""
 
 
-def _record_chunks(name: str, arr: np.ndarray) -> tuple[bytes, memoryview]:
-    """A record's header bytes, and its payload as a view of the array."""
+def _record_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """A record's header: u16 name length, the name, u8 ndim, u32 per dim."""
     encoded = name.encode("utf-8")
-    head = struct.pack("<H", len(encoded)) + encoded
-    head += struct.pack("<B", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head, memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
+    return (struct.pack("<H", len(encoded)) + encoded
+            + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
 
 
 def save_checkpoint(path: str, params: CellParams, opt_state: OptimizerState,
                     config: TrainConfig) -> None:
-    records = [("param/" + name, arr) for name, arr in params.items()]
-    records += [("adam.m/" + name, arr) for name, arr in opt_state.m.items()]
-    records += [("adam.v/" + name, arr) for name, arr in opt_state.v.items()]
+    groups = (params.items(), opt_state.m.items(), opt_state.v.items())
+    records = [(prefix + name, arr) for prefix, group in zip(_PREFIXES, groups)
+               for name, arr in group]
     records.append(("adam/step", np.array(float(opt_state.step))))
 
     digest = config_digest(config).encode("ascii")
@@ -78,7 +80,8 @@ def save_checkpoint(path: str, params: CellParams, opt_state: OptimizerState,
     head += struct.pack("<I", len(records))
     chunks = [head]
     for name, arr in records:
-        chunks.extend(_record_chunks(name, arr))
+        chunks += [_record_head(name, arr.shape),
+                   memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")]
     tmp = path + ".tmp"
     try:
         # Payloads go from the arrays to the file without a copy of the body;
@@ -138,10 +141,7 @@ class _Reader:
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
         """A new float64 array of `shape`, read from the file in place."""
         self._check(8 * math.prod(shape))
-        try:
-            out = np.empty(shape, dtype="<f8")
-        except ValueError:                   # more dimensions than numpy allows
-            raise CheckpointError(f"a record has {len(shape)} dimensions") from None
+        out = np.empty(shape, dtype="<f8")
         self._fill(memoryview(out).cast("B"))
         return out
 
@@ -152,15 +152,8 @@ class _Reader:
             self._fill(chunk[:self.end - self.pos])
 
 
-def _utf8(data: bytearray, what: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise CheckpointError(f"{what} is not valid utf-8") from None
-
-
-def _parse_body(reader: _Reader) -> tuple[str, dict[str, np.ndarray]]:
-    """The config text and the records of a body, in file order."""
+def _parse_body(reader: _Reader, path: str) -> tuple[TrainConfig, list[np.ndarray]]:
+    """The config of a body, and its records' arrays in layout order."""
     version = reader.u32()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -168,16 +161,32 @@ def _parse_body(reader: _Reader) -> tuple[str, dict[str, np.ndarray]]:
     text = reader.take(reader.u32())
     if hashlib.sha256(text).hexdigest().encode("ascii") != digest:
         raise CheckpointError("config text does not match its stored digest")
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(reader.u32()):
-        name = reader.take(struct.unpack("<H", reader.take(2))[0])
-        ndim = reader.take(1)[0]
-        shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
-        arrays[_utf8(name, "a record name")] = reader.array(shape)
+    try:
+        text = text.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError("the config text is not valid utf-8") from None
+    config = parse_config_text(text, origin=f"{path}:config")
+    spec = resolved_spec(config)
+    shapes = param_shapes(config.cell, spec.input_size, config.hidden,
+                          spec.output_size)
+    layout = [(prefix + name, shape) for prefix in _PREFIXES
+              for name, shape in shapes.items()] + [("adam/step", ())]
+    count = reader.u32()
+    if count != len(layout):
+        raise CheckpointError(f"{count} records, expected {len(layout)}")
+    arrays = []
+    for k, (name, shape) in enumerate(layout, start=1):
+        if max(shape, default=0) >= 1 << 32:
+            raise CheckpointError(f"the config gives {name!r} shape {shape}, "
+                                  "beyond the format's u32 dimensions")
+        head = _record_head(name, shape)
+        if reader.take(len(head)) != head:
+            raise CheckpointError(f"record {k} is not {name!r} of shape {shape}")
+        arrays.append(reader.array(shape))
     if reader.pos != reader.end:
         raise CheckpointError(
             f"{reader.end - reader.pos} bytes follow the last checkpoint record")
-    return _utf8(text, "the config text"), arrays
+    return config, arrays
 
 
 def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]:
@@ -189,8 +198,8 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]
         # that fails its checksum is reported as that, whatever else is wrong.
         failure = None
         try:
-            text, arrays = _parse_body(reader)
-        except CheckpointError as exc:
+            config, arrays = _parse_body(reader, path)
+        except (CheckpointError, ConfigError) as exc:
             failure = exc
         reader.skip_rest()
         if fh.read(4) != struct.pack("<I", reader.crc):
@@ -198,28 +207,11 @@ def load_checkpoint(path: str) -> tuple[TrainConfig, CellParams, OptimizerState]
     if failure is not None:
         raise failure
 
-    config = parse_config_text(text, origin=f"{path}:config")
-    spec = resolved_spec(config)
-
-    def record(name: str, shape=None) -> np.ndarray:
-        if name not in arrays:
-            raise CheckpointError(f"{path!r} has no record {name!r}")
-        if shape is not None and arrays[name].shape != shape:
-            raise CheckpointError(f"{path!r}: record {name!r} has shape "
-                                  f"{arrays[name].shape}, expected {shape}")
-        return arrays[name]
-
-    params = CellParams(config.cell, spec.input_size, config.hidden, spec.output_size,
-                        *(record("param/" + name) for name in CellParams._FIELDS))
-    try:
-        params.validate()
-    except DimensionError as exc:
-        raise CheckpointError(f"{path!r}: {exc}") from None
-    step = float(record("adam/step", ()))
+    step = float(arrays[-1])
     if not (step >= 0 and step.is_integer()):
         raise CheckpointError(f"{path!r}: adam/step must be a count >= 0, got {step!r}")
-    opt = OptimizerState(
-        m={name: record("adam.m/" + name, arr.shape) for name, arr in params.items()},
-        v={name: record("adam.v/" + name, arr.shape) for name, arr in params.items()},
-        step=int(step))
-    return config, params, opt
+    n, spec = len(CellParams._FIELDS), resolved_spec(config)
+    params = CellParams(config.cell, spec.input_size, config.hidden,
+                        spec.output_size, *arrays[:n])
+    m, v = (dict(zip(CellParams._FIELDS, arrays[k * n:])) for k in (1, 2))
+    return config, params, OptimizerState(m, v, int(step))

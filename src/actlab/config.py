@@ -19,8 +19,8 @@ from typing import Optional
 from .act import ActConfig
 from .autodiff import ContractError
 from .cells import CELLS
-from .tasks import (ADDITION_MAX_DIGITS, SORT_MAX_LEN, SORT_MIN_LEN, TASKS,
-                    TaskSpec, task_spec)
+from .tasks import (ADDITION_MAX_DIGITS, ADDITION_SUM_DIGITS, SORT_MAX_LEN,
+                    SORT_MIN_LEN, TASKS, TaskSpec, addition_sum_fits, task_spec)
 
 
 class ConfigError(ValueError):
@@ -110,6 +110,9 @@ class TrainConfig:
         if out.task == "addition" and out.max_digits > ADDITION_MAX_DIGITS:
             raise ConfigError(f"task.max_digits must be <= {ADDITION_MAX_DIGITS}, "
                               f"got {out.max_digits}")
+        if out.task == "addition" and not addition_sum_fits(out.max_len, out.max_digits):
+            raise ConfigError(f"task.max_len {out.max_len} and task.max_digits "
+                              f"{out.max_digits} let a sum pass {ADDITION_SUM_DIGITS} digits")
         return out
 
 

@@ -63,9 +63,9 @@ class TaskBatch:
               width: int | None = None) -> "TaskBatch":
         """The one allocation of a batch: zero arrays, the mask True inside
         each sequence. `lengths` is one per row, or one shared by all rows
-        (so T holds for an empty batch); T is the longest. `width` defaults
-        to the task's input size; the group count is the task's."""
-        t_max = int(np.max(lengths))
+        (so T holds for an empty batch); T is the longest, or 0 for none.
+        `width` defaults to the task's input size; the group count is the task's."""
+        t_max = int(np.max(lengths, initial=0))
         lengths = np.broadcast_to(lengths, (batch,)).astype(np.int64)
         spec = TASKS[task]
         width = spec.input_size if width is None else width
@@ -125,6 +125,11 @@ SORT_MIN_SEPARATION = 1e-6   # closer sort values are redrawn
 # its target is one class per sum digit: digits 0-9, then the blank.
 ADDITION_SUM_DIGITS = 6
 ADDITION_BLANK = 10          # the "beyond the end of the number" class
+
+
+def addition_sum_fits(max_len: int, max_digits: int) -> bool:
+    """Whether every sum of `max_len` numbers of `max_digits` digits fits the targets."""
+    return max_len * (10 ** max_digits - 1) < 10 ** ADDITION_SUM_DIGITS
 
 
 def _reference(batch: int, cell: str, hidden: int, max_steps: int,
@@ -216,8 +221,10 @@ def gen_addition(seed, batch: int, min_len: int, max_len: int,
     simultaneous digit classifications, class 10 marking positions past
     the end of the sum. The first step carries no target.
     """
-    if min_digits < 1 or max_digits > ADDITION_MAX_DIGITS:
-        raise ContractError(f"input vectors hold 1 to {ADDITION_MAX_DIGITS} digits")
+    if not (min_digits >= 1 and max_digits <= ADDITION_MAX_DIGITS
+            and addition_sum_fits(max_len, max_digits)):
+        raise ContractError(f"input vectors hold 1 to {ADDITION_MAX_DIGITS} digits, "
+                            f"their sums at most {ADDITION_SUM_DIGITS}")
     rng = np.random.default_rng(seed)
     out = TaskBatch.blank("addition", batch,
                           rng.integers(min_len, max_len + 1, size=batch))

@@ -349,8 +349,11 @@ def sweep(config: TrainConfig, taus: list[float], replicas: int,
 
     Each distinct tau runs once, at its first position, in `tau{tau:g}_rep{r}`.
     Every run's config is resolved before the first run starts, so a bad
-    tau, or two that share a directory name, fails the sweep with `ConfigError`.
+    tau, or two that share a directory name, fails the sweep with `ConfigError`;
+    so does `train.iterations` 0, where no run would have a final row.
     """
+    if config.iterations < 1:
+        raise ConfigError(f"sweep needs train.iterations >= 1, got {config.iterations}")
     load_corpus(config)            # an unreadable corpus fails the sweep up front
     taus = list(dict.fromkeys(taus))
     run_seeds = derive_seeds(config.seed, len(taus) * replicas)

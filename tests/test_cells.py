@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actlab import autodiff as ad
-from actlab.autodiff import DimensionError, Tape
+from actlab.autodiff import Tape
 from actlab.cells import CELLS, init_params, param_shapes, readout
 
 from oracles import (COMPOSED_STEPS, CellState, cell_step, lstm_step_plain, rnn_step_plain,
@@ -256,12 +256,6 @@ class TestParamShapes:
         shapes = param_shapes(kind, 5, 7, 3)
         assert list(shapes) == [name for name, _ in p.items()]
         assert {name: arr.shape for name, arr in p.items()} == shapes
-
-    def test_validate_names_the_misshaped_parameter(self):
-        p = init_params("lstm", 5, 7, 3, seed=0)
-        p.w_out = np.zeros((7, 4))
-        with pytest.raises(DimensionError, match="w_out"):
-            p.validate()
 
 
 class TestInitParams:

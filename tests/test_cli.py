@@ -112,6 +112,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_config_text("", overrides)
 
+    def test_addition_sums_must_fit_their_six_digits(self):
+        # Ten 5-digit numbers sum to at most 999,990; eleven can reach 10**6.
+        # The default (and benchmark) addition config has max_len 5.
+        assert parse_config_text("", ["task.name=addition"]).max_len == 5
+        parse_config_text("", ["task.name=addition", "task.max_len=10"])
+        parse_config_text("", ["task.name=addition", "task.max_len=40",
+                               "task.max_digits=4"])
+        with pytest.raises(ConfigError,
+                           match=r"task\.max_len 11 and task\.max_digits 5"):
+            parse_config_text("", ["task.name=addition", "task.max_len=11"])
+
     @pytest.mark.parametrize("override", [
         "act.tau=nan", "act.tau=inf",
         "train.lr=nan", "train.lr=inf", "train.lr=0", "train.lr=-1",
@@ -328,6 +339,19 @@ class TestExitCodes:
         assert code == 2
         assert not (tmp_path / "out").exists()
 
+    def test_addition_that_can_overflow_exits_two_before_any_run_file(
+            self, tmp_path, caplog):
+        # It crashed in gen_addition after config.txt, manifest.json and
+        # metrics.jsonl were written.
+        code, _ = run_cli(["train", "--set", "task.name=addition",
+                           "--set", "task.min_len=30", "--set", "task.max_len=30",
+                           "--set", "task.min_digits=5", "--set", "cell.hidden=4",
+                           "--set", "train.iterations=1",
+                           "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        assert "task.max_len 30 and task.max_digits 5 let a sum pass" in caplog.text
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
     def test_bad_gradcheck_tolerance_exits_two(self, tolerance, capsys):
         # These ran the whole check, then failed it with exit 3.
@@ -489,6 +513,16 @@ class TestGenCommand:
                            "--out-dir", str(tmp_path / "d")])
         assert code == 2
         assert not (tmp_path / "d").exists()
+
+    def test_sweep_without_iterations_is_config_error(self, tmp_path, caplog):
+        # Every run used to "fail" on its missing final row, each with a
+        # traceback, and the summary read 0,1,nan.
+        code, _ = run_cli(["sweep", "--set", "train.iterations=0", "--taus=0.01",
+                           "--replicas", "1", "--out-dir", str(tmp_path / "d")])
+        assert code == 2
+        assert not (tmp_path / "d").exists()
+        assert "train.iterations >= 1" in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_corpus_generation(self, tmp_path):
         out = tmp_path / "corpus.bin"

@@ -2,9 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actlab.autodiff import ContractError
-from actlab.config import parse_config_text
+from actlab.config import ConfigError, parse_config_text, resolved_spec
 from actlab.tasks import (GATE_NAMES, derive_seeds, gen_addition, gen_logic,
                           gen_parity, gen_sort, gen_text, synth_corpus,
                           task_spec, write_batch_csv)
@@ -255,6 +257,15 @@ class TestAddition:
             checked += 500
         assert checked == 10_000
 
+    def test_sums_past_six_digits_are_refused_before_any_draw(self):
+        # Ten 5-digit numbers sum to at most 999,990; eleven can reach seven
+        # digits. The seed is no seed at all, so a draw would raise TypeError.
+        gen_addition(seed=0, batch=4, min_len=10, max_len=10, min_digits=5,
+                     max_digits=5)
+        with pytest.raises(ContractError, match="sums at most 6"):
+            gen_addition(seed=object(), batch=4, min_len=1, max_len=11,
+                         min_digits=1, max_digits=5)
+
     def test_difficulty_is_digit_count(self):
         b = gen_addition(seed=5, batch=64, min_len=1, max_len=5, min_digits=1,
                          max_digits=5)
@@ -428,6 +439,36 @@ class TestGeneratorHygiene:
         assert gen_parity(0, n_bits=5, batch=0).inputs.shape == (0, 1, 5)
         corpus = synth_corpus(seed=0, size=64)
         assert gen_text(corpus, 0, seq_len=7, batch=0).inputs.shape == (0, 7, 256)
+        # Lengths drawn per row: no rows, so no input steps.
+        for batch in (gen_logic(0, batch=0, min_len=1, max_len=10),
+                      gen_addition(0, batch=0, min_len=1, max_len=5,
+                                   min_digits=1, max_digits=5),
+                      gen_sort(0, batch=0, min_len=2, max_len=15)):
+            spec = task_spec(batch.task)
+            assert batch.inputs.shape == (0, 0, spec.input_size)
+            assert batch.targets.shape == (0, 0, spec.groups)
+            assert batch.lengths.shape == (0,)
+
+    @pytest.mark.parametrize("task", ["parity", "logic", "addition", "sort"])
+    @given(lens=st.tuples(st.integers(0, 40), st.integers(0, 40)).map(sorted),
+           digits=st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map(sorted),
+           bits=st.integers(0, 70))
+    @example(lens=[30, 30], digits=[5, 5], bits=8)    # sums reach seven digits
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_config_that_resolves_generates(self, task, lens, digits, bits):
+        # Each (min, max) pair is drawn in order, so most draws resolve.
+        try:
+            config = parse_config_text("", [
+                f"task.name={task}", f"task.min_len={lens[0]}",
+                f"task.max_len={lens[1]}", f"task.min_digits={digits[0]}",
+                f"task.max_digits={digits[1]}", f"task.bits={bits}"])
+        except ConfigError:
+            return
+        classes = resolved_spec(config).classes
+        for seed in (0, 1):
+            batch = make_batch(config, seed, batch_size=2)
+            masked = batch.targets[batch.target_mask]
+            assert np.all((masked >= 0) & (masked < classes))
 
     def test_derive_seeds_are_independent(self):
         seqs = derive_seeds(7, 4)

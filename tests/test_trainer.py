@@ -62,8 +62,21 @@ class TestCheckpoint:
         save_checkpoint(path, params, state, config)
         return config, params, state, path
 
-    def test_save_load_save_identical_bytes(self, tmp_path):
-        config, params, state, path = self.roundtrip_setup(tmp_path)
+    @pytest.mark.parametrize("cell", ["rnn", "lstm"])
+    @pytest.mark.parametrize("task", ["parity", "logic", "addition", "sort", "text"])
+    def test_save_load_save_identical_bytes(self, tmp_path, task, cell):
+        # Text needs only a corpus path in its config: nothing reads it here.
+        config = parse_config_text("", [f"task.name={task}", f"cell.kind={cell}",
+                                        "cell.hidden=3", "task.bits=4",
+                                        "task.corpus=corpus.txt"])
+        spec = trainer.resolved_spec(config)
+        params = init_params(cell, spec.input_size, 3, spec.output_size, seed=1)
+        state = OptimizerState.for_params(params)
+        rng = np.random.default_rng(0)
+        adam_update(params, {n: rng.normal(size=a.shape) for n, a in params.items()},
+                    state, lr=1e-3)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, params, state, config)
         blob1 = open(path, "rb").read()
         config2, params2, state2 = load_checkpoint(path)
         path2 = str(tmp_path / "again.ckpt")
@@ -197,9 +210,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("damage,message", [
-        ("missing moment", "no record 'adam.v/b_halt'"),
-        ("param shape", "w_out has shape (2, 2)"),
-        ("moment shape", "'adam.m/w_in' has shape (2, 2)"),
+        ("missing moment", "21 records, expected 22"),
+        ("param shape", "record 4 is not 'param/w_out' of shape (12, 1)"),
+        ("moment shape", "record 8 is not 'adam.m/w_in' of shape (9, 12)"),
     ])
     def test_missing_or_misshaped_record_is_checkpoint_error(self, tmp_path,
                                                              damage, message):
@@ -312,7 +325,8 @@ class TestCheckpointDamage:
         body = blob[:ndim_at] + bytes([65]) + struct.pack("<65I", *[1] * 65) \
             + blob[ndim_at + 1:-4]
         open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(CheckpointError, match="65 dimensions"):
+        with pytest.raises(CheckpointError,
+                           match=re.escape("record 22 is not 'adam/step' of shape ()")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("step", [np.nan, np.inf, -3.0, 2.5])
@@ -326,6 +340,54 @@ class TestCheckpointDamage:
         with pytest.raises(CheckpointError, match="adam/step must be a count >= 0"):
             load_checkpoint(path)
         assert main(["eval", "--checkpoint", path, "--batches", "1"]) == 4
+
+    @pytest.mark.parametrize("change,message", [
+        ("extra record", "23 records, expected 22"),
+        ("duplicated record", "23 records, expected 22"),
+        ("swapped records", "record 2 is not 'param/w_rec' of shape (12, 12)"),
+    ], ids=["extra", "duplicated", "swapped"])
+    def test_records_other_than_the_layout_are_checkpoint_errors(self, saved,
+                                                                change, message):
+        # CRC-valid files whose record count matches their records; each
+        # holds every record of the layout, so each loaded before.
+        from actlab.cli import main
+        path, blob = saved
+        starts = _layout(blob)[1]
+        records = [blob[a:b] for a, b in zip(starts, starts[1:])]
+        if change == "extra record":
+            records.append(struct.pack("<H", 11) + b"param/extra"
+                           + struct.pack("<BI", 1, 2) + bytes(16))
+        elif change == "duplicated record":
+            records.insert(1, records[0])
+        else:
+            records[1], records[2] = records[2], records[1]
+        body = blob[:starts[0] - 4] + struct.pack("<I", len(records)) + b"".join(records)
+        open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", path, "--batches", "1"]) == 4
+
+    @pytest.mark.parametrize("hidden,error,message", [
+        (0, ConfigError, "cell.hidden must be >= 1, got 0"),
+        (2**32, CheckpointError, "beyond the format's u32 dimensions"),
+    ], ids=["hidden-0", "hidden-2**32"])
+    def test_config_without_a_layout_is_reported_after_the_checksum(
+            self, saved, hidden, error, message):
+        # The stored text and its digest agree, so the config is parsed.
+        path, blob = saved
+        start = _layout(blob)[1][0]
+        text_at = 12 + 4 + struct.unpack_from("<I", blob, 12)[0] + 4
+        text = blob[text_at:start - 4]
+        assert b"cell.hidden = 12\n" in text
+        text = text.replace(b"cell.hidden = 12\n", b"cell.hidden = %d\n" % hidden)
+        digest = hashlib.sha256(text).hexdigest().encode("ascii")
+        body = (blob[:12] + struct.pack("<I", len(digest)) + digest
+                + struct.pack("<I", len(text)) + text + blob[start - 4:-4])
+        for crc, expected, match in [(zlib.crc32(body), error, message),
+                                     (zlib.crc32(body) ^ 1, CheckpointError, "checksum")]:
+            open(path, "wb").write(body + struct.pack("<I", crc))
+            with pytest.raises(expected, match=re.escape(match)):
+                load_checkpoint(path)
 
     def test_bytes_between_the_records_and_a_valid_crc_are_rejected(self, saved):
         path, blob = saved
