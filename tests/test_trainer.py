@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -186,6 +187,9 @@ class TestCheckpoint:
             def __exit__(self, *exc):
                 self.fh.close()
 
+            def fileno(self):
+                return self.fh.fileno()
+
             def write(self, data):
                 self.fh.write(data[:len(data) // 2])
                 raise OSError("disk full")
@@ -198,6 +202,75 @@ class TestCheckpoint:
             save_checkpoint(path, params, state, config)
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    def test_save_over_an_existing_file_writes_the_same_bytes(self, tmp_path):
+        config, params, state, path = self.roundtrip_setup(tmp_path)
+        fresh = str(tmp_path / "fresh.ckpt")
+        save_checkpoint(fresh, params, state, config)
+        # Over a larger file, so a tail of the old one would show.
+        big = parity_config(hidden=40)
+        big_params = init_params(big.cell, big.n_bits, 40, 1, seed=2)
+        save_checkpoint(path, big_params, OptimizerState.for_params(big_params), big)
+        save_checkpoint(path, params, state, config)
+        again = str(tmp_path / "again.ckpt")
+        config2, params2, state2 = load_checkpoint(path)
+        save_checkpoint(again, params2, state2, config2)
+        blob = open(fresh, "rb").read()
+        assert open(path, "rb").read() == blob
+        assert open(again, "rb").read() == blob
+        assert os.stat(path).st_size == os.stat(fresh).st_size == len(blob)
+
+    @pytest.mark.skipif(not hasattr(os, "posix_fallocate"),
+                        reason="os has no posix_fallocate on this platform")
+    def test_temporary_file_is_reserved_at_its_final_size(self, tmp_path, monkeypatch):
+        # The speed of a save over an older file rests on this one call;
+        # nothing else would show if it went missing.
+        config, params, state, path = self.roundtrip_setup(tmp_path)
+        calls = []
+        real = os.posix_fallocate
+
+        def recorder(fd, offset, length):
+            calls.append((os.fstat(fd).st_ino, os.fstat(fd).st_size, offset, length))
+            real(fd, offset, length)
+
+        monkeypatch.setattr(os, "posix_fallocate", recorder)
+        for _ in range(2):
+            save_checkpoint(path, params, state, config)
+            ino, size_then, offset, length = calls[-1]
+            assert (ino, size_then, offset) == (os.stat(path).st_ino, 0, 0)
+            assert length == os.stat(path).st_size
+        assert len(calls) == 2
+
+    def test_failed_reservation_keeps_previous_file(self, tmp_path, monkeypatch):
+        config, params, state, path = self.roundtrip_setup(tmp_path)
+        before = open(path, "rb").read()
+
+        def no_space(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", no_space, raising=False)
+        with pytest.raises(OSError) as info:
+            save_checkpoint(path, params, state, config)
+        assert info.value.errno == errno.ENOSPC
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    @pytest.mark.parametrize("fallocate", ["absent", "EOPNOTSUPP", "EINVAL"])
+    def test_save_without_a_reservation_writes_the_same_bytes(
+            self, tmp_path, monkeypatch, fallocate):
+        config, params, state, path = self.roundtrip_setup(tmp_path)
+        if fallocate == "absent":
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        else:
+            code = getattr(errno, fallocate)
+
+            def refuse(fd, offset, length):
+                raise OSError(code, os.strerror(code))
+
+            monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+        other = str(tmp_path / "other.ckpt")
+        save_checkpoint(other, params, state, config)
+        assert open(other, "rb").read() == open(path, "rb").read()
 
     def test_version_mismatch_detected(self, tmp_path):
         _, _, _, path = self.roundtrip_setup(tmp_path)
@@ -367,13 +440,16 @@ class TestCheckpointDamage:
             load_checkpoint(path)
         assert main(["eval", "--checkpoint", path, "--batches", "1"]) == 4
 
-    @pytest.mark.parametrize("hidden,error,message", [
-        (0, ConfigError, "cell.hidden must be >= 1, got 0"),
-        (2**32, CheckpointError, "beyond the format's u32 dimensions"),
+    @pytest.mark.parametrize("hidden,message", [
+        (0, "stored config does not resolve: cell.hidden must be >= 1, got 0"),
+        (2**32, "beyond the format's u32 dimensions"),
     ], ids=["hidden-0", "hidden-2**32"])
     def test_config_without_a_layout_is_reported_after_the_checksum(
-            self, saved, hidden, error, message):
-        # The stored text and its digest agree, so the config is parsed.
+            self, saved, hidden, message):
+        # The stored text and its digest agree, so the config is parsed. A
+        # file whose config does not resolve is a bad file, not a bad
+        # configuration of the user's: exit 4, not 2.
+        from actlab.cli import main
         path, blob = saved
         start = _layout(blob)[1][0]
         text_at = 12 + 4 + struct.unpack_from("<I", blob, 12)[0] + 4
@@ -383,11 +459,12 @@ class TestCheckpointDamage:
         digest = hashlib.sha256(text).hexdigest().encode("ascii")
         body = (blob[:12] + struct.pack("<I", len(digest)) + digest
                 + struct.pack("<I", len(text)) + text + blob[start - 4:-4])
-        for crc, expected, match in [(zlib.crc32(body), error, message),
-                                     (zlib.crc32(body) ^ 1, CheckpointError, "checksum")]:
+        for crc, match in [(zlib.crc32(body), message),
+                           (zlib.crc32(body) ^ 1, "checksum")]:
             open(path, "wb").write(body + struct.pack("<I", crc))
-            with pytest.raises(expected, match=re.escape(match)):
+            with pytest.raises(CheckpointError, match=re.escape(match)):
                 load_checkpoint(path)
+            assert main(["eval", "--checkpoint", path, "--batches", "1"]) == 4
 
     def test_bytes_between_the_records_and_a_valid_crc_are_rejected(self, saved):
         path, blob = saved
