@@ -18,7 +18,10 @@ and the old state s, which only the LSTM reads. It returns the new state
 and `back(ds, dz, ds_prev)`, which writes the adjoint of z into dz and
 the part of the old state's adjoint that bypasses W_rec into
 ds_prev[:, H:]. The caller forms s W_rec, dz W_recᵀ and every weight
-adjoint, and owns the zero initial state. `readout` and
+adjoint, and owns the zero initial state. `back` holds what it needs
+until the caller's backward runs, so it keeps as little as it can: the
+RNN its new state, the LSTM tanh(scale z) and its new state, from which
+it rebuilds the gates and tanh(c). `readout` and
 `halting_activation` are array code too. `param_shapes` is the one table
 of parameter shapes: `init_params` builds from it, and a checkpoint load
 checks every stored record against it.
@@ -98,6 +101,11 @@ class LstmCell:
     to exactly 0 or 1, so no masks are needed. The backward assembles dz
     for all four gates in one array, using sigmoid' = (1 - tanh(z/2)^2)/4
     and tanh' = 1 - tanh(z)^2. The old c bypasses W_rec: its adjoint is dc f.
+
+    `back` keeps only t = tanh(scale z) (in z's buffer), the new state and
+    a view of the old c: 6H values per row. It rebuilds the gates from t
+    and tanh(c) from the new state with the forward's own ops in the same
+    order, so every adjoint is the one the forward's arrays would give.
     """
 
     kind = "lstm"
@@ -105,23 +113,29 @@ class LstmCell:
     state_multiple = 2
 
     @staticmethod
-    def step(z: np.ndarray, s: np.ndarray):
-        n = s.shape[1] // 2
-        scale, shift, scale_sq = _gate_scales(n)
-        # One tanh over all of z: tanh(z/2) on the i, f, o columns, tanh(z)
-        # on g; then t/2 + 1/2 turns the former into sigmoids and leaves g.
-        z *= scale
-        t = np.tanh(z, out=z)
+    def _gates(t: np.ndarray, n: int):
+        """i, f, g, o from t: t/2 + 1/2 on the sigmoid columns, t on g."""
+        scale, shift, _ = _gate_scales(n)
         gates = t * scale
         gates += shift
-        i, f, g, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
+        return (gates[:, k * n:(k + 1) * n] for k in range(4))
+
+    @staticmethod
+    def step(z: np.ndarray, s: np.ndarray):
+        n = s.shape[1] // 2
+        # One tanh over all of z: tanh(z/2) on the i, f, o columns, tanh(z)
+        # on g; the gates then come from t alone.
+        z *= _gate_scales(n)[0]
+        t = np.tanh(z, out=z)
+        i, f, g, o = LstmCell._gates(t, n)
         out = np.empty((z.shape[0], 2 * n))
         cd = s[:, n:]
         np.add(f * cd, i * g, out=out[:, n:])
-        tc = np.tanh(out[:, n:])
-        np.multiply(o, tc, out=out[:, :n])
+        np.multiply(o, np.tanh(out[:, n:]), out=out[:, :n])
 
         def back(ds, dz, ds_prev):
+            i, f, g, o = LstmCell._gates(t, n)
+            tc = np.tanh(out[:, n:])
             dh = ds[:, :n]
             dc = 1.0 - tc * tc
             dc *= o
@@ -132,7 +146,7 @@ class LstmCell:
             np.multiply(dc, i, out=dz[:, 2 * n:3 * n])
             np.multiply(dh, tc, out=dz[:, 3 * n:])
             deriv = 1.0 - t * t
-            deriv *= scale_sq
+            deriv *= _gate_scales(n)[2]
             dz *= deriv
             np.multiply(dc, f, out=ds_prev[:, n:])
 

@@ -60,6 +60,13 @@ each stack owns, sized to bound its largest chunk, and a stack is
 multiplied out whenever it reaches OUTER_FLUSH_ROWS rows, which bounds
 the rows it keeps alive.
 
+A recording pass keeps every update until the backward: its block rows,
+h, w and halting mask, its input and new state, and the cell's backward,
+so a batch's memory grows with the sum of N. The LSTM's backward holds
+only tanh(scale z) and the new state (6H values per row, beside a view of
+the input state) and rebuilds its gates and tanh(c) from them; the RNN's
+holds its new state alone.
+
 The halting record is dense, like every other per-position result: h^n of
 position (e, t) sits at `BatchRunResult.halts[e, t, n - 1]` and its
 adjoint at `halt_grads[e, t, n - 1]`, for n <= N(e, t); every other entry

@@ -274,6 +274,9 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
                     grad_norm = clip_global_norm(grads, config.clip_norm)
                 adam_update(params, grads, opt, config.lr, config.beta1,
                             config.beta2, config.adam_eps)
+                # The tape holds every update's arrays; free it before
+                # the eval and the next forward, not after.
+                del loss_var, res, grads
             except NumericError:
                 if out_dir is not None:
                     save_checkpoint(os.path.join(out_dir, "ckpt-lastgood.bin"),

@@ -16,6 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actlab.cells import LstmCell
+
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
 
 
@@ -59,6 +61,33 @@ def test_first_logic_ponder_batch_records_one_engine_node(bench):
     _, res, _, _ = bench.trainer.batch_objective(s.spec, s.init, s.act_cfg, batch)
     assert res.steps[res.active].mean() > 8
     assert len(res.tape) == 12
+
+
+def test_first_logic_ponder_batch_keeps_six_state_widths_per_update(
+        bench, monkeypatch):
+    # Each LSTM update's backward holds, besides a view of its input state,
+    # tanh(scale z) (4H) and its new state (2H) per row: 6H float64 per
+    # row and update on the first seed-1 batch at a mean N near 9. It
+    # rebuilds the gates (4H) and tanh(c) (H) rather than keep them.
+    workload = bench.WORKLOADS["logic-ponder"]
+    s = bench.prepare(workload, bench.DEFAULT_SEED)
+    original, held = LstmCell.step, []
+
+    def recorded(z, state):
+        out, back = original(z, state)
+        arrays = [c.cell_contents for c in back.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        bases = (a if a.base is None else a.base for a in arrays)
+        held.append({id(b): b for b in bases if b is not state})
+        return out, back
+
+    monkeypatch.setattr(LstmCell, "step", staticmethod(recorded))
+    batch = bench.trainer.make_batch(s.config, np.random.default_rng(s.data_seed))
+    _, res, _, _ = bench.trainer.batch_objective(s.spec, s.init, s.act_cfg, batch)
+    row_updates = int(res.steps.sum())
+    assert row_updates > 8 * int(res.active.sum())
+    held_bytes = sum(a.nbytes for arrays in held for a in arrays.values())
+    assert held_bytes == 6 * s.init.hidden_size * 8 * row_updates
 
 
 @pytest.mark.parametrize("name", ["logic-ponder", "addition-wide"])

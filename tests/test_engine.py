@@ -507,14 +507,13 @@ def test_forward_only_keeps_no_update_arrays(kind, grad, monkeypatch):
     """Forward-only, each update's cell backward and every array it holds
     are gone by the next update, and its new state (the next update's
     input) by the one after; nothing outlives the pass. The recording
-    pass keeps them all for its backward."""
+    pass keeps them all for its backward. An LSTM backward holds only
+    tanh(scale z) in z's buffer, the new state and a view of the old c;
+    an RNN backward only its new state."""
     params, inputs, lengths, _, _ = random_case(kind, 5, batch=6, t_max=4)
     params.b_halt[:] = -2.0
     original = CELLS[kind].step
     outs, held = [], []      # weakrefs per update: its state; its backward's
-    # The backward's arrays that live on: the update's state and the
-    # cell's cached column constants.
-    lasting = {"out", "scale_sq"}
 
     def alive(refs):
         return [r for r in refs if r() is not None]
@@ -523,12 +522,18 @@ def test_forward_only_keeps_no_update_arrays(kind, grad, monkeypatch):
         if not grad:
             assert not alive(held) and not alive(outs[:-1])
         out, back = original(z, s)
+        arrays = {name: c.cell_contents for name, c
+                  in zip(back.__code__.co_freevars, back.__closure__)
+                  if isinstance(c.cell_contents, np.ndarray)}
+        if kind == "lstm":
+            assert arrays.keys() == {"t", "out", "cd"}
+            assert arrays["t"] is z and arrays["cd"].base is s
+        else:
+            assert arrays.keys() == {"out"}
+        assert arrays["out"] is out
         outs.append(weakref.ref(out))
         held.append(weakref.ref(back))
-        held.extend(weakref.ref(c.cell_contents) for name, c
-                    in zip(back.__code__.co_freevars, back.__closure__)
-                    if isinstance(c.cell_contents, np.ndarray)
-                    and name not in lasting)
+        held.extend(weakref.ref(a) for name, a in arrays.items() if name != "out")
         return out, back
 
     monkeypatch.setattr(CELLS[kind], "step", staticmethod(watched))

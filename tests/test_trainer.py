@@ -5,6 +5,7 @@ import os
 import re
 import struct
 import tracemalloc
+import weakref
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
@@ -569,6 +570,29 @@ class TestTrainLoop:
         monkeypatch.setattr(trainer, "clip_global_norm", recorded)
         rows = train(parity_config()).rows
         assert calls == [0.0, 0.0] and len(rows) == 2
+
+    def test_each_iterations_tape_is_freed_before_the_next_forward(
+            self, monkeypatch):
+        # A tape holds every update's arrays, so an iteration's run result
+        # is gone before the row's eval and before the next iteration's
+        # forward: one iteration's records are alive at a time.
+        results = []
+        original_objective, original_evaluate = batch_objective, evaluate
+
+        def objective(*args):
+            assert all(r() is None for r in results)
+            out = original_objective(*args)
+            results.append(weakref.ref(out[1]))
+            return out
+
+        def evaluating(*args):
+            assert all(r() is None for r in results)
+            return original_evaluate(*args)
+
+        monkeypatch.setattr(trainer, "batch_objective", objective)
+        monkeypatch.setattr(trainer, "evaluate", evaluating)
+        rows = train(parity_config(iterations=5, eval_every=2)).rows
+        assert len(results) == 5 and len(rows) == 3
 
     def test_periodic_checkpoints(self, tmp_path):
         config = parity_config(checkpoint_every=20)
