@@ -31,7 +31,6 @@ class LossBreakdown:
 
     task_loss: float
     ponder_cost: float
-    time_penalty: float
     total: float
 
 
@@ -40,8 +39,7 @@ def total_loss(task_loss: float, ponder_cost: float,
     """total = task + penalty * ponder, in this exact floating order."""
     if time_penalty < 0:
         raise ContractError(f"time penalty must be >= 0, got {time_penalty}")
-    return LossBreakdown(task_loss, ponder_cost, time_penalty,
-                         task_loss + time_penalty * ponder_cost)
+    return LossBreakdown(task_loss, ponder_cost, task_loss + time_penalty * ponder_cost)
 
 
 def per_position_nats(spec: TaskSpec, outputs: np.ndarray, targets,

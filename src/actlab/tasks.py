@@ -189,6 +189,8 @@ def gen_logic(seed, batch: int, min_len: int, max_len: int) -> TaskBatch:
     ten one-hot gate ids; the target is the result of applying the gates
     recursively, carrying the previous vector's target as the hidden
     first operand."""
+    if min_len > max_len:
+        raise ContractError(f"logic lengths need min <= max, got {min_len} > {max_len}")
     rng = np.random.default_rng(seed)
     out = TaskBatch.blank("logic", batch,
                           rng.integers(min_len, max_len + 1, size=batch))
@@ -221,10 +223,10 @@ def gen_addition(seed, batch: int, min_len: int, max_len: int,
     simultaneous digit classifications, class 10 marking positions past
     the end of the sum. The first step carries no target.
     """
-    if not (min_digits >= 1 and max_digits <= ADDITION_MAX_DIGITS
-            and addition_sum_fits(max_len, max_digits)):
-        raise ContractError(f"input vectors hold 1 to {ADDITION_MAX_DIGITS} digits, "
-                            f"their sums at most {ADDITION_SUM_DIGITS}")
+    if not (1 <= min_digits <= max_digits <= ADDITION_MAX_DIGITS
+            and min_len <= max_len and addition_sum_fits(max_len, max_digits)):
+        raise ContractError(f"addition needs min <= max, 1 to {ADDITION_MAX_DIGITS} "
+                            f"digits per vector and sums at most {ADDITION_SUM_DIGITS}")
     rng = np.random.default_rng(seed)
     out = TaskBatch.blank("addition", batch,
                           rng.integers(min_len, max_len + 1, size=batch))

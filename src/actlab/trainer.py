@@ -142,25 +142,17 @@ def _eval_blocks(batches: list[TaskBatch],
     return blocks
 
 
-def _pad_stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """(n, T, ...) arrays stacked by rows, zero-padded to the longest T."""
-    out = np.zeros((sum(map(len, arrays)), max(a.shape[1] for a in arrays))
-                   + arrays[0].shape[2:], arrays[0].dtype)
-    for start, a in zip(np.cumsum([0] + [len(a) for a in arrays]), arrays):
-        out[start:start + len(a), :a.shape[1]] = a
-    return out
-
-
 def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
              batches: list[TaskBatch]) -> tuple[RunMetrics, EvalDetails]:
     """Metrics and per-step details over `batches`.
 
     Consecutive batches run and are scored as one forward-only block
-    (`_eval_blocks`): stacked along the batch axis and zero-padded to the
-    block's longest T. Padded positions are inactive and masked, and the
-    block's rows and positions flatten in batch order, so every number is
-    the one a per-batch pass gives, except that a padded row's
-    `example_ponders` sum adds trailing zeros, which can move its last bit.
+    (`_eval_blocks`): a `TaskBatch.blank` batch of all their rows, T the
+    block's longest, that each batch is copied into. Padded positions are
+    inactive and masked, and the block's rows and positions flatten in
+    batch order, so every number is the one a per-batch pass gives, except
+    that a padded row's `example_ponders` sum adds trailing zeros, which
+    can move its last bit.
     """
     if not batches:
         raise ContractError("evaluate needs at least one batch; got an empty list")
@@ -170,19 +162,22 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
     columns = []                    # per block: EvalDetails' fields, then capped
     for block in _eval_blocks(batches, params.input_size + params.hidden_size
                               + params.output_size + 1):
-        inputs, targets, mask, difficulty = (
-            _pad_stack([getattr(b, name) for b in block])
-            for name in ("inputs", "targets", "target_mask", "difficulty"))
-        res = run_batch(params, act_cfg, inputs,
-                        np.concatenate([b.lengths for b in block]), grad=False)
-        active, ponders = res.active, res.ponders
+        stacked = TaskBatch.blank(spec.name, sum(b.batch_size for b in block),
+                                  np.concatenate([b.lengths for b in block]),
+                                  width=widths[0])
+        rows = np.cumsum([0] + [b.batch_size for b in block])
+        for b, start, stop in zip(block, rows, rows[1:]):
+            for key in ("inputs", "targets", "target_mask", "difficulty"):
+                getattr(stacked, key)[start:stop, :b.inputs.shape[1]] = getattr(b, key)
+        res = run_batch(params, act_cfg, stacked.inputs, stacked.lengths, grad=False)
+        active, ponders, mask = res.active, res.ponders, stacked.target_mask
         predictions = spec.decode(res.outputs)
-        wrong_step = np.any(predictions != targets, axis=2) & mask
-        nats = per_position_nats(spec, res.outputs, targets, mask)
-        columns.append((ponders[active], res.steps[active], difficulty[active],
+        wrong_step = np.any(predictions != stacked.targets, axis=2) & mask
+        nats = per_position_nats(spec, res.outputs, stacked.targets, mask)
+        columns.append((ponders[active], res.steps[active], stacked.difficulty[active],
                         wrong_step[active],
-                        example_errors(predictions, targets, mask),
-                        ponders.sum(axis=1), difficulty[:, 0], nats[mask],
+                        example_errors(predictions, stacked.targets, mask),
+                        ponders.sum(axis=1), stacked.difficulty[:, 0], nats[mask],
                         res.halted_by_cap[active]))
     *arrays, capped = (np.concatenate(c) for c in zip(*columns))
     details = EvalDetails(*arrays)
@@ -203,13 +198,9 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
 
 @dataclass
 class TrainResult:
-    config: TrainConfig
     params: CellParams
-    opt_state: OptimizerState
-    metrics: Optional[RunMetrics]
-    breakdown: Optional[LossBreakdown]
+    metrics: Optional[RunMetrics] = None
     rows: list[dict] = field(default_factory=list)
-    out_dir: Optional[str] = None
     checkpoint_path: Optional[str] = None
 
 
@@ -252,7 +243,7 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
             fh.write("\n")
         metrics_fh = open(os.path.join(out_dir, "metrics.jsonl"), "w")
 
-    result = TrainResult(config, params, opt, None, None, out_dir=out_dir)
+    result = TrainResult(params)
     last_good = params.copy(), opt.copy()
     try:
         for iteration in range(1, config.iterations + 1):
@@ -282,7 +273,6 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
                     save_checkpoint(os.path.join(out_dir, "ckpt-lastgood.bin"),
                                     *last_good, config)
                 raise
-            result.breakdown = breakdown
 
             if writes_row:
                 metrics, _ = evaluate(spec, params, act_cfg,

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from actlab.autodiff import ContractError
 from actlab.config import ConfigError, parse_config_text, resolved_spec
 from actlab.tasks import (GATE_NAMES, derive_seeds, gen_addition, gen_logic,
-                          gen_parity, gen_sort, gen_text, synth_corpus,
-                          task_spec, write_batch_csv)
+                          gen_parity, gen_sort, gen_text, render_input,
+                          synth_corpus, task_spec, write_batch_csv)
 from actlab.trainer import make_batch
 
 from oracles import apply_gate
@@ -211,6 +211,11 @@ class TestLogic:
                     for c in range(10))
                 assert b.difficulty[e, t] == n_gates
 
+    def test_inverted_lengths_are_refused_before_any_draw(self):
+        # The seed is no seed at all, so a draw would raise TypeError.
+        with pytest.raises(ContractError, match="min <= max"):
+            gen_logic(object(), batch=2, min_len=5, max_len=3)
+
 
 # ---------------------------------------------------------------------------
 # Addition
@@ -266,6 +271,12 @@ class TestAddition:
             gen_addition(seed=object(), batch=4, min_len=1, max_len=11,
                          min_digits=1, max_digits=5)
 
+    @pytest.mark.parametrize("lens, digits", [((5, 3), (1, 5)), ((1, 5), (3, 2))])
+    def test_inverted_ranges_are_refused_before_any_draw(self, lens, digits):
+        with pytest.raises(ContractError, match="min <= max"):
+            gen_addition(seed=object(), batch=2, min_len=lens[0], max_len=lens[1],
+                         min_digits=digits[0], max_digits=digits[1])
+
     def test_difficulty_is_digit_count(self):
         b = gen_addition(seed=5, batch=64, min_len=1, max_len=5, min_digits=1,
                          max_digits=5)
@@ -316,6 +327,24 @@ class TestSort:
             n = int(b.lengths[e]) // 2
             assert 2 <= n <= 15
             assert np.all(b.difficulty[e, :2 * n] == n)
+
+
+# ---------------------------------------------------------------------------
+# Trace rendering
+# ---------------------------------------------------------------------------
+
+class TestRenderInput:
+    def test_addition_prints_most_significant_digit_first(self):
+        vec = np.zeros(50)
+        vec[[10 * 0 + 5, 10 * 1 + 0, 10 * 2 + 3]] = 1.0   # 305, LSD first
+        assert render_input("addition", vec) == "305"
+
+    def test_empty_addition_vector(self):
+        assert render_input("addition", np.zeros(50)) == "(empty)"
+
+    def test_sort_value_with_and_without_end_flag(self):
+        assert render_input("sort", np.array([0.5, 1.0])) == "+0.5000#"
+        assert render_input("sort", np.array([-1.23456, 0.0])) == "-1.2346"
 
 
 # ---------------------------------------------------------------------------
