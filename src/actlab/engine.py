@@ -55,10 +55,13 @@ summed over its updates: W_in but its flag row, then b_rec. The recurrent
 stack holds [h_in | flag] per update, times its dz, with flag 1 on an
 input step's first update: W_rec, then W_in's flag row. The halting stack
 holds [h_out | 1] per update, times its halting adjoint: w_halt, then
-b_halt. The replay writes each step's rows in place into the two buffers
-each stack owns, sized to bound its largest chunk, and a stack is
-multiplied out whenever it reaches OUTER_FLUSH_ROWS rows, which bounds
-the rows it keeps alive.
+b_halt. The replay writes each step's rows in place into each stack's
+two buffers, sized to bound its largest chunk (all three stacks' buffers
+are one allocation), and a stack is multiplied out whenever it holds
+twice as many rows as its adjoint has (its a width), at most
+OUTER_FLUSH_ROWS, which bounds the rows it keeps alive. Adding a chunk's
+product into the running total then costs at most 1/(4 a width) of the
+chunk's GEMM, so longer chunks would buy memory and no speed.
 
 A recording pass keeps every update until the backward: its block rows,
 h, w and halting mask, its input and new state, and the cell's backward,
@@ -94,14 +97,16 @@ from .act import ActConfig
 from .autodiff import ContractError, DimensionError, NumericError, Tape, Var
 from .cells import CELLS, CellParams, halting_activation, readout
 
-# Rows a stack may hold before it is multiplied out into its affine map's
-# adjoint. The replay writes each update's rows into buffers the stack
-# owns, sized to bound its largest chunk, and a flush multiplies views of
-# them, with no stacked copy: at lstm-1500 a dz row is 48 KB, so a full
-# W_rec stack is about 48 MB. Measured on one text forward and backward
-# (lstm-1500, batch 8, 500-byte window, 8,000 rows, one BLAS thread):
-# peak RSS 1,694 MB at 1024 rows; with a stacked copy per flush, 1,748 MB
-# at 1024, 1,894 MB at 2048 and 2,708 MB unflushed.
+# The most rows a stack holds before it is multiplied out into its affine
+# map's adjoint: the cap for wide cells, whose stacks otherwise flush at
+# twice their a width (see _RowStack). The replay writes each update's
+# rows into the stack's buffers, sized to bound its largest chunk, and a
+# flush multiplies views of them, with no stacked copy: at lstm-1500 a dz
+# row is 48 KB, so a full W_rec stack is about 48 MB. Measured on one
+# text forward and backward (lstm-1500, batch 8, 500-byte window, 8,000
+# rows, one BLAS thread): peak RSS 1,694 MB at 1024 rows; with a stacked
+# copy per flush, 1,748 MB at 1024, 1,894 MB at 2048 and 2,708 MB
+# unflushed.
 OUTER_FLUSH_ROWS = 1024
 
 
@@ -132,27 +137,34 @@ class BatchRunResult:
 
 class _RowStack:
     """The adjoint of one affine map: the sum of a.T @ b over the rows
-    written, formed as one GEMM per chunk of at least OUTER_FLUSH_ROWS rows.
+    written, formed as one GEMM per chunk of at least `limit` rows,
+    min(OUTER_FLUSH_ROWS, 2 a width).
+
+    The a width is the row count of the adjoint. Once a chunk has twice
+    that many rows, adding its product into the running total costs at
+    most 1/(4 a width) of the chunk's GEMM, so a longer chunk buys memory
+    and no speed. A limit of one a width held less still, but on
+    logic-ponder it left glibc's dynamic trim threshold (twice the largest
+    mmapped block freed) below what the benchmark's checkpoint cycle
+    needs: the heap was handed back after training and faulted in again
+    by the loads (median load 1.75 to 2.48 ms in 10 alternating 55 s
+    pairs).
 
     A backward writes each input step's rows in place into the stack's
-    two buffers, sized to bound the largest chunk. The last column of a
-    is allocated as ones, the constant input of a bias; a stack whose
-    last column is a flag writes it with each row. A flush multiplies
-    views of the rows written since the last one.
+    two buffers (see `_row_stacks`). The last column of a is set to ones,
+    the constant input of a bias; a stack whose last column is a flag
+    writes it with each row. A flush multiplies views of the rows written
+    since the last one.
     """
 
-    def __init__(self, step_rows: list[int], b_width: int, a_width: int):
-        """`step_rows`: the rows each step will write. A take flushes a
-        chunk of OUTER_FLUSH_ROWS rows or more first, so no chunk holds
-        more than OUTER_FLUSH_ROWS - 1 rows and then one step's."""
-        largest = max(step_rows, default=0)
-        rows = min(sum(step_rows), OUTER_FLUSH_ROWS - 1 + largest)
-        self.b, self.a = np.empty((rows, b_width)), np.ones((rows, a_width))
+    def __init__(self, b: np.ndarray, a: np.ndarray, limit: int):
+        self.b, self.a, self.limit = b, a, limit
+        a[:, -1] = 1.0
         self.rows, self.total = 0, None
 
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The next n rows of b and of a, to be filled in."""
-        if self.rows >= OUTER_FLUSH_ROWS:
+        if self.rows >= self.limit:
             self.flush()
         start = self.rows
         self.rows += n
@@ -166,6 +178,35 @@ class _RowStack:
                 product += self.total
             self.rows, self.total = 0, product
         return self.total
+
+
+def _row_stacks(*specs) -> tuple[_RowStack, ...]:
+    """One stack per (step_rows, b_width, a_width), `step_rows` being the
+    rows each step will write.
+
+    A take flushes a chunk of `limit` rows or more first, so no chunk
+    holds more than `limit` - 1 rows and then one step's, and each
+    stack's two buffers are that long. A backward's stacks live exactly
+    as long as each other, so their buffers are views of one allocation.
+    Six separate, smaller buffers kept glibc's dynamic trim threshold so
+    low that the heap was handed back to the system and faulted in again
+    on every iteration: on logic-ponder at a limit of one a width (seed 1,
+    in `train`'s order) 630 minor faults per iteration against 359 with
+    one block.
+    """
+    shapes = []
+    for step_rows, b_width, a_width in specs:
+        limit = min(OUTER_FLUSH_ROWS, 2 * a_width)
+        rows = min(sum(step_rows), limit - 1 + max(step_rows, default=0))
+        shapes.append((rows, b_width, a_width, limit))
+    block = np.empty(sum(rows * (b + a) for rows, b, a, _ in shapes))
+    stacks, end = [], 0
+    for rows, b_width, a_width, limit in shapes:
+        start, mid = end, end + rows * b_width
+        end = mid + rows * a_width
+        stacks.append(_RowStack(block[start:mid].reshape(rows, b_width),
+                                block[mid:end].reshape(rows, a_width), limit))
+    return tuple(stacks)
 
 
 def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
@@ -381,10 +422,10 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         replayed = [(idx, u) for idx, _, u in reversed(records) if u]
         update_rows = [sum(v[0].size for v in u) for _, u in replayed]
         w_in, w_rec = weights[:2]
-        stacks = (_RowStack([idx.size for idx, _ in replayed], w_rec.shape[1],
-                            w_in.shape[0]),
-                  _RowStack(update_rows, w_rec.shape[1], n_hidden + 1),
-                  _RowStack(update_rows, 1, n_hidden + 1))
+        stacks = _row_stacks(
+            ([idx.size for idx, _ in replayed], w_rec.shape[1], w_in.shape[0]),
+            (update_rows, w_rec.shape[1], n_hidden + 1),
+            (update_rows, 1, n_hidden + 1))
         g_state = np.zeros_like(state)
         for t in range(n_steps_total - 1, -1, -1):
             g_state[:, :n_hidden] += g_hidden[:, t]

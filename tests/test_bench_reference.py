@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from actlab import engine
 from actlab.cells import LstmCell
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
@@ -88,6 +89,37 @@ def test_first_logic_ponder_batch_keeps_six_state_widths_per_update(
     assert row_updates > 8 * int(res.active.sum())
     held_bytes = sum(a.nbytes for arrays in held for a in arrays.values())
     assert held_bytes == 6 * s.init.hidden_size * 8 * row_updates
+
+
+def test_first_logic_ponder_batch_stack_buffer_bytes(bench, monkeypatch):
+    # Each weight-adjoint stack flushes once it holds twice as many rows
+    # as its adjoint has, its a width (at most OUTER_FLUSH_ROWS), so its
+    # two buffers hold min(sum, limit - 1 + largest step) rows of a width
+    # + b width float64, and the three stacks' buffers lie end to end in
+    # one allocation. On the first seed-1 batch, 80 active positions and
+    # 726 row updates, the largest step 16 and 143 rows: the input stack
+    # [x | 1] (103 by 512, limit 206) keeps all 80 rows, the recurrent
+    # [h_in | flag] (129 by 512) and halting [h_out | 1] (129 by 1) stacks,
+    # limit 258, 400 of 726.
+    workload = bench.WORKLOADS["logic-ponder"]
+    s = bench.prepare(workload, bench.DEFAULT_SEED)
+    original, made = engine._row_stacks, []
+
+    def recorded(*specs):
+        stacks = original(*specs)
+        made.extend(b for st in stacks for b in (st.b, st.a))
+        return stacks
+
+    monkeypatch.setattr(engine, "_row_stacks", recorded)
+    batch = bench.trainer.make_batch(s.config, np.random.default_rng(s.data_seed))
+    loss, res, _, _ = bench.trainer.batch_objective(s.spec, s.init, s.act_cfg, batch)
+    res.tape.backward(loss)
+    assert (int(res.active.sum()), int(res.steps.sum())) == (80, 726)
+    assert [b.shape for b in made] == [(80, 512), (80, 103), (400, 512),
+                                       (400, 129), (400, 1), (400, 129)]
+    starts = [b.ctypes.data for b in made]
+    assert [start + b.nbytes for start, b in zip(starts, made)][:-1] == starts[1:]
+    assert starts[-1] + made[-1].nbytes - starts[0] == 2_860_800
 
 
 @pytest.mark.parametrize("name", ["logic-ponder", "addition-wide"])

@@ -394,8 +394,9 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
     # affine maps' stacks: [x | 1] once per active row, [h_in | flag] and
     # [h_out | 1] once per update. The backward must stack exactly those
     # rows and form each stack's product once per chunk, flushing as soon
-    # as a stack reaches OUTER_FLUSH_ROWS rows, never once per update, in
-    # buffers no longer than the largest chunk can be.
+    # as a stack holds min(OUTER_FLUSH_ROWS, 2 a width) rows, the a width
+    # being its adjoint's row count, never once per update, in buffers as
+    # long as the largest chunk can be.
     spec = task_spec("logic")
     batch = gen_logic(3, batch=8, min_len=3, max_len=4)
     n_hidden = 16
@@ -414,12 +415,12 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
         buffers[out.shape] = (len(stack.b), len(stack.a))
         return out
 
-    def chunks(packet_rows, flush_rows):
+    def chunks(packet_rows, limit):
         # Blocks arrive in reverse input-step order, one per step.
         want, stacked = [], 0
         for rows in reversed(packet_rows):
             stacked += rows
-            if stacked >= flush_rows:
+            if stacked >= limit:
                 want.append(stacked)
                 stacked = 0
         return want + ([stacked] if stacked else [])
@@ -437,22 +438,35 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
         active = res.active.sum(axis=0).tolist()
         packet_rows = {(spec.input_size + 1, proj): active,
                        (n_hidden + 1, proj): live, (n_hidden + 1, 1): live}
+        limits = {}
         for shape, rows in packet_rows.items():
+            limits[shape] = min(flush_rows, 2 * shape[0])
             got = [n for formed_shape, n in formed if formed_shape == shape]
-            assert got == chunks(rows, flush_rows)
-            bound = min(sum(rows), flush_rows - 1 + max(rows))
-            assert max(buffers[shape]) <= bound
-        assert len(formed) == sum(len(chunks(rows, flush_rows))
-                                  for rows in packet_rows.values())
-        return {name: res.tape.grad(var) for name, var in res.param_vars.items()}
+            assert got == chunks(rows, limits[shape])
+            bound = min(sum(rows), limits[shape] - 1 + max(rows))
+            assert buffers[shape] == (bound, bound)
+        assert len(formed) == sum(len(chunks(rows, limits[shape]))
+                                  for shape, rows in packet_rows.items())
+        return limits, {name: res.tape.grad(var)
+                        for name, var in res.param_vars.items()}
 
     monkeypatch.setattr(engine._RowStack, "flush", counted)
-    whole = weight_grads(engine.OUTER_FLUSH_ROWS)
-    assert len(formed) == 3
-    chunked = weight_grads(3 * 8)
-    for name, g in whole.items():
-        np.testing.assert_allclose(chunked[name], g, rtol=0,
-                                   atol=1e-12 * max(1.0, np.abs(g).max()))
+    # At the default cap every stack flushes at twice its a width: the
+    # input stack's 28 rows stay below its 206 and form one product, while
+    # the recurrent and halting stacks flush once they hold 34 rows.
+    limits, by_width = weight_grads(engine.OUTER_FLUSH_ROWS)
+    assert limits == {shape: 2 * shape[0] for shape in limits}
+    assert len(formed) > 3
+    # A cap of 40 sits between the limits: it binds the input stack and
+    # leaves the other two at 34. Caps of 24 and 8 bind all three, and
+    # 24 splits the input stack's 28 rows.
+    for flush_rows, want in ((40, [40, 34, 34]), (24, [24, 24, 24]),
+                             (8, [8, 8, 8])):
+        limits, chunked = weight_grads(flush_rows)
+        assert list(limits.values()) == want
+        for name, g in by_width.items():
+            np.testing.assert_allclose(chunked[name], g, rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(g).max()))
 
 
 def test_inputs_shape_contract():
