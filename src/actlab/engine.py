@@ -137,8 +137,9 @@ class BatchRunResult:
 
 class _RowStack:
     """The adjoint of one affine map: the sum of a.T @ b over the rows
-    written, formed as one GEMM per chunk of at least `limit` rows,
-    min(OUTER_FLUSH_ROWS, 2 a width).
+    written, formed as one GEMM per chunk of `limit` rows or more (the
+    last chunk may be shorter), limit being min(OUTER_FLUSH_ROWS, 2 a
+    width).
 
     The a width is the row count of the adjoint. Once a chunk has twice
     that many rows, adding its product into the running total costs at
@@ -190,9 +191,8 @@ def _row_stacks(*specs) -> tuple[_RowStack, ...]:
     as long as each other, so their buffers are views of one allocation.
     Six separate, smaller buffers kept glibc's dynamic trim threshold so
     low that the heap was handed back to the system and faulted in again
-    on every iteration: on logic-ponder at a limit of one a width (seed 1,
-    in `train`'s order) 630 minor faults per iteration against 359 with
-    one block.
+    on every iteration: on logic-ponder (seed 1, in `train`'s order) a
+    mean of 671 minor faults per iteration against 78 with one block.
     """
     shapes = []
     for step_rows, b_width, a_width in specs:
