@@ -49,23 +49,22 @@ class Var:
 
 
 class Tape:
-    """Recorded computation: values, parent ids, and local backward rules.
+    """Recorded computation: parent ids and backward rules; each `Var` keeps its value.
 
     Each `backward` replaces `gradients` with the adjoints of its own loss,
     so a tape can be swept from several losses in turn and a replay gives
     the same gradients again.
     """
 
-    __slots__ = ("_values", "_parents", "_backs", "gradients")
+    __slots__ = ("_parents", "_backs", "gradients")
 
     def __init__(self):
-        self._values: list[np.ndarray] = []
         self._parents: list[tuple[int, ...]] = []
         self._backs: list[Callable | None] = []
         self.gradients: list[np.ndarray | None] = []    # set by `backward`
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._parents)
 
     def leaf(self, value) -> Var:
         """Record an input value (parameter, data, constant)."""
@@ -73,8 +72,7 @@ class Tape:
 
     def _record(self, value: np.ndarray, parents: tuple[int, ...],
                 back: Callable | None) -> Var:
-        idx = len(self._values)
-        self._values.append(value)
+        idx = len(self._parents)
         self._parents.append(parents)
         self._backs.append(back)
         return Var(self, idx, value)
@@ -105,7 +103,7 @@ class Tape:
             raise ContractError("var was recorded on a different tape")
         g = self.gradients[var.idx] if var.idx < len(self.gradients) else None
         if g is None:
-            return np.zeros_like(self._values[var.idx])
+            return np.zeros_like(var.data)
         return g
 
 

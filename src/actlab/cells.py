@@ -71,7 +71,6 @@ class CellParams:
 class RnnCell:
     """s' = tanh(z); the state is h alone."""
 
-    kind = "rnn"
     proj_multiple = 1
     state_multiple = 1
 
@@ -108,7 +107,6 @@ class LstmCell:
     order, so every adjoint is the one the forward's arrays would give.
     """
 
-    kind = "lstm"
     proj_multiple = 4
     state_multiple = 2
 

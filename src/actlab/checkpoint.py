@@ -47,6 +47,7 @@ import zlib
 
 import numpy as np
 
+from .autodiff import ContractError
 from .cells import CellParams, param_shapes
 from .config import (ConfigError, TrainConfig, config_digest, config_text,
                      parse_config_text, resolved_spec)
@@ -99,10 +100,13 @@ def _reserve(fd: int, size: int) -> None:
 
 def save_checkpoint(path: str, params: CellParams, opt_state: OptimizerState,
                     config: TrainConfig) -> None:
+    step = float(opt_state.step)
+    if not (step >= 0 and step.is_integer()):     # the load's own test
+        raise ContractError(f"adam step must be a count >= 0, got {opt_state.step!r}")
     groups = (params.items(), opt_state.m.items(), opt_state.v.items())
     records = [(prefix + name, arr) for prefix, group in zip(_PREFIXES, groups)
                for name, arr in group]
-    records.append(("adam/step", np.array(float(opt_state.step))))
+    records.append(("adam/step", np.array(step)))
 
     digest = config_digest(config).encode("ascii")
     text = config_text(config).encode("utf-8")

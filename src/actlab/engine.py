@@ -347,13 +347,12 @@ def _backward_step(updates, t: int, x: np.ndarray, g_act: np.ndarray,
 
 
 def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
-              lengths: Optional[np.ndarray] = None, *,
-              grad: bool = True) -> BatchRunResult:
+              lengths: np.ndarray, *, grad: bool = True) -> BatchRunResult:
     """Run the pondering loop of the `params.kind` cell over a
     (batch, T, input_size) input block.
 
-    `lengths` gives each example's true sequence length; steps at or past
-    it leave the state untouched and contribute nothing to ponder. With
+    `lengths` (required) holds each example's length, in [0, T]; steps
+    at or past it leave the state as is and add nothing to ponder. With
     `grad=False` the pass is forward-only: it records no tape, keeps
     nothing for a backward, and leaves the result's tape fields None.
     """
@@ -365,8 +364,6 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         raise DimensionError(f"inputs have {inputs.shape[2]} features, the "
                              f"cell takes {params.input_size}")
     n_batch, n_steps_total, _ = inputs.shape
-    if lengths is None:
-        lengths = np.full(n_batch, n_steps_total, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.shape != (n_batch,):
         raise ContractError(f"lengths must be ({n_batch},), got {lengths.shape}")
@@ -418,12 +415,10 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         g_hidden = (g_y @ w_out.T).reshape(hidden.shape)
         d_w_out = hidden.reshape(-1, n_hidden).T @ g_y
         d_b_out = g_y.sum(axis=0, keepdims=True)
-        # The rows each input step writes, in replay order.
-        replayed = [(idx, u) for idx, _, u in reversed(records) if u]
-        update_rows = [sum(v[0].size for v in u) for _, u in replayed]
+        update_rows = [sum(v[0].size for v in u) for _, _, u in records]
         w_in, w_rec = weights[:2]
         stacks = _row_stacks(
-            ([idx.size for idx, _ in replayed], w_rec.shape[1], w_in.shape[0]),
+            ([idx.size for idx, _, _ in records], w_rec.shape[1], w_in.shape[0]),
             (update_rows, w_rec.shape[1], n_hidden + 1),
             (update_rows, 1, n_hidden + 1))
         g_state = np.zeros_like(state)

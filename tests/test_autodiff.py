@@ -214,6 +214,15 @@ class TestBackward:
         with pytest.raises(ContractError, match="tape"):
             ad.add(leaf(t1, [1.0]), leaf(t2, [1.0]))
 
+    def test_backward_from_another_tapes_loss_rejected(self):
+        t1, t2 = Tape(), Tape()
+        loss = ad.reduce_sum(leaf(t1, [1.0, 2.0]))
+        leaf(t2, [0.0])
+        with pytest.raises(ContractError,
+                           match="^loss was recorded on a different tape$"):
+            t2.backward(loss)
+        assert t2.gradients == []
+
     def test_grad_of_another_tapes_var_rejected(self):
         # The foreign var's index names a node of this tape that it is not.
         t1, t2 = Tape(), Tape()

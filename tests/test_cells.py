@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +257,11 @@ class TestParamShapes:
         shapes = param_shapes(kind, 5, 7, 3)
         assert list(shapes) == [name for name, _ in p.items()]
         assert {name: arr.shape for name, arr in p.items()} == shapes
+
+    def test_unknown_kind_is_contract_error(self):
+        with pytest.raises(ad.ContractError, match=re.escape(
+                "unknown cell kind 'gru'; expected one of ['lstm', 'rnn']")):
+            param_shapes("gru", 5, 7, 3)
 
 
 class TestInitParams:

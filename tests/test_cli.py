@@ -143,6 +143,36 @@ class TestConfigParsing:
         config = parse_config_text("# a comment\n\ntask.name = sort  # trailing\n")
         assert config.task == "sort"
 
+    def test_line_without_equals_names_its_line(self):
+        with pytest.raises(ConfigError,
+                           match=re.escape("run.cfg:2: expected 'key = value'")):
+            parse_config_text("# header\ntask.name parity\n", origin="run.cfg")
+
+    def test_override_without_equals_is_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "override 'task.name' is not of the form key=value")):
+            parse_config_text("", ["task.name"])
+
+    def test_unreadable_config_path_is_config_error(self, tmp_path):
+        missing = str(tmp_path / "missing.cfg")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"cannot read config {missing!r}: ")):
+            parse_config(missing)
+        assert run_cli(["train", "--config", missing,
+                        "--out-dir", str(tmp_path / "out")])[0] == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides,message", [
+        (["task.name=chess"], "unknown task 'chess'; expected one of "
+                              "['addition', 'logic', 'parity', 'sort', 'text']"),
+        (["cell.kind=gru"], "cell.kind must be rnn or lstm, got 'gru'"),
+        (["task.name=logic", "task.min_len=5", "task.max_len=3"],
+         "task.min_len exceeds task.max_len"),
+    ], ids=["task", "cell", "lengths"])
+    def test_unknown_or_inverted_values_are_config_errors(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text("", overrides)
+
     def test_config_text_roundtrips(self):
         configs = [parse_config_text("task.name = logic", ["act.tau=0.003"])]
         configs += [parse_config_text(f"task.name = {task}") for task in TASKS]
@@ -259,6 +289,41 @@ class TestTrainEvalCommands:
         assert row["capped_fraction"] == metrics.capped_fraction
         assert 0.0 < row["capped_fraction"] < 1.0
 
+    def test_eval_out_writes_the_line_stdout_prints(self, parity_run, tmp_path):
+        _, _, out = parity_run
+        record = tmp_path / "eval.json"
+        code, stdout = run_cli(["eval", "--checkpoint", str(out / "ckpt-final.bin"),
+                                "--batches", "1", "--out", str(record), "--stdout"])
+        assert code == 0
+        assert record.read_text() == stdout
+        assert json.loads(stdout)["batches"] == 1
+
+    def test_sweep_stdout_prints_the_summary_table(self, tmp_path):
+        code, stdout = run_cli(["sweep", "--set", "task.bits=4", "--set", "cell.hidden=3",
+                                "--set", "task.batch=2", "--set", "train.iterations=1",
+                                "--set", "train.eval_batches=1", "--taus", "0.01",
+                                "--replicas", "1", "--stdout",
+                                "--out-dir", str(tmp_path / "d")])
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[:2] == ["# schema: sweep-summary-1",
+                             "tau,n_runs,n_failed,error_mean,error_stderr,"
+                             "ponder_mean,ponder_stderr"]
+        assert len(lines) == 3
+        assert lines[2].startswith("0.01,1,0,")
+
+    def test_gradcheck_stdout_prints_the_report(self):
+        code, stdout = run_cli(["gradcheck", "--set", "task.bits=4",
+                                "--set", "cell.hidden=3", "--max-coords", "1",
+                                "--stdout"])
+        assert code == 0
+        payload = json.loads(stdout)
+        assert list(payload) == ["max_rel_err", "coords_checked", "coords_skipped",
+                                 "ponder_closed_form_ok", "halt_gradient_zero_ok",
+                                 "per_param"]
+        assert payload["ponder_closed_form_ok"] is True
+        assert payload["halt_gradient_zero_ok"] is True
+
     def test_eval_difficulty_table(self, parity_run, tmp_path):
         _, _, out = parity_run
         table = tmp_path / "diff.csv"
@@ -369,6 +434,18 @@ class TestExitCodes:
         path = str(tmp_path / "partial.bin")
         save_checkpoint(path, params, state, config)
         assert run_cli(["eval", "--checkpoint", path])[0] == 4
+
+    def test_non_finite_halting_weight_is_numeric_failure(self, tmp_path, caplog):
+        config = parse_config_text("", ["task.bits=6", "cell.hidden=4"])
+        params = init_params("rnn", 6, 4, 1, seed=0)
+        params.w_halt[0, 0] = np.nan
+        path = str(tmp_path / "nan.bin")
+        save_checkpoint(path, params, OptimizerState.for_params(params), config)
+        code, stdout = run_cli(["eval", "--checkpoint", path, "--batches", "1",
+                                "--stdout"])
+        assert (code, stdout) == (3, "")
+        assert ("numeric failure: halting activation is not finite at input "
+                "step 0, update 1") in caplog.text
 
     def test_missing_checkpoint_is_io_error(self):
         code, _ = run_cli(["eval", "--checkpoint", "/nonexistent/model.bin"])
@@ -605,6 +682,31 @@ class TestTraceCommand:
         code, _ = run_cli(["trace", "--checkpoint", str(out / "ckpt-final.bin"),
                            "--corpus", str(corpus), "--stdout"])
         assert code == 2
+
+    def test_trace_needs_out_or_stdout(self, caplog):
+        assert run_cli(["trace", "--checkpoint", FIXTURE_CKPT])[0] == 2
+        assert "trace requires --out or --stdout" in caplog.text
+
+    def test_trace_corpus_replaces_a_text_checkpoints_corpus(self, tmp_path):
+        trained_on = tmp_path / "corpus.bin"
+        trained_on.write_bytes(synth_corpus(1, size=400))
+        only_z = tmp_path / "z.bin"
+        only_z.write_bytes(b"z" * 400)
+        config = parse_config_text("", ["task.name=text", f"task.corpus={trained_on}",
+                                         "task.seq_len=5", "cell.hidden=4"])
+        spec = resolved_spec(config)
+        params = init_params("lstm", spec.input_size, 4, spec.output_size, seed=0)
+        ckpt = str(tmp_path / "text.bin")
+        save_checkpoint(ckpt, params, OptimizerState.for_params(params), config)
+
+        def inputs(*extra):
+            code, stdout = run_cli(["trace", "--checkpoint", ckpt, "--count", "2",
+                                    "--stdout", *extra])
+            assert code == 0
+            return [row["input"] for row in csv.DictReader(stdout.splitlines()[1:])]
+
+        assert set(inputs()) != {"z"}
+        assert inputs("--corpus", str(only_z)) == ["z"] * 10
 
     def test_uniform_distribution_entropy_is_eight_bits(self):
         assert abs(_entropy_bits(np.full(256, 1 / 256)) - 8.0) < 1e-12

@@ -472,9 +472,9 @@ def test_weight_adjoints_formed_once_per_flush_chunk(monkeypatch):
 def test_inputs_shape_contract():
     params = init_params("rnn", 3, 4, 2, seed=0)
     with pytest.raises(Exception, match="batch, T, input_size"):
-        run_batch(params, ActConfig(), np.zeros((3, 3)))
+        run_batch(params, ActConfig(), np.zeros((3, 3)), [3, 3, 3])
     with pytest.raises(ad.DimensionError, match="4 features"):
-        run_batch(params, ActConfig(), np.zeros((2, 3, 4)))
+        run_batch(params, ActConfig(), np.zeros((2, 3, 4)), [3, 3])
     # One length per row, or some rows would run unmasked or never step.
     for lengths in ([2], [2, 3], [[2, 3, 1]], [2, 3, 1, 1]):
         with pytest.raises(ad.ContractError, match=r"lengths must be \(3,\)"):

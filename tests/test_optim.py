@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from actlab.autodiff import DimensionError, NumericError
+from actlab.autodiff import ContractError, DimensionError, NumericError
 from actlab.cells import init_params
 from actlab.optim import ADAM_BLOCK, OptimizerState, adam_update, clip_global_norm
 
@@ -118,6 +120,35 @@ class TestAdam:
         assert [{n: a.tobytes() for n, a in d.items()}
                 for d in (params, state.m, state.v)] == before
         assert state.step == 0
+
+    @pytest.mark.parametrize("where", ["param", "m", "v"])
+    def test_non_contiguous_array_leaves_no_partial_update(self, where):
+        # w_halt comes after five other parameters; a strided view there must
+        # stop the step before any parameter, moment or the step count changes.
+        rng = np.random.default_rng(3)
+        params = tiny_params()
+        state = OptimizerState.for_params(params)
+        adam_update(params, {n: rng.normal(size=a.shape) for n, a in params.items()},
+                    state, lr=1e-3)
+        # Every other column of a (3, 2) copy: a (3, 1) view, not C-contiguous.
+        old = params.w_halt if where == "param" else getattr(state, where)["w_halt"]
+        strided = np.repeat(old, 2, axis=1)[:, ::2]
+        assert not strided.flags.c_contiguous
+        if where == "param":
+            params.w_halt = strided
+        else:
+            getattr(state, where)["w_halt"] = strided
+        grads = {n: rng.normal(size=a.shape) for n, a in params.items()}
+
+        def snapshot():
+            return ([{n: a.tobytes() for n, a in d.items()}
+                     for d in (params, state.m, state.v)], state.step)
+
+        before = snapshot()
+        with pytest.raises(ContractError, match=re.escape(
+                "'w_halt', its m and its v must be C-contiguous to be updated in place")):
+            adam_update(params, grads, state, lr=1e-3)
+        assert snapshot() == before
 
     def test_blocked_update_is_the_textbook_form_in_place(self):
         # W_rec spans two blocks and part of a third. The result must be

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,10 @@ class TestTruthTables:
 # ---------------------------------------------------------------------------
 
 class TestParity:
+    def test_zero_bits_is_contract_error(self):
+        with pytest.raises(ContractError, match="^n_bits must be >= 1, got 0$"):
+            gen_parity(seed=0, n_bits=0, batch=2)
+
     def test_shapes_and_defaults(self):
         b = gen_parity(seed=0, n_bits=64, batch=128)
         assert b.inputs.shape == (128, 1, 64)
@@ -292,6 +297,13 @@ class TestAddition:
 # ---------------------------------------------------------------------------
 
 class TestSort:
+    @pytest.mark.parametrize("min_len, max_len", [(1, 5), (2, 16), (1, 16), (6, 5)])
+    def test_lengths_outside_two_to_fifteen_are_contract_errors(self, min_len,
+                                                                max_len):
+        with pytest.raises(ContractError, match=re.escape(
+                "sort lengths must satisfy 2 <= min <= max <= 15")):
+            gen_sort(seed=0, batch=2, min_len=min_len, max_len=max_len)
+
     def test_input_layout(self):
         b = gen_sort(seed=0, batch=16, min_len=2, max_len=15)
         for e in range(16):
@@ -444,6 +456,12 @@ class TestGeneratorHygiene:
             masked = batch.targets[batch.target_mask]
             assert np.all(masked >= 0)
             assert np.all(masked < spec.classes)
+
+    def test_unknown_task_spec_is_contract_error(self):
+        with pytest.raises(ContractError, match=re.escape(
+                "unknown task 'chess'; expected one of "
+                "['addition', 'logic', 'parity', 'sort', 'text']")):
+            task_spec("chess")
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))

@@ -302,6 +302,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("step", [-1, 2.5, np.nan, np.inf])
+    def test_save_refuses_a_step_the_load_rejects(self, tmp_path, step):
+        # It wrote a CRC-valid file whose load failed "adam/step must be a count".
+        config, params, state, _ = self.roundtrip_setup(tmp_path)
+        state.step = step
+        path = tmp_path / "bad-step.ckpt"
+        with pytest.raises(ContractError, match=re.escape(
+                f"adam step must be a count >= 0, got {step!r}")):
+            save_checkpoint(str(path), params, state, config)
+        assert not path.exists()
+        assert not (tmp_path / "bad-step.ckpt.tmp").exists()
+
 
 def _layout(blob: bytes) -> tuple[list[range], list[int]]:
     """Header byte ranges of a checkpoint (magic to record count, then each
@@ -466,6 +478,23 @@ class TestCheckpointDamage:
             with pytest.raises(CheckpointError, match=re.escape(match)):
                 load_checkpoint(path)
             assert main(["eval", "--checkpoint", path, "--batches", "1"]) == 4
+
+    def test_config_text_that_is_not_utf8_is_checkpoint_error(self, saved):
+        # Digest and CRC are recomputed over the damaged text, so only the
+        # decode meets it; a bad file exits 4.
+        from actlab.cli import main
+        path, blob = saved
+        start = _layout(blob)[1][0]
+        text_at = 12 + 4 + struct.unpack_from("<I", blob, 12)[0] + 4
+        text = b"\xff" + blob[text_at + 1:start - 4]
+        digest = hashlib.sha256(text).hexdigest().encode("ascii")
+        body = (blob[:12] + struct.pack("<I", len(digest)) + digest
+                + struct.pack("<I", len(text)) + text + blob[start - 4:-4])
+        open(path, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError,
+                           match="^the config text is not valid utf-8$"):
+            load_checkpoint(path)
+        assert main(["eval", "--checkpoint", path, "--batches", "1"]) == 4
 
     def test_bytes_between_the_records_and_a_valid_crc_are_rejected(self, saved):
         path, blob = saved
