@@ -206,7 +206,7 @@ def _cmd_trace(args) -> int:
     if args.corpus and config.task != "text":
         raise ConfigError(
             f"checkpoint was trained on {config.task!r}, not a byte corpus")
-    if config.task == "text" and args.corpus:
+    if args.corpus:
         config.corpus = args.corpus
     corpus = load_corpus(config)
     rng = np.random.default_rng(args.seed)

@@ -233,7 +233,7 @@ def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
     xb += b_rec
     cum = np.zeros(n_active)
     r = np.ones(n_active)
-    acc = None
+    acc = np.zeros_like(s)
     updates = []
     n = 0
     while True:
@@ -258,10 +258,7 @@ def _forward_step(cell, weights, cfg: ActConfig, x: np.ndarray,
         # Mean-field weight: h^n on rows that go on, R on rows halting now.
         w = h if halt is None else np.where(halt, r, h)
         updates.append((pos, h, s, s_new, back, w, halt) if grad else (pos, h))
-        if acc is None:
-            acc = s_new * w[:, None]
-        else:
-            acc += s_new * w[:, None]
+        acc += s_new * w[:, None]
         if halt is None:
             s, r = s_new, r - h
             continue
@@ -302,12 +299,11 @@ def _backward_step(updates, t: int, x: np.ndarray, g_act: np.ndarray,
     x_rows[:, :-1] = x
     dh_all = np.zeros((n_active, len(updates)))
     # Adjoint of the block's state.
-    carry = g_pos = None
+    carry = np.zeros((updates[-1][0].size, g_act.shape[1]))
     for k in range(len(updates) - 1, -1, -1):
         pos, h, s, s_new, back, w, halt = updates[k]
         rows = slice(offsets[k], offsets[k + 1])
-        if pos is not g_pos:
-            g_pos, g_blk = pos, g_act[pos]
+        g_blk = g_act[pos]
         dw = np.einsum("ij,ij->i", g_blk, s_new)
         if halt is not None:
             d_r[pos[halt]] += dw[halt]
@@ -317,8 +313,7 @@ def _backward_step(updates, t: int, x: np.ndarray, g_act: np.ndarray,
         dh_all[pos, k] = dh
         dpre = dh * h * (1.0 - h)
         ds = g_blk * w[:, None]
-        if carry is not None:
-            ds += carry
+        ds += carry
         ds[:, :n_hidden] += np.multiply.outer(dpre, w_halt[:, 0])
         dz = dz_all[rows]
         carry = np.empty_like(ds)
@@ -329,11 +324,8 @@ def _backward_step(updates, t: int, x: np.ndarray, g_act: np.ndarray,
         h_in[rows, :-1] = s[:, :n_hidden]
         h_in[rows, -1] = k == 0             # the first-update flag
         h_out[rows, :-1] = s_new[:, :n_hidden]
-        # Each row sums its dz from its last update back; the first term
-        # is copied rather than added to 0, so a -0.0 stays -0.0.
-        if k == len(updates) - 1:
-            dz_sum[pos] = dz
-        elif pos.size == n_active:
+        # Sum dz over each row's updates; a full block skips the indexed add.
+        if pos.size == n_active:
             dz_sum += dz
         else:
             dz_sum[pos] += dz
@@ -399,7 +391,7 @@ def run_batch(params: CellParams, cfg: ActConfig, inputs: np.ndarray,
         records.append((idx, x if grad else None, updates))
         hidden[:, t] = state[:, :n_hidden]
     value[..., :-1] = readout(hidden.reshape(-1, n_hidden), w_out,
-                              b_out).reshape(n_batch, n_steps_total, -1)
+                              b_out).reshape(n_batch, n_steps_total, params.output_size)
     halts = np.zeros((n_batch, n_steps_total, steps.max(initial=0)))
     for t, (idx, _, updates) in enumerate(records):
         for n, u in enumerate(updates):

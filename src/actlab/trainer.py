@@ -99,10 +99,7 @@ def batch_objective(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
     task_loss = (binary_cross_entropy if spec.head == "bce"
                  else joint_softmax_cross_entropy)
     task_var = task_loss(spec, res.node, batch.targets, batch.target_mask / n)
-    loss_var = task_var
-    if act_cfg.time_penalty > 0.0:
-        loss_var = ad.add(task_var,
-                          ad.scale(res.ponder_var, act_cfg.time_penalty / n))
+    loss_var = ad.add(task_var, ad.scale(res.ponder_var, act_cfg.time_penalty / n))
     breakdown = total_loss(float(task_var.data), float(res.ponder_var.data) / n,
                            act_cfg.time_penalty)
     return loss_var, res, breakdown, res.outputs

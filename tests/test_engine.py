@@ -557,3 +557,25 @@ def test_forward_only_keeps_no_update_arrays(kind, grad, monkeypatch):
         assert len(alive(held)) == len(held) and len(alive(outs)) == len(outs)
     else:
         assert not alive(held) and not alive(outs)
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+@pytest.mark.parametrize("kind", ["rnn", "lstm"])
+def test_empty_batch_or_no_input_step(kind, shape, grad):
+    # No row, or no input step: nothing runs, and every result is empty
+    # or zero, gradients included.
+    params = init_params(kind, 3, 6, 4, seed=2)
+    n_batch, n_steps = shape
+    res = run_batch(params, ActConfig(), np.zeros((n_batch, n_steps, 3)),
+                    np.zeros(n_batch, dtype=np.int64), grad=grad)
+    assert res.outputs.shape == (n_batch, n_steps, 4)
+    assert res.halts.shape == (n_batch, n_steps, 0)
+    assert not res.ponders.any()
+    if grad:
+        assert res.ponder_var.data == 0.0
+        res.tape.backward(res.ponder_var)
+        for name, var in res.param_vars.items():
+            grad_array = res.tape.grad(var)
+            assert grad_array.shape == getattr(params, name).shape
+            assert not grad_array.any(), name

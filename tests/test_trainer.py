@@ -20,10 +20,11 @@ from actlab.cells import init_params
 from actlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from actlab.config import ConfigError, config_text, parse_config_text
 from actlab.engine import run_batch
-from actlab.losses import bits_per_character, ponder_by_difficulty
+from actlab.losses import (binary_cross_entropy, bits_per_character,
+                           ponder_by_difficulty)
 from actlab.optim import OptimizerState, adam_update
-from actlab.tasks import (derive_seeds, gen_addition, gen_logic, gen_parity,
-                          gen_sort, gen_text, synth_corpus, task_spec)
+from actlab.tasks import (TaskBatch, derive_seeds, gen_addition, gen_logic,
+                          gen_parity, gen_sort, gen_text, synth_corpus, task_spec)
 from actlab.trainer import (batch_objective, evaluate, sweep, tau_grid, train,
                             write_sweep_csv)
 
@@ -658,6 +659,37 @@ train.lr = 1e308
         config2, params2, _ = load_checkpoint(str(tmp_path / "run" / "ckpt-lastgood.bin"))
         for _, arr in params2.items():
             assert np.all(np.isfinite(arr))
+
+    def test_objective_adds_the_ponder_term_at_zero_tau(self):
+        # One objective at every tau: at 0 the tape holds the same 12
+        # nodes as above 0, and the ponder term adds nothing to a gradient.
+        spec = task_spec("logic")
+        batch = gen_logic(3, batch=4, min_len=2, max_len=5)
+        params = init_params("lstm", spec.input_size, 8, spec.output_size, seed=2)
+        loss_var, res, _, _ = batch_objective(spec, params,
+                                              ActConfig(time_penalty=0.0), batch)
+        assert len(res.tape) == 12
+        task_var = binary_cross_entropy(spec, res.node, batch.targets,
+                                        batch.target_mask / batch.batch_size)
+        assert task_var.data == loss_var.data
+        grads = []
+        for node in (loss_var, task_var):
+            res.tape.backward(node)
+            grads.append([res.tape.grad(v) for v in res.param_vars.values()])
+        assert len(grads[0]) == 7
+        for got, want in zip(*grads):
+            assert np.all(got == want)
+
+    def test_objective_of_a_batch_with_no_input_step(self):
+        spec = task_spec("logic")
+        batch = TaskBatch.blank("logic", 2, [0, 0])
+        params = init_params("lstm", spec.input_size, 8, spec.output_size, seed=2)
+        loss_var, res, breakdown, outputs = batch_objective(
+            spec, params, ActConfig(time_penalty=1e-2), batch)
+        assert outputs.shape == (2, 0, spec.output_size)
+        assert breakdown.total == 0.0 and loss_var.data == 0.0
+        res.tape.backward(loss_var)
+        assert not any(res.tape.grad(v).any() for v in res.param_vars.values())
 
     def test_fixed_batch_loss_decreases_for_most_seeds(self):
         # Smoke sanity, statistical by design: 9 of 10 seeds must improve
