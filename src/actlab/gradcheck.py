@@ -7,13 +7,14 @@ therefore re-runs the full forward pass, compares the count signature, and
 shrinks its step until the signature is stable; coordinates that flip even
 at the smallest step are reported as skipped rather than failed.
 
-The check also pins the two closed forms the pondering gradient must
-satisfy: each step's ponder has derivative exactly -1 in its pre-halt
-activations and exactly 0 in the halting one, and the total objective has
+The forward that gives the analytic gradient also pins the two closed
+forms the pondering gradient must satisfy: the total objective has
 derivative exactly 0 in every halting activation (the remainder carries
-that step's probability mass instead). Both compare whole slices, with
-`==`, of the dense (batch, T, max N) halting adjoints the engine's batch
-node writes (`BatchRunResult.halt_grads`, h^n's adjoint at [e, t, n - 1]).
+that step's probability mass instead), and each step's ponder has
+derivative exactly -1 in its pre-halt activations and exactly 0 in the
+halting one. Both compare whole slices, with `==`, of the dense
+(batch, T, max N) halting adjoints the engine's batch node writes
+(`BatchRunResult.halt_grads`, h^n's adjoint at [e, t, n - 1]).
 """
 
 from __future__ import annotations
@@ -54,28 +55,6 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(1.0, abs(a), abs(n))
 
 
-def _check_closed_forms(spec: TaskSpec, params: CellParams, cfg: ActConfig,
-                        batch: TaskBatch) -> tuple[bool, bool]:
-    # One forward; each backward replaces the tape's gradients, so every
-    # check below reads the adjoints of its own loss alone.
-    loss_var, res, _, _ = batch_objective(spec, params, cfg, batch)
-    tape = res.tape
-    r_col = res.node.shape[2] - 1
-    n = np.arange(1, res.halts.shape[2] + 1)
-    ponder_ok = True
-    for t in range(batch.inputs.shape[1]):
-        # Each row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
-        r_t = ad.narrow(ad.narrow(res.node, 1, t, 1), 2, r_col, 1)
-        tape.backward(ad.reduce_sum(r_t))
-        want = np.where(n < res.steps[:, t, None], -1.0, 0.0)
-        ponder_ok &= bool(np.all(res.halt_grads[:, t] == want))
-    # Full objective: each row's halting activation gets zero gradient.
-    tape.backward(loss_var)
-    e, t = np.nonzero(res.active)
-    halt_zero_ok = bool(np.all(res.halt_grads[e, t, res.steps[e, t] - 1] == 0.0))
-    return ponder_ok, halt_zero_ok
-
-
 def halting_gradient_check(params: CellParams, cfg: ActConfig, batch: TaskBatch,
                            spec: TaskSpec, max_coords_per_param: int | None = None,
                            seed=0) -> GradCheckReport:
@@ -89,11 +68,24 @@ def halting_gradient_check(params: CellParams, cfg: ActConfig, batch: TaskBatch,
             f"got {params.hidden_size}")
     cfg.validate()
 
-    loss_var, res, breakdown, _ = batch_objective(spec, params, cfg, batch)
+    loss_var, res, _, _ = batch_objective(spec, params, cfg, batch)
     res.tape.backward(loss_var)
     analytic = {name: res.tape.grad(var).copy()
                 for name, var in res.param_vars.items()}
     base_signature = res.steps.copy()
+    # Each backward replaces the tape's gradients, so the zero-gradient
+    # check reads the objective's adjoints before the ponder sweeps.
+    e, t = np.nonzero(res.active)
+    halt_zero_ok = bool(np.all(res.halt_grads[e, t, res.steps[e, t] - 1] == 0.0))
+    r_col = res.node.shape[2] - 1
+    n = np.arange(1, res.halts.shape[2] + 1)
+    ponder_ok = True
+    for t in range(batch.inputs.shape[1]):
+        # Each row's ponder is N + R, so d/dh^n is -1 before its halt, else 0.
+        r_t = ad.narrow(ad.narrow(res.node, 1, t, 1), 2, r_col, 1)
+        res.tape.backward(ad.reduce_sum(r_t))
+        want = np.where(n < res.steps[:, t, None], -1.0, 0.0)
+        ponder_ok &= bool(np.all(res.halt_grads[:, t] == want))
 
     def objective(candidate: CellParams) -> tuple[float, np.ndarray]:
         _, r, b, _ = batch_objective(spec, candidate, cfg, batch)
@@ -136,6 +128,5 @@ def halting_gradient_check(params: CellParams, cfg: ActConfig, batch: TaskBatch,
         per_param[name] = param_worst
         worst = max(worst, param_worst)
 
-    ponder_ok, halt_zero_ok = _check_closed_forms(spec, params, cfg, batch)
     return GradCheckReport(worst, per_param, checked, skipped,
                            ponder_ok, halt_zero_ok)

@@ -151,8 +151,9 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
     that a padded row's `example_ponders` sum adds trailing zeros, which
     can move its last bit.
     """
-    if not batches:
-        raise ContractError("evaluate needs at least one batch; got an empty list")
+    if not any(b.lengths.any() for b in batches):
+        raise ContractError("evaluate needs at least one input step to score; got "
+                            "an empty list or only length-0 sequences")
     widths = sorted({batch.inputs.shape[2] for batch in batches})
     if len(widths) > 1:
         raise DimensionError(f"eval batches have different input widths {widths}")
@@ -171,11 +172,12 @@ def evaluate(spec: TaskSpec, params: CellParams, act_cfg: ActConfig,
         predictions = spec.decode(res.outputs)
         wrong_step = np.any(predictions != stacked.targets, axis=2) & mask
         nats = per_position_nats(spec, res.outputs, stacked.targets, mask)
+        # `difficulty[:, :1].sum` is the first step's, or 0 in a T = 0 block.
         columns.append((ponders[active], res.steps[active], stacked.difficulty[active],
                         wrong_step[active],
                         example_errors(predictions, stacked.targets, mask),
-                        ponders.sum(axis=1), stacked.difficulty[:, 0], nats[mask],
-                        res.halted_by_cap[active]))
+                        ponders.sum(axis=1), stacked.difficulty[:, :1].sum(axis=1),
+                        nats[mask], res.halted_by_cap[active]))
     *arrays, capped = (np.concatenate(c) for c in zip(*columns))
     details = EvalDetails(*arrays)
     metrics = RunMetrics(
@@ -214,8 +216,9 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
     """Run the full loop: generate, forward, backward, update, log.
 
     With an out_dir the run directory receives the resolved config, a
-    manifest, metrics.jsonl, and checkpoints; a divergent run checkpoints
-    its last good state before raising.
+    manifest, metrics.jsonl and checkpoints. A NumericError in any part of
+    an iteration, the row's eval included, first writes ckpt-lastgood.bin:
+    the state at the last metrics row, or the initial one before any row.
     """
     spec = resolved_spec(config)
     corpus = load_corpus(config)
@@ -247,29 +250,22 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
             batch = make_batch(config, data_rng, corpus)
             writes_row = (iteration % config.eval_every == 0
                           or iteration == config.iterations)
-            try:
-                loss_var, res, breakdown, _ = batch_objective(spec, params, act_cfg,
-                                                              batch)
-                if not np.isfinite(breakdown.total):
-                    raise NumericError(
-                        f"loss became non-finite at iteration {iteration}")
-                res.tape.backward(loss_var)
-                grads = {name: res.tape.grad(var)
-                         for name, var in res.param_vars.items()}
-                # The norm is one pass over every gradient; take it only
-                # when it clips or when this iteration writes a row.
-                if config.clip_norm > 0.0 or writes_row:
-                    grad_norm = clip_global_norm(grads, config.clip_norm)
-                adam_update(params, grads, opt, config.lr, config.beta1,
-                            config.beta2, config.adam_eps)
-                # The tape holds every update's arrays; free it before
-                # the eval and the next forward, not after.
-                del loss_var, res, grads
-            except NumericError:
-                if out_dir is not None:
-                    save_checkpoint(os.path.join(out_dir, "ckpt-lastgood.bin"),
-                                    *last_good, config)
-                raise
+            loss_var, res, breakdown, _ = batch_objective(spec, params, act_cfg, batch)
+            if not np.isfinite(breakdown.total):
+                raise NumericError(
+                    f"loss became non-finite at iteration {iteration}")
+            res.tape.backward(loss_var)
+            grads = {name: res.tape.grad(var)
+                     for name, var in res.param_vars.items()}
+            # The norm is one pass over every gradient; take it only
+            # when it clips or when this iteration writes a row.
+            if config.clip_norm > 0.0 or writes_row:
+                grad_norm = clip_global_norm(grads, config.clip_norm)
+            adam_update(params, grads, opt, config.lr, config.beta1,
+                        config.beta2, config.adam_eps)
+            # The tape holds every update's arrays; free it before
+            # the eval and the next forward, not after.
+            del loss_var, res, grads
 
             if writes_row:
                 metrics, _ = evaluate(spec, params, act_cfg,
@@ -291,6 +287,11 @@ def train(config: TrainConfig, out_dir: Optional[str] = None,
         if out_dir is not None:
             result.checkpoint_path = os.path.join(out_dir, "ckpt-final.bin")
             save_checkpoint(result.checkpoint_path, params, opt, config)
+    except NumericError:
+        if out_dir is not None:
+            save_checkpoint(os.path.join(out_dir, "ckpt-lastgood.bin"),
+                            *last_good, config)
+        raise
     finally:
         if metrics_fh is not None:
             metrics_fh.close()

@@ -502,6 +502,17 @@ class TestExitCodes:
                            "--set", "cell.hidden=6", "--tolerance", "5e-324"])
         assert code == 3
 
+    def test_train_divergence_in_a_rows_eval_exits_three(self, tmp_path):
+        sets = ["task.name=addition", "task.batch=4", "cell.hidden=8",
+                "task.max_len=2", "act.tau=1e-2", "train.iterations=50",
+                "train.eval_every=1", "train.eval_batches=1", "train.lr=1e308"]
+        argv = ["train", "--out-dir", str(tmp_path / "run")]
+        for kv in sets:
+            argv += ["--set", kv]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3
+        assert (tmp_path / "run" / "ckpt-lastgood.bin").exists()
+
 
 class TestGenCommand:
     def test_gen_is_deterministic(self, tmp_path):

@@ -53,9 +53,15 @@ class TestGradCheck:
         assert {name for name, _ in report.coords_skipped} <= {"w_halt", "b_halt"}
         assert report.max_rel_err < 1e-4      # everything checked still passes
 
+    @staticmethod
+    def closed_form_flags(spec, params, cfg, batch):
+        report = halting_gradient_check(params, cfg, batch, spec,
+                                        max_coords_per_param=0)
+        return report.ponder_closed_form_ok, report.halt_gradient_zero_ok
+
     def test_closed_forms_run_on_one_forward(self, monkeypatch):
-        # Every ponder check and the zero-gradient check share one tape:
-        # each backward replaces the gradients of the one before.
+        # The analytic gradient, every ponder check and the zero-gradient
+        # check share one tape: each backward replaces the one before.
         spec = task_spec("logic")
         params = init_params("lstm", spec.input_size, 4, spec.output_size, seed=2)
         batch = gen_logic(seed=3, batch=3, min_len=3, max_len=3)
@@ -67,9 +73,8 @@ class TestGradCheck:
             return real(*args)
 
         monkeypatch.setattr(gradcheck, "batch_objective", counted)
-        ponder_ok, halt_zero_ok = gradcheck._check_closed_forms(
-            spec, params, ActConfig(max_steps=5, time_penalty=1e-2), batch)
-        assert ponder_ok and halt_zero_ok
+        assert self.closed_form_flags(
+            spec, params, ActConfig(max_steps=5, time_penalty=1e-2), batch) == (True, True)
         assert len(calls) == 1
 
     def test_closed_forms_fail_on_a_wrong_halting_adjoint(self, monkeypatch):
@@ -79,7 +84,7 @@ class TestGradCheck:
         params = init_params("lstm", spec.input_size, 4, spec.output_size, seed=2)
         batch = gen_logic(seed=3, batch=3, min_len=3, max_len=3)
         cfg = ActConfig(max_steps=5, time_penalty=1e-2)
-        assert gradcheck._check_closed_forms(spec, params, cfg, batch) == (True, True)
+        assert self.closed_form_flags(spec, params, cfg, batch) == (True, True)
         real = engine._backward_step
 
         def perturbed(*args):
@@ -88,4 +93,4 @@ class TestGradCheck:
             return carry, dh
 
         monkeypatch.setattr(engine, "_backward_step", perturbed)
-        assert gradcheck._check_closed_forms(spec, params, cfg, batch) == (False, False)
+        assert self.closed_form_flags(spec, params, cfg, batch) == (False, False)

@@ -660,6 +660,54 @@ train.lr = 1e308
         for _, arr in params2.items():
             assert np.all(np.isfinite(arr))
 
+    def test_divergence_in_a_rows_eval_checkpoints_last_good_state(self, tmp_path):
+        # The first update leaves finite but huge weights, so the row's eval
+        # is the first pass to see a non-finite halting activation.
+        config = parse_config_text("""
+task.name = addition
+task.batch = 4
+cell.hidden = 8
+task.max_len = 2
+act.tau = 1e-2
+train.iterations = 50
+train.eval_every = 1
+train.eval_batches = 1
+train.lr = 1e308
+""")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="halting activation"):
+                train(config, out_dir=str(tmp_path / "run"))
+        _, params, state = load_checkpoint(str(tmp_path / "run" / "ckpt-lastgood.bin"))
+        assert state.step == 0
+        for _, arr in params.items():
+            assert np.all(np.isfinite(arr))
+
+    def test_last_good_checkpoint_holds_the_last_rows_state(self, tmp_path, monkeypatch):
+        config = parse_config_text("""
+task.name = logic
+cell.hidden = 8
+train.iterations = 20
+train.eval_every = 5
+train.checkpoint_every = 5
+""")
+        calls = []
+        real = trainer.adam_update
+
+        def poisoning(params, *args):
+            real(params, *args)
+            calls.append(1)
+            if len(calls) == 12:
+                params.w_halt[...] = np.nan
+
+        monkeypatch.setattr(trainer, "adam_update", poisoning)
+        with pytest.raises(NumericError):
+            train(config, out_dir=str(tmp_path / "run"))
+        _, params, state = load_checkpoint(str(tmp_path / "run" / "ckpt-lastgood.bin"))
+        _, params10, _ = load_checkpoint(str(tmp_path / "run" / "ckpt-0000010.bin"))
+        assert state.step == 10
+        for (name, arr), (_, want) in zip(params.items(), params10.items()):
+            assert arr.tobytes() == want.tobytes(), name
+
     def test_objective_adds_the_ponder_term_at_zero_tau(self):
         # One objective at every tau: at 0 the tape holds the same 12
         # nodes as above 0, and the ponder term adds nothing to a gradient.
@@ -962,6 +1010,21 @@ class TestEvaluate:
         spec, params, cfg, _ = self.logic_case()
         with pytest.raises(ContractError, match="empty list"):
             evaluate(spec, params, cfg, [])
+
+    def test_no_input_step_anywhere_is_a_contract_error(self):
+        spec, params, cfg, _ = self.logic_case()
+        with pytest.raises(ContractError, match="input step"):
+            evaluate(spec, params, cfg, [TaskBatch.blank("logic", 2, [0, 0])])
+
+    def test_a_block_with_no_input_step_scores(self, monkeypatch):
+        spec, params, cfg, _ = self.logic_case()
+        batches = [TaskBatch.blank("logic", 2, [0, 0]),
+                   gen_logic(4, batch=3, min_len=2, max_len=4)]
+        merged, details = evaluate(spec, params, cfg, batches)
+        monkeypatch.setattr(trainer, "EVAL_BLOCK_VALUES", 0)
+        alone, alone_details = evaluate(spec, params, cfg, batches)
+        assert alone == merged
+        assert list(alone_details.example_difficulty[:2]) == [0, 0]
 
     def test_mixed_input_widths_fail_before_any_forward(self, monkeypatch):
         spec, params, cfg, batches = self.logic_case()
